@@ -250,7 +250,6 @@ def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5,
 
 def periphery_score(g: InfluenceGraph, node: int) -> float:
     """Fraction of out-edges leading to a different genre; 0 for sinks."""
-    g._require(node)
     nbrs = g.out_neighbors(node)
     if not nbrs:
         return 0.0

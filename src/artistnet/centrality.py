@@ -15,10 +15,12 @@ The composite score is NI = (e^GC - 1) * LC * SC.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
-from artistnet.graph import GraphError, InfluenceGraph, bfs_distances, reachability_counts
+from artistnet.graph import GraphError, InfluenceGraph, reach_stats, reachability_counts, two_hop_count
 
 
 @dataclass(frozen=True)
@@ -31,57 +33,43 @@ class CentralityScores:
     rank_ni: int = 0
 
 
-def _out_clustering(g: InfluenceGraph, node: int) -> float:
+def _out_clustering(succ, nbrs) -> float:
     """Fraction of ordered out-neighbor pairs (u, v) joined by an edge
     u -> v; 0 when the node has fewer than two out-neighbors."""
-    nbrs = g.out_neighbors(node)
     if len(nbrs) < 2:
         return 0.0
     nbr_set = set(nbrs)
     linked = 0
     for u in nbrs:
-        for v in g.out_neighbors(u):
+        for v in succ[u]:
             if v in nbr_set and v != u:
                 linked += 1
     return linked / (len(nbrs) * (len(nbrs) - 1))
 
 
 def cluster_rank(g: InfluenceGraph, node: int) -> float:
-    g._require(node)
-    nbrs = g.out_neighbors(node)
+    succ = g._succ
+    nbrs = succ[g._index(node)]
     if not nbrs:
         return 0.0
-    damping = 10.0 ** (-_out_clustering(g, node))
-    return damping * sum(g.out_degree(j) + 1 for j in nbrs)
-
-
-def _two_hop_count(g: InfluenceGraph, node: int) -> int:
-    """Number of distinct nodes at out-distance 1 or 2."""
-    first = set(g.out_neighbors(node))
-    reach = set(first)
-    for u in first:
-        reach.update(g.out_neighbors(u))
-    reach.discard(node)
-    return len(reach)
+    damping = 10.0 ** (-_out_clustering(succ, nbrs))
+    return damping * sum(len(succ[j]) + 1 for j in nbrs)
 
 
 def semi_local(g: InfluenceGraph, node: int) -> float:
-    g._require(node)
     total = 0
     for u in g.out_neighbors(node):
-        total += sum(_two_hop_count(g, w) for w in g.out_neighbors(u))
+        total += sum(two_hop_count(g, w) for w in g.out_neighbors(u))
     return float(total)
 
 
 def out_closeness(g: InfluenceGraph, node: int) -> float:
-    g._require(node)
     if g.n_nodes < 2:
         raise GraphError("out_closeness needs at least 2 nodes")
-    dist = bfs_distances(g, node)
-    reachable = len(dist)
+    reachable, dist_sum = reach_stats(g, node)
     if reachable == 0:
         return 0.0
-    return (reachable / (g.n_nodes - 1)) ** 2 / sum(dist.values())
+    return (reachable / (g.n_nodes - 1)) ** 2 / dist_sum
 
 
 def node_influence(g: InfluenceGraph) -> list[CentralityScores]:
@@ -126,12 +114,12 @@ def top_k(g: InfluenceGraph, k: int, genre: str | None = None):
 
 
 def export_scores_csv(g: InfluenceGraph, scores: list[CentralityScores]) -> str:
-    lines = ["node_id,name,genre,lc,sc,gc,ni,rank_ni,first_order,second_order,total_reach"]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
+                "first_order", "second_order", "total_reach"])
     for s in scores:
         node = g.nodes[s.node_id]
-        first, second, total = reachability_counts(g, s.node_id)
-        lines.append(
-            f"{s.node_id},{node.name},{node.genre},{s.lc!r},{s.sc!r},{s.gc!r},"
-            f"{s.ni!r},{s.rank_ni},{first},{second},{total}"
-        )
-    return "\n".join(lines) + "\n"
+        w.writerow([s.node_id, node.name, node.genre, repr(s.lc), repr(s.sc), repr(s.gc),
+                    repr(s.ni), s.rank_ni, *reachability_counts(g, s.node_id)])
+    return buf.getvalue()

@@ -3,7 +3,8 @@ weights with max-min normalization, cycle removal, and reachability."""
 
 from __future__ import annotations
 
-from collections import deque
+import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,14 +41,15 @@ class InfluenceGraph:
     """Immutable directed graph over artist nodes.
 
     Mutating stages (normalize_weights, remove_cycles) return new graphs.
-    Adjacency lists are kept sorted so every traversal is deterministic.
+    The out-adjacency is built once, in CSR form over a dense index of the
+    sorted node ids: the successors of dense node k are
+    `indices[indptr[k]:indptr[k + 1]]`, ascending, so every traversal is
+    deterministic. Traversals read `_succ`, the same rows as Python lists.
     """
 
     def __init__(self, nodes, edges, self_loops_dropped: int = 0):
         self.nodes: dict[int, ArtistNode] = {n.id: n for n in nodes}
         self.edges: dict[tuple[int, int], InfluenceEdge] = {}
-        out: dict[int, list[int]] = {i: [] for i in self.nodes}
-        inn: dict[int, list[int]] = {i: [] for i in self.nodes}
         for e in edges:
             if e.src == e.dst:
                 raise GraphError(f"self-loop edge {e.src}")
@@ -56,11 +58,22 @@ class InfluenceGraph:
             if (e.src, e.dst) in self.edges:
                 raise GraphError(f"duplicate edge ({e.src}, {e.dst})")
             self.edges[(e.src, e.dst)] = e
-            out[e.src].append(e.dst)
-            inn[e.dst].append(e.src)
-        self._out = {i: sorted(v) for i, v in out.items()}
-        self._in = {i: sorted(v) for i, v in inn.items()}
         self.self_loops_dropped = self_loops_dropped
+        self._ids = sorted(self.nodes)
+        self._pos = {i: k for k, i in enumerate(self._ids)}
+        n, m = len(self._ids), len(self.edges)
+        src = np.fromiter((self._pos[s] for s, _ in self.edges), np.int64, m)
+        dst = np.fromiter((self._pos[d] for _, d in self.edges), np.int64, m)
+        self.indices = dst[np.lexsort((dst, src))]
+        self.indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        self._succ = [flat[bounds[k]:bounds[k + 1]] for k in range(n)]
+        self._pred = None  # in-adjacency, transposed from _succ on first use
+        # Per-node results read by more than one centrality column, keyed
+        # by node id; O(n) each.
+        self._reach: dict[int, tuple[int, int]] = {}
+        self._two_hop: dict[int, int] = {}
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -70,22 +83,29 @@ class InfluenceGraph:
         return len(self.nodes)
 
     def node_ids(self) -> list[int]:
-        return sorted(self.nodes)
+        return list(self._ids)
 
     def out_neighbors(self, i: int) -> list[int]:
-        self._require(i)
-        return self._out[i]
+        return [self._ids[k] for k in self._succ[self._index(i)]]
 
     def in_neighbors(self, i: int) -> list[int]:
-        self._require(i)
-        return self._in[i]
+        k = self._index(i)
+        if self._pred is None:
+            self._pred = [[] for _ in self._ids]
+            for v, succ in enumerate(self._succ):
+                for w in succ:
+                    self._pred[w].append(v)
+        return [self._ids[v] for v in self._pred[k]]
 
     def out_degree(self, i: int) -> int:
-        return len(self.out_neighbors(i))
+        return len(self._succ[self._index(i)])
 
-    def _require(self, i: int) -> None:
-        if i not in self.nodes:
-            raise GraphError(f"unknown node id {i}")
+    def _index(self, i: int) -> int:
+        """Dense index of node id `i`."""
+        try:
+            return self._pos[i]
+        except KeyError:
+            raise GraphError(f"unknown node id {i}") from None
 
     def subgraph(self, keep_ids) -> "InfluenceGraph":
         """Induced subgraph on `keep_ids`."""
@@ -140,17 +160,19 @@ def normalize_weights(g: InfluenceGraph) -> InfluenceGraph:
     return InfluenceGraph(g.nodes.values(), weighted, g.self_loops_dropped)
 
 
-def _tarjan_scc(node_ids, out_adj) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as sorted id lists."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _tarjan_scc(roots, succ: list) -> list[list[int]]:
+    """Iterative Tarjan over the dense nodes reachable from `roots` through
+    `succ` (one successor row per dense node); returns SCCs as sorted node
+    lists."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
 
-    for root in node_ids:
-        if root in index:
+    for root in roots:
+        if index[root] >= 0:
             continue
         work = [(root, 0)]
         while work:
@@ -159,96 +181,162 @@ def _tarjan_scc(node_ids, out_adj) -> list[list[int]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             recurse = False
-            succs = out_adj.get(v, [])
+            succs = succ[v]
             for i in range(pi, len(succs)):
                 w = succs[i]
-                if w not in index:
+                if index[w] < 0:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
                     recurse = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if recurse:
                 continue
             if low[v] == index[v]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
                 comps.append(sorted(comp))
             work.pop()
             if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                u = work[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
     return comps
+
+
+def _search(succ, u: int, v: int, members: set[int]) -> set[int] | None:
+    """Nodes reachable from `u` along `succ` inside `members` (u included),
+    or None as soon as `v` turns out to be one of them."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w == v:
+                return None
+            if w not in seen and w in members:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge]]:
     """Break every cycle by repeatedly deleting, within each nontrivial
     strongly connected component, the minimum-weight edge (ties by
-    ascending (weight, src, dst)). Deterministic for a given input."""
+    ascending (weight, src, dst)). Deterministic for a given input.
+
+    Works in rounds over a worklist of nontrivial SCCs, visited by smallest
+    member. Each SCC holds its internal edges sorted once, heaviest first,
+    and pops its lightest remaining one off the end. Deleting an edge only
+    splits the SCC C that holds it, and C minus (u, v) stays strongly
+    connected if and only if u still reaches v inside it. So each deletion
+    runs one early-exit search from u. If it finds v, C carries over to
+    the next round whole. If not, every node of C still reaches u, so the
+    nodes the search reached are u's whole new SCC, and Tarjan runs only on
+    the rest of C. The largest piece keeps C's edge list and skips edges
+    that are no longer internal to it; smaller pieces sort their own.
+    Cost: one Tarjan pass over the graph, then O(V_C + E_C) per deletion,
+    instead of O(V + E) per round for the whole graph.
+    """
     if any(e.weight is None for e in g.edges.values()):
         raise GraphError("remove_cycles requires normalized weights")
-    edges = dict(g.edges)
+    ids, pos = g._ids, g._pos
+    succ = [list(row) for row in g._succ]
+    ascending = sorted(g.edges.values(), key=lambda e: (e.weight, e.src, e.dst))
+    rank = {(pos[e.src], pos[e.dst]): r for r, e in enumerate(ascending)}
+
+    def scc(members: set[int], inner=None):
+        """Worklist entry: (smallest member, members, internal edges
+        heaviest first); `inner` may also hold edges outside `members`."""
+        if inner is None:
+            inner = sorted(((x, w) for x in members for w in succ[x] if w in members),
+                           key=rank.__getitem__, reverse=True)
+        return min(members), members, inner
+
+    work = [scc(set(c)) for c in _tarjan_scc(range(len(ids)), succ) if len(c) > 1]
     removed: list[InfluenceEdge] = []
-    node_ids = g.node_ids()
-    while True:
-        out_adj: dict[int, list[int]] = {i: [] for i in node_ids}
-        for s, d in edges:
-            out_adj[s].append(d)
-        for v in out_adj.values():
-            v.sort()
-        nontrivial = [c for c in _tarjan_scc(node_ids, out_adj) if len(c) > 1]
-        if not nontrivial:
-            break
-        for comp in sorted(nontrivial, key=lambda c: c[0]):
-            comp_set = set(comp)
-            candidates = [
-                e
-                for (s, d), e in edges.items()
-                if s in comp_set and d in comp_set
-            ]
-            victim = min(candidates, key=lambda e: (e.weight, e.src, e.dst))
-            del edges[(victim.src, victim.dst)]
-            removed.append(victim)
-    dag = InfluenceGraph(g.nodes.values(), edges.values(), g.self_loops_dropped)
+    while work:
+        carried = []
+        for first, members, inner in sorted(work, key=lambda c: c[0]):
+            u, v = inner.pop()
+            while u not in members or v not in members:
+                u, v = inner.pop()
+            succ[u].remove(v)
+            removed.append(g.edges[(ids[u], ids[v])])
+            reached = _search(succ, u, v, members)
+            if reached is None:
+                carried.append((first, members, inner))
+                continue
+            rest = members - reached
+            sub = [()] * len(succ)
+            for x in rest:
+                sub[x] = [w for w in succ[x] if w in rest]
+            pieces = [set(c) for c in _tarjan_scc(rest, sub) if len(c) > 1]
+            if len(reached) > 1:
+                pieces.append(reached)
+            if pieces:
+                largest = max(pieces, key=len)
+                carried.extend(scc(p, inner if p is largest else None) for p in pieces)
+        work = carried
+    gone = {(e.src, e.dst) for e in removed}
+    kept = [e for key, e in g.edges.items() if key not in gone]
+    dag = InfluenceGraph(g.nodes.values(), kept, g.self_loops_dropped)
     return dag, removed
 
 
 def is_acyclic(g: InfluenceGraph) -> bool:
-    """Kahn-style peeling check."""
-    indeg = {i: len(g.in_neighbors(i)) for i in g.node_ids()}
-    queue = deque(sorted(i for i, d in indeg.items() if d == 0))
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in g.out_neighbors(v):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == g.n_nodes
+    """True when no strongly connected component has two or more nodes."""
+    return all(len(c) == 1 for c in _tarjan_scc(range(g.n_nodes), g._succ))
 
 
 def bfs_distances(g: InfluenceGraph, node: int) -> dict[int, int]:
     """Unweighted hop distances from `node` along out-edges (node excluded)."""
-    g._require(node)
-    dist = {node: 0}
-    queue = deque([node])
-    while queue:
-        v = queue.popleft()
-        for w in g.out_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    del dist[node]
-    return dist
+    start = g._index(node)
+    succ, ids = g._succ, g._ids
+    dist = {start: 0}
+    frontier = [start]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for v in frontier:
+            for w in succ[v]:
+                if w not in dist:
+                    dist[w] = hops
+                    nxt.append(w)
+        frontier = nxt
+    del dist[start]
+    return {ids[w]: d for w, d in dist.items()}
+
+
+def reach_stats(g: InfluenceGraph, node: int) -> tuple[int, int]:
+    """(reachable node count, sum of hop distances) from `node`; one
+    `bfs_distances` per node, memoized on the graph."""
+    if node not in g._reach:
+        dist = bfs_distances(g, node)
+        g._reach[node] = (len(dist), sum(dist.values()))
+    return g._reach[node]
+
+
+def two_hop_count(g: InfluenceGraph, node: int) -> int:
+    """Number of distinct nodes at out-distance 1 or 2 from `node`,
+    memoized on the graph."""
+    if node not in g._two_hop:
+        k = g._index(node)
+        succ = g._succ
+        seen = set(succ[k])
+        for u in succ[k]:
+            seen.update(succ[u])
+        seen.discard(k)
+        g._two_hop[node] = len(seen)
+    return g._two_hop[node]
 
 
 def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
@@ -258,14 +346,8 @@ def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
     from first-order nodes, excluding the node and its first-order set;
     total: all nodes reachable from the node (excluding itself).
     """
-    first = set(g.out_neighbors(node))
-    second = set()
-    for u in sorted(first):
-        second.update(g.out_neighbors(u))
-    second -= first
-    second.discard(node)
-    total = len(bfs_distances(g, node))
-    return len(first), len(second), total
+    first = g.out_degree(node)
+    return first, two_hop_count(g, node) - first, reach_stats(g, node)[0]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
@@ -318,16 +400,18 @@ def export_edges_csv(g: InfluenceGraph) -> str:
 
 
 def export_nodes_csv(g: InfluenceGraph) -> str:
-    lines = ["id,name,genre,active_start"]
-    for i, n in sorted(g.nodes.items()):
-        lines.append(f"{i},{n.name},{n.genre},{n.active_start}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["id", "name", "genre", "active_start"])
+    w.writerows([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items()))
+    return buf.getvalue()
 
 
 def export_dot(g: InfluenceGraph) -> str:
     lines = ["digraph influence {"]
     for i, n in sorted(g.nodes.items()):
-        lines.append(f'  {i} [label="{n.name}"];')
+        label = n.name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {i} [label="{label}"];')
     for (s, d), e in sorted(g.edges.items()):
         w = "" if e.weight is None else f' [weight={e.weight:.6f}]'
         lines.append(f"  {s} -> {d}{w};")

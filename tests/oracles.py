@@ -68,3 +68,26 @@ def brute_node_influence(dg: nx.DiGraph, node) -> float:
 
 def brute_reachable(dg: nx.DiGraph, node) -> int:
     return len(nx.descendants(dg, node))
+
+
+def reference_remove_cycles(g):
+    """Round-based decycler: each round takes the SCCs of the whole
+    remaining graph and deletes, in every nontrivial SCC visited by smallest
+    member, its minimum (weight, src, dst) edge. Returns (remaining edges
+    by key, removed edges in deletion order)."""
+    edges = dict(g.edges)
+    removed = []
+    while True:
+        dg = nx.DiGraph()
+        dg.add_nodes_from(g.node_ids())
+        dg.add_edges_from(edges)
+        comps = [c for c in nx.strongly_connected_components(dg) if len(c) > 1]
+        if not comps:
+            return edges, removed
+        for comp in sorted(comps, key=min):
+            victim = min(
+                (e for (s, d), e in edges.items() if s in comp and d in comp),
+                key=lambda e: (e.weight, e.src, e.dst),
+            )
+            del edges[(victim.src, victim.dst)]
+            removed.append(victim)

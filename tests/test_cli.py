@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from artistnet.cli import main
+from artistnet import centrality, graph
+from artistnet.cli import _load_graph_artifacts, _load_scores_csv, main
 
 GENRES = {i: ("rock" if i <= 10 else "jazz") for i in range(1, 21)}
 STARTS = {i: 1950 + 2 * i for i in range(1, 21)}
@@ -21,7 +22,9 @@ EDGES = (
 )
 
 
-def write_fixture(tmp_path: Path) -> Path:
+def write_fixture(tmp_path: Path, names=None) -> Path:
+    """Fixture corpus and config; `names` overrides artist names by id."""
+    name = {i: f"artist{i}" for i in GENRES} | (names or {})
     influence = tmp_path / "influence.csv"
     with open(influence, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -32,8 +35,8 @@ def write_fixture(tmp_path: Path) -> Path:
         ])
         for s, d in EDGES:
             w.writerow([
-                s, f"artist{s}", GENRES[s], STARTS[s],
-                d, f"artist{d}", GENRES[d], STARTS[d],
+                s, name[s], GENRES[s], STARTS[s],
+                d, name[d], GENRES[d], STARTS[d],
             ])
 
     songs = tmp_path / "songs.csv"
@@ -117,6 +120,16 @@ class TestPipeline:
         assert set(report["revolution_label_counts"]) == {"major", "non_major", "unlabeled"}
         assert report["cleaning"]["rows_read"] == 40
 
+    def test_names_with_commas_and_quotes_survive_graph_artifacts(self, tmp_path):
+        names = {1: "Crosby, Stills, Nash & Young", 2: 'The "Band"', 3: "Björk"}
+        cfg_path = write_fixture(tmp_path, names)
+        for stage in STAGES[:3]:
+            assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+        with open(tmp_path / "out" / "centrality.csv", newline="", encoding="utf-8") as fh:
+            read = {int(r["node_id"]): r["name"] for r in csv.DictReader(fh)}
+        assert len(read) == 20
+        assert {i: read[i] for i in names} == names
+
     def test_manifest_tracks_all_stages(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
         run_all(cfg_path)
@@ -161,6 +174,23 @@ class TestPipeline:
             if p.name == "manifest.json":
                 continue
             assert p.read_bytes() == (tmp_path / "t4" / p.name).read_bytes()
+
+
+def test_graph_artifacts_round_trip_awkward_names(tmp_path):
+    names = ["Crosby, Stills, Nash & Young", 'The "Band"', "Björk"]
+    nodes = [graph.ArtistNode(i, name, f"genre, {name}", 1950 + i) for i, name in enumerate(names)]
+    edges = [graph.InfluenceEdge(0, 1, 1, 0.5), graph.InfluenceEdge(1, 2, 1, 0.25)]
+    g = graph.InfluenceGraph(nodes, edges)
+    (tmp_path / "nodes.csv").write_text(graph.export_nodes_csv(g), encoding="utf-8")
+    (tmp_path / "edges.csv").write_text(graph.export_edges_csv(g), encoding="utf-8")
+    back = _load_graph_artifacts(tmp_path)
+    assert back.nodes == g.nodes
+    assert back.edges == g.edges
+    scores = centrality.node_influence(g)
+    (tmp_path / "centrality.csv").write_text(centrality.export_scores_csv(g, scores), encoding="utf-8")
+    assert _load_scores_csv(tmp_path / "centrality.csv") == scores
+    with open(tmp_path / "centrality.csv", newline="", encoding="utf-8") as fh:
+        assert {r["name"] for r in csv.DictReader(fh)} == set(names)
 
 
 class TestDependencies:

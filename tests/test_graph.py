@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
-from oracles import brute_reachable, to_nx
+from oracles import brute_reachable, reference_remove_cycles, to_nx
 
 from artistnet.centrality import CentralityScores, node_influence
 from artistnet.graph import (
+    ArtistNode,
     GraphError,
     InfluenceEdge,
+    InfluenceGraph,
     build_graph,
+    export_dot,
     export_edges_csv,
     export_nodes_csv,
     is_acyclic,
@@ -26,6 +31,32 @@ def raw_row(i, iy, f, fy, genre="Pop/Rock"):
         influencer_active_start=iy, follower_id=f, follower_name=f"n{f}",
         follower_main_genre=genre, follower_active_start=fy,
     )
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """Small digraphs whose weights come from four values, so that equal
+    weights fall back to the (src, dst) tie-break."""
+    n = draw(st.integers(2, 9))
+    pairs = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]))))
+    weights = draw(st.lists(st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+                            min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [(s, d, w) for (s, d), w in zip(pairs, weights)])
+
+
+def time_ordered_graph(seed, n=300, influencers=6, reversed_fraction=0.06):
+    """Normalized graph in which each artist follows up to `influencers`
+    earlier ones; a `reversed_fraction` of edges point back in time, which
+    closes cycles through the forward paths."""
+    rng = np.random.default_rng(seed)
+    years = np.sort(rng.integers(1950, 1980, size=n)).tolist()
+    rows = []
+    for f in range(1, n):
+        for i in rng.choice(f, size=min(f, influencers), replace=False).tolist():
+            s, d = (f, i) if rng.random() < reversed_fraction else (i, f)
+            rows.append(raw_row(s, years[s], d, years[d]))
+    return normalize_weights(build_graph(rows))
 
 
 class TestBuildGraph:
@@ -109,6 +140,22 @@ class TestRemoveCycles:
         sccs = [c for c in nx.strongly_connected_components(to_nx(g)) if len(c) > 1]
         for e in removed:
             assert any(e.src in c and e.dst in c for c in sccs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_digraphs())
+    def test_matches_reference_decycler(self, g):
+        dag, removed = remove_cycles(g)
+        kept, expected = reference_remove_cycles(g)
+        assert removed == expected
+        assert dag.edges == kept
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_time_ordered_graph_matches_reference_decycler(self, seed):
+        g = time_ordered_graph(seed)
+        dag, removed = remove_cycles(g)
+        kept, expected = reference_remove_cycles(g)
+        assert removed == expected
+        assert dag.edges == kept
 
     def test_deterministic(self):
         edges = [(0, 1, 0.4), (1, 2, 0.2), (2, 0, 0.9), (2, 3, 0.5), (3, 2, 0.5)]
@@ -200,3 +247,16 @@ class TestExports:
         assert export_edges_csv(a) == export_edges_csv(b)
         assert export_nodes_csv(a) == export_nodes_csv(b)
         assert export_edges_csv(a).splitlines()[0] == "from,to,year_diff,weight"
+
+    def test_plain_names_are_not_quoted(self):
+        g = make_graph(2, [(0, 1, 0.5)], genres={1: "Jazz"})
+        assert export_nodes_csv(g) == (
+            "id,name,genre,active_start\n0,artist0,Pop/Rock,1950\n1,artist1,Jazz,1951\n"
+        )
+
+    def test_dot_escapes_labels(self):
+        g = InfluenceGraph([ArtistNode(0, 'Weird Al "Yankovic"', "g", 1950),
+                            ArtistNode(1, "back\\slash", "g", 1950)], [])
+        lines = export_dot(g).splitlines()
+        assert lines[1] == '  0 [label="Weird Al \\"Yankovic\\""];'
+        assert lines[2] == '  1 [label="back\\\\slash"];'
