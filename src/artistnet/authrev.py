@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from artistnet.graph import GraphError, InfluenceGraph
-from artistnet.simvec import tss
+from artistnet.simvec import tss_rows
 
 DEFAULT_ALPHA = 0.8
 
@@ -96,8 +96,8 @@ def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
             if len(g.in_neighbors(node)) >= 1:
                 excluded += 1
             continue
-        sims = [tss(profiles[node], profiles[i]).tss for i in influencers]
-        mapped = _minmax(sims)
+        t, s, _ = tss_rows([profiles[node]] * len(influencers), [profiles[i] for i in influencers])
+        mapped = _minmax((t * s).tolist())
         ad = average_extreme_distance(mapped, mode=mode)
         scores.append(
             AuthenticityScore(

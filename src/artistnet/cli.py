@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -106,33 +108,46 @@ def _require(cond, field, message):
         raise ConfigError(field, message)
 
 
+def _is_number(v, lo: float = 0.0, hi: float = float("inf")) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi
+
+
+# Integer fields with their least value, and number fields with their range.
+_INT_FIELDS = {"seed": 0, "pca_k": 1, "uniqueness_cap": 2, "sampling.samples_per_run": 1,
+               "sampling.runs": 1, "forest.trees": 1, "forest.max_depth": 1, "cluster.cut": 1}
+_NUMBER_FIELDS = {"pca_k": (1, 13), "authenticity.alpha": (0, 2), "elastic_net.alpha_mix": (0, 1),
+                  "thresholds.genre_matrix_prune": (0, 1), "thresholds.periphery": (0, 1)}
+
+
 def _validate_config(cfg: dict) -> None:
-    _require(cfg["influence_csv"], "influence_csv", "required path missing")
-    _require(cfg["songs_csv"], "songs_csv", "required path missing")
-    _require(isinstance(cfg["seed"], int) and cfg["seed"] >= 0, "seed", "must be a nonnegative integer")
-    _require(isinstance(cfg["pca_k"], int) and 1 <= cfg["pca_k"] <= 13, "pca_k", "must be in [1, 13]")
-    s = cfg["sampling"]
-    _require(s["samples_per_run"] >= 1, "sampling.samples_per_run", "must be >= 1")
-    _require(s["runs"] >= 1, "sampling.runs", "must be >= 1")
-    a = cfg["authenticity"]
-    _require(0.0 <= a["alpha"] <= 2.0, "authenticity.alpha", "must be in [0, 2]")
-    _require(a["mode"] in ("pair_mean", "unbounded"), "authenticity.mode", "must be pair_mean or unbounded")
-    e = cfg["elastic_net"]
-    _require(all(l >= 0 for l in e["lambda_grid"]), "elastic_net.lambda_grid", "entries must be >= 0")
-    _require(0.0 <= e["alpha_mix"] <= 1.0, "elastic_net.alpha_mix", "must be in [0, 1]")
-    f = cfg["forest"]
-    _require(f["trees"] >= 1, "forest.trees", "must be >= 1")
-    _require(f["max_depth"] >= 1, "forest.max_depth", "must be >= 1")
+    for key in ("influence_csv", "songs_csv", "out_dir"):
+        _require(cfg[key] and isinstance(cfg[key], str), key, "required path missing or not a string")
+    for key in ("phrases_file", "bios_dir"):
+        _require(cfg[key] is None or isinstance(cfg[key], str), key, "must be a path string or null")
+    for section in ("sampling", "authenticity", "elastic_net", "forest", "thresholds", "cluster"):
+        _require(isinstance(cfg[section], dict), section, "must be an object")
+    for name, lo in _INT_FIELDS.items():
+        v = functools.reduce(dict.get, name.split("."), cfg)
+        _require(isinstance(v, int) and _is_number(v, lo), name, f"must be an integer >= {lo}")
+    for name, (lo, hi) in _NUMBER_FIELDS.items():
+        v = functools.reduce(dict.get, name.split("."), cfg)
+        _require(_is_number(v, lo, hi), name, f"must be a number in [{lo}, {hi}]")
+    _require(cfg["authenticity"]["mode"] in ("pair_mean", "unbounded"), "authenticity.mode",
+             "must be pair_mean or unbounded")
+    grid = cfg["elastic_net"]["lambda_grid"]
+    _require(isinstance(grid, list) and grid and all(_is_number(l) for l in grid),
+             "elastic_net.lambda_grid", "must be a nonempty list of numbers >= 0")
+    split = cfg["forest"]["split"]
     _require(
-        len(f["split"]) == 3 and all(0 < x < 1 for x in f["split"]) and sum(f["split"]) <= 1.0,
-        "forest.split",
-        "must be three fractions summing to <= 1",
+        isinstance(split, list) and len(split) == 3
+        and all(_is_number(x) and 0 < x < 1 for x in split) and sum(split) <= 1.0,
+        "forest.split", "must be three fractions summing to <= 1",
     )
-    t = cfg["thresholds"]
-    _require(0.0 <= t["genre_matrix_prune"] <= 1.0, "thresholds.genre_matrix_prune", "must be in [0, 1]")
-    _require(0.0 <= t["periphery"] <= 1.0, "thresholds.periphery", "must be in [0, 1]")
     _require(cfg["cluster"]["linkage"] in ("average", "ward"), "cluster.linkage", "must be average or ward")
-    _require(cfg["cluster"]["cut"] >= 1, "cluster.cut", "must be >= 1")
+    trend = cfg["trend"]
+    _require(trend is None or isinstance(trend, dict) and all(
+        isinstance(trend.get(k), str) for k in ("genre", "feature")),
+        "trend", "must be null or an object with string genre and feature")
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +234,19 @@ def _load_scores_csv(path: Path) -> list[centrality.CentralityScores]:
     return scores
 
 
-def _profiles_csv(header_prefix: str, rows: dict[int, np.ndarray], width: int) -> str:
-    cols = [header_prefix] + [f"c{i}" for i in range(width)]
-    lines = [",".join(cols)]
-    for i, vec in sorted(rows.items()):
-        lines.append(",".join([str(i)] + [repr(float(v)) for v in vec]))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One header and the rows through csv.writer; floats go in as repr
+    strings, so they read back exactly."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    _write(path, buf.getvalue())
+
+
+def _write_profiles(path: Path, rows: dict[int, np.ndarray], width: int) -> None:
+    _write_csv(path, ["artist_id"] + [f"c{i}" for i in range(width)],
+               ([i] + [repr(float(v)) for v in vec] for i, vec in sorted(rows.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +261,8 @@ def stage_ingest(cfg: dict, out: Path) -> None:
     ingest.write_influence(out / "influence_clean.csv", rows)
     ingest.write_songs(out / "songs_clean.csv", songs)
     _write(out / "cleaning_report.json", report.to_json())
-    _write(
-        out / "artist_profiles.csv",
-        _profiles_csv("artist_id", {a: p.features for a, p in profiles.items()}, len(ingest.FEATURES)),
-    )
+    _write_profiles(out / "artist_profiles.csv", {a: p.features for a, p in profiles.items()},
+                    len(ingest.FEATURES))
     _update_manifest(
         out, "ingest", cfg,
         [Path(cfg["influence_csv"]), Path(cfg["songs_csv"])],
@@ -258,10 +278,8 @@ def stage_graph_build(cfg: dict, out: Path, fmt: str | None) -> None:
     dag, removed = graph.remove_cycles(g)
     _write(out / "nodes.csv", graph.export_nodes_csv(dag))
     _write(out / "edges.csv", graph.export_edges_csv(dag))
-    removed_lines = ["from,to,year_diff,weight"] + [
-        f"{e.src},{e.dst},{e.year_diff},{e.weight!r}" for e in removed
-    ]
-    _write(out / "removed_edges.csv", "\n".join(removed_lines) + "\n")
+    _write_csv(out / "removed_edges.csv", ["from", "to", "year_diff", "weight"],
+               ([e.src, e.dst, e.year_diff, repr(e.weight)] for e in removed))
     outputs = [out / "nodes.csv", out / "edges.csv", out / "removed_edges.csv"]
     if fmt in (None, "dot"):
         _write(out / "graph.dot", graph.export_dot(dag))
@@ -299,14 +317,8 @@ def stage_similarity(cfg: dict, out: Path) -> None:
     model = simvec.fit_pca(std.vectors, cfg["pca_k"], means=std.means, stdevs=std.stdevs)
     projected = simvec.project(model, std.vectors)
     _write(out / "pca_model.json", model.to_json())
-    _write(
-        out / "profiles_standardized.csv",
-        _profiles_csv("artist_id", dict(zip(ids, std.vectors)), X.shape[1]),
-    )
-    _write(
-        out / "profiles_projected.csv",
-        _profiles_csv("artist_id", dict(zip(ids, projected)), cfg["pca_k"]),
-    )
+    _write_profiles(out / "profiles_standardized.csv", dict(zip(ids, std.vectors)), X.shape[1])
+    _write_profiles(out / "profiles_projected.csv", dict(zip(ids, projected)), cfg["pca_k"])
     cap = min(cfg["uniqueness_cap"], len(ids))
     sample = projected[:cap]
     uniq = {
@@ -347,22 +359,14 @@ def stage_genre(cfg: dict, out: Path) -> None:
     _write(out / "dendrogram.newick", dendro.to_newick() + "\n")
     cut_k = min(cfg["cluster"]["cut"], len(dendro.leaves))
     flat = dendro.flat_cut(cut_k)
-    flat_lines = ["genre,cluster"] + [f"{g_},{c}" for g_, c in sorted(flat.items())]
-    _write(out / "genre_clusters.csv", "\n".join(flat_lines) + "\n")
-
+    _write_csv(out / "genre_clusters.csv", ["genre", "cluster"], sorted(flat.items()))
     debut = genre.debut_counts(influence_rows)
-    debut_lines = ["genre,year,count"] + [
-        f"{gname},{year},{count}" for (gname, year), count in sorted(debut.items())
-    ]
-    _write(out / "debut_counts.csv", "\n".join(debut_lines) + "\n")
-
+    _write_csv(out / "debut_counts.csv", ["genre", "year", "count"],
+               ([gname, year, count] for (gname, year), count in sorted(debut.items())))
     cross, selfp = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])
-    matrix_lines = ["from_genre,to_genre,weight,self_pair"]
-    for gm, gn, w in cross:
-        matrix_lines.append(f"{gm},{gn},{w!r},0")
-    for gm, gn, w in selfp:
-        matrix_lines.append(f"{gm},{gn},{w!r},1")
-    _write(out / "genre_influence_matrix.csv", "\n".join(matrix_lines) + "\n")
+    _write_csv(out / "genre_influence_matrix.csv", ["from_genre", "to_genre", "weight", "self_pair"],
+               [[gm, gn, repr(w), 0] for gm, gn, w in cross]
+               + [[gm, gn, repr(w), 1] for gm, gn, w in selfp])
 
     outputs = [
         out / n
@@ -377,13 +381,10 @@ def stage_genre(cfg: dict, out: Path) -> None:
         gseries, aseries = genre.genre_feature_trend(
             songs, cfg["trend"]["genre"], cfg["trend"]["feature"], genres
         )
-        lines = ["genre,year,value"]
-        for year, value in sorted(gseries.items()):
-            lines.append(f"{cfg['trend']['genre']},{year},{value!r}")
-        for year, value in sorted(aseries.items()):
-            lines.append(f"__all__,{year},{value!r}")
         trend_path = out / "genre_trend.csv"
-        _write(trend_path, "\n".join(lines) + "\n")
+        _write_csv(trend_path, ["genre", "year", "value"],
+                   [[cfg["trend"]["genre"], y, repr(v)] for y, v in sorted(gseries.items())]
+                   + [["__all__", y, repr(v)] for y, v in sorted(aseries.items())])
         outputs.append(trend_path)
 
     _update_manifest(
@@ -403,10 +404,8 @@ def stage_authenticity(cfg: dict, out: Path) -> None:
     auth_scores, summary = authrev.authenticity(
         g, projected, alpha=cfg["authenticity"]["alpha"], mode=cfg["authenticity"]["mode"]
     )
-    lines = ["node_id,ad,extreme,stdev"]
-    for s in auth_scores:
-        lines.append(f"{s.node_id},{s.ad!r},{int(s.extreme)},{s.stdev!r}")
-    _write(out / "authenticity.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
+               ([s.node_id, repr(s.ad), int(s.extreme), repr(s.stdev)] for s in auth_scores))
     _write(out / "authenticity_summary.json", summary.to_json())
 
     ni = {s.node_id: s.ni for s in scores}
@@ -449,10 +448,8 @@ def stage_revolution(cfg: dict, out: Path) -> None:
     labels = authrev.label_revolutionaries(
         scores, periphery, keyword_ids, cfg["thresholds"]["periphery"]
     )
-    lines = ["node_id,label,evidence"]
-    for l in sorted(labels, key=lambda l: l.node_id):
-        lines.append(f"{l.node_id},{l.label},{'|'.join(l.evidence)}")
-    _write(out / "revolution_labels.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "revolution_labels.csv", ["node_id", "label", "evidence"],
+               ([l.node_id, l.label, "|".join(l.evidence)] for l in sorted(labels, key=lambda l: l.node_id)))
 
     # Forest over labeled nodes ordered by influence rank; skipped (with a
     # recorded reason) when the training slice degenerates to one class.

@@ -10,7 +10,7 @@ import numpy as np
 
 from artistnet.graph import InfluenceGraph
 from artistnet.ingest import FEATURES, RawInfluenceRow, SongRecord
-from artistnet.simvec import tss
+from artistnet.simvec import tss_rows
 
 
 class GenreError(Exception):
@@ -58,10 +58,13 @@ def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
                       cfg: SamplingConfig) -> GenreSamplingReport:
     """Monte-Carlo TSS sums for same-genre and cross-genre artist pairs.
 
-    Per run (seeded with cfg.seed + run index), samples_per_run pairs are
-    drawn with replacement for each side: within pairs are distinct
-    same-genre artists, between pairs span two genres. Lower TSS means
-    more similar, so the within-stronger verdict is mean(SWG) < mean(SBG).
+    Each run (seeded with cfg.seed + run index) draws samples_per_run pairs
+    with replacement for the within side, then for the between side, one
+    scalar `rng.integers` call per index: within pairs are distinct
+    same-genre artists (p is redrawn until p != q), between pairs span two
+    genres. Each side's TSS values come from one tss_rows call and are
+    summed left to right, as a running `+=` would. Lower TSS means more
+    similar, so the within-stronger verdict is mean(SWG) < mean(SBG).
     """
     members = _genre_members(profiles.keys(), genres)
     if len(members) < 2:
@@ -77,26 +80,33 @@ def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
         for g in members
     }
     between_pool = sorted(i for i in profiles if others[genres[i]])
+    row = {i: r for r, i in enumerate(sorted(profiles))}
+    P = np.array([profiles[i] for i in row], dtype=float)
+
+    def total_tss(qs: list[int], ps: list[int]) -> float:
+        t, s, _ = tss_rows(P[qs], P[ps])
+        return float(np.add.accumulate(t * s)[-1])
 
     within_totals, between_totals = [], []
     for run in range(cfg.runs):
-        rng = np.random.default_rng(cfg.seed + run)
-        swg = 0.0
+        draw = np.random.default_rng(cfg.seed + run).integers
+        qs, ps = [], []
         for _ in range(cfg.samples_per_run):
-            q = within_pool[rng.integers(len(within_pool))]
+            q = within_pool[draw(len(within_pool))]
             mates = members[genres[q]]
             p = q
             while p == q:
-                p = mates[rng.integers(len(mates))]
-            swg += tss(profiles[q], profiles[p]).tss
-        sbg = 0.0
+                p = mates[draw(len(mates))]
+            qs.append(row[q])
+            ps.append(row[p])
+        within_totals.append(total_tss(qs, ps))
+        qs, ps = [], []
         for _ in range(cfg.samples_per_run):
-            q = between_pool[rng.integers(len(between_pool))]
+            q = between_pool[draw(len(between_pool))]
             pool = others[genres[q]]
-            p = pool[rng.integers(len(pool))]
-            sbg += tss(profiles[q], profiles[p]).tss
-        within_totals.append(swg)
-        between_totals.append(sbg)
+            qs.append(row[q])
+            ps.append(row[pool[draw(len(pool))]])
+        between_totals.append(total_tss(qs, ps))
 
     w_mean = float(np.mean(within_totals))
     b_mean = float(np.mean(between_totals))
@@ -157,23 +167,20 @@ def sample_influence(g: InfluenceGraph, scores, genres: dict[int, str],
             for b in mb
         )
 
+    def total_ip(rng, pairs) -> float:
+        if not pairs:
+            return 0.0
+        picks = rng.integers(len(pairs), size=cfg.samples_per_run).tolist()
+        ips = [influence_proximity(rank[s], rank[d]) for s, d in (pairs[k] for k in picks)]
+        return float(np.add.accumulate(ips)[-1])
+
     within_totals, between_totals, flagged = [], [], []
     for run in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + run)
-        wip = 0.0
-        if within_pairs:
-            for _ in range(cfg.samples_per_run):
-                s, d = within_pairs[rng.integers(len(within_pairs))]
-                wip += influence_proximity(rank[s], rank[d])
-        tip = 0.0
-        if between_pairs:
-            for _ in range(cfg.samples_per_run):
-                s, d = between_pairs[rng.integers(len(between_pairs))]
-                tip += influence_proximity(rank[s], rank[d])
+        within_totals.append(total_ip(rng, within_pairs))
+        between_totals.append(total_ip(rng, between_pairs))
         if not within_pairs or not between_pairs:
             flagged.append(run)
-        within_totals.append(wip)
-        between_totals.append(tip)
 
     w_mean = float(np.mean(within_totals))
     b_mean = float(np.mean(between_totals))

@@ -4,6 +4,10 @@ similarity metric.
 All trigonometry is degree-based: the vector angle gets a +10 degree
 offset so coincident vectors still span a nondegenerate triangle. TSS is
 a dissimilarity: 0 means identical, larger means less similar.
+
+The formula is written once, as the row kernel `tss_rows`; the scalar
+`ts`, `ss` and `tss` are one-row calls of it, and `uniqueness` runs it
+on every pair of vectors.
 """
 
 from __future__ import annotations
@@ -20,12 +24,6 @@ ANGLE_OFFSET_DEG = 10.0
 
 class SimvecError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    source_id: int
-    values: np.ndarray
 
 
 @dataclass
@@ -126,49 +124,44 @@ def project(model: PcaModel, v) -> np.ndarray:
     return arr @ model.components.T
 
 
-def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+# The kernel matches the two-vector formula bitwise: each row dot is one
+# BLAS dot call, as np.dot on the rows is (einsum and (X * Y).sum(1) differ
+# in the last ulp), and acos and sin are the math module's, mapped over
+# Python floats (np.arccos differs in the last ulp).
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return (X[:, None, :] @ Y[:, :, None]).reshape(-1)
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
+def tss_rows(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TS, SS and theta' (degrees) of each row of A with the same row of B;
+    a pair's TSS is TS * SS. theta' is the angle plus the 10 degree offset
+    (just the offset if a vector is zero). TS = |a||b| |sin theta'| / 2, the
+    triangle's area; |sin| keeps it nonnegative when theta' passes 180.
+    SS = pi (ED + MD)^2 theta'/360, the sector's area, with ED the Euclidean
+    distance and MD the magnitude difference. Raises SimvecError if a
+    component of the given rows is not finite."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise SimvecError("non-finite vector component")
-
-
-def _theta_prime(dot: float, mag_a: float, mag_b: float) -> float:
-    """Angle between the vectors in degrees, plus the 10 degree offset.
-    Zero-magnitude inputs take the degenerate 10 degree value."""
-    if mag_a == 0.0 or mag_b == 0.0:
-        return ANGLE_OFFSET_DEG
-    cosine = min(1.0, max(-1.0, dot / (mag_a * mag_b)))
-    return math.degrees(math.acos(cosine)) + ANGLE_OFFSET_DEG
-
-
-def ts(a, b) -> tuple[float, float]:
-    """Triangle's area similarity: |a||b| sin(theta') / 2. Returns
-    (ts, theta_prime_degrees)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_finite(a, b)
-    mag_a = math.sqrt(float(np.dot(a, a)))
-    mag_b = math.sqrt(float(np.dot(b, b)))
-    theta = _theta_prime(float(np.dot(a, b)), mag_a, mag_b)
-    if mag_a == 0.0 or mag_b == 0.0:
-        return 0.0, theta
-    # theta' can exceed 180 degrees for near-antiparallel vectors; the
-    # triangle area is |sin|, keeping TS (and TSS) nonnegative.
-    return mag_a * mag_b * abs(math.sin(math.radians(theta))) / 2.0, theta
-
-
-def ss(a, b) -> float:
-    """Sector's area similarity: pi (ED + MD)^2 theta'/360 where ED is the
-    Euclidean distance and MD the magnitude difference."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_finite(a, b)
-    mag_a = math.sqrt(float(np.dot(a, a)))
-    mag_b = math.sqrt(float(np.dot(b, b)))
-    theta = _theta_prime(float(np.dot(a, b)), mag_a, mag_b)
-    diff = a - b
-    ed = math.sqrt(float(np.dot(diff, diff)))
-    md = abs(mag_a - mag_b)
-    return math.pi * (ed + md) ** 2 * (theta / 360.0)
+    mag_a = np.sqrt(_row_dots(A, A))
+    mag_b = np.sqrt(_row_dots(B, B))
+    prod = mag_a * mag_b
+    live = prod > 0.0
+    cosine = np.clip(_row_dots(A, B) / np.where(live, prod, 1.0), -1.0, 1.0)
+    theta = np.where(live, np.degrees(_libm(math.acos, cosine)) + ANGLE_OFFSET_DEG,
+                     ANGLE_OFFSET_DEG)
+    ts_ = np.where(live, prod * np.abs(_libm(math.sin, np.radians(theta))) / 2.0, 0.0)
+    D = A - B
+    ed_md = np.sqrt(_row_dots(D, D)) + np.abs(mag_a - mag_b)
+    # float_power calls the C library's pow, as Python's float ** 2 does;
+    # ** on an array squares by multiplication, which differs in the last ulp.
+    ss_ = math.pi * np.float_power(ed_md, 2.0) * (theta / 360.0)
+    return ts_, ss_, theta
 
 
 @dataclass(frozen=True)
@@ -180,38 +173,41 @@ class SimilarityResult:
 
 
 def tss(a, b) -> SimilarityResult:
-    """TSS = TS * SS; 0 iff the vectors coincide (or either area is 0)."""
-    t, theta = ts(a, b)
-    s = ss(a, b)
+    """TSS = TS * SS of two vectors (see tss_rows); 0 iff they coincide
+    (or either area is 0)."""
+    t, s, theta = (float(v[0]) for v in tss_rows(np.atleast_2d(a), np.atleast_2d(b)))
     return SimilarityResult(ts=t, ss=s, tss=t * s, theta_prime=theta)
+
+
+def ts(a, b) -> tuple[float, float]:
+    """Triangle's area similarity: (ts, theta_prime_degrees)."""
+    r = tss(a, b)
+    return r.ts, r.theta_prime
+
+
+def ss(a, b) -> float:
+    """Sector's area similarity."""
+    return tss(a, b).ss
 
 
 def _pairwise_metric(X: np.ndarray, metric: str) -> np.ndarray:
     """Condensed upper-triangle values of the chosen metric, vectorized."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(X.shape[0], k=1)
+    if metric == "tss":  # in blocks, so the row copies stay small
+        blocks = [tss_rows(X[iu[lo:lo + 8192]], X[ju[lo:lo + 8192]]) for lo in range(0, len(iu), 8192)]
+        return np.concatenate([t * s for t, s, _ in blocks])
     gram = X @ X.T
     sq = np.diag(gram)
-    mags = np.sqrt(sq)
     dots = gram[iu, ju]
-    ma, mb = mags[iu], mags[ju]
     if metric == "euclidean":
         return np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * dots, 0.0))
-    prod = ma * mb
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosine = np.where(prod > 0.0, dots / prod, 1.0)
-    cosine = np.clip(cosine, -1.0, 1.0)
     if metric == "cosine":
-        return cosine
-    if metric == "tss":
-        theta = np.degrees(np.arccos(cosine)) + ANGLE_OFFSET_DEG
-        theta = np.where(prod > 0.0, theta, ANGLE_OFFSET_DEG)
-        t = np.where(prod > 0.0, prod * np.abs(np.sin(np.radians(theta))) / 2.0, 0.0)
-        ed = np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * dots, 0.0))
-        md = np.abs(ma - mb)
-        s = np.pi * (ed + md) ** 2 * (theta / 360.0)
-        return t * s
+        mags = np.sqrt(sq)
+        prod = mags[iu] * mags[ju]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosine = np.where(prod > 0.0, dots / prod, 1.0)
+        return np.clip(cosine, -1.0, 1.0)
     raise SimvecError(f"unknown metric {metric!r}")
 
 

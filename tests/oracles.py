@@ -8,6 +8,7 @@ with explicit loops.
 import math
 
 import networkx as nx
+import numpy as np
 
 
 def to_nx(g) -> nx.DiGraph:
@@ -91,3 +92,59 @@ def reference_remove_cycles(g):
             )
             del edges[(victim.src, victim.dst)]
             removed.append(victim)
+
+
+def reference_tss(a, b):
+    """TS-SS of one vector pair by the scalar formula: five np.dot calls
+    and math-module trigonometry. Returns (ts, ss, theta_prime)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite vector component")
+    mag_a = math.sqrt(float(np.dot(a, a)))
+    mag_b = math.sqrt(float(np.dot(b, b)))
+    if mag_a == 0.0 or mag_b == 0.0:
+        theta, t = 10.0, 0.0
+    else:
+        cosine = min(1.0, max(-1.0, float(np.dot(a, b)) / (mag_a * mag_b)))
+        theta = math.degrees(math.acos(cosine)) + 10.0
+        t = mag_a * mag_b * abs(math.sin(math.radians(theta))) / 2.0
+    diff = a - b
+    ed = math.sqrt(float(np.dot(diff, diff)))
+    s = math.pi * (ed + abs(mag_a - mag_b)) ** 2 * (theta / 360.0)
+    return t, s, theta
+
+
+def reference_sample_similarity(profiles, genres, samples_per_run, runs, seed):
+    """Within- and between-genre TSS totals per run, drawn and summed one
+    pair at a time in the documented order. Returns (within, between)."""
+    members = {}
+    for i in sorted(profiles):
+        members.setdefault(genres[i], []).append(i)
+    within_pool = sorted(i for m in members.values() if len(m) >= 2 for i in m)
+    others = {g: sorted(i for h, m in members.items() if h != g for i in m) for g in members}
+    between_pool = sorted(i for i in profiles if others[genres[i]])
+
+    def tss(q, p):
+        t, s, _ = reference_tss(profiles[q], profiles[p])
+        return t * s
+
+    within, between = [], []
+    for run in range(runs):
+        rng = np.random.default_rng(seed + run)
+        swg = 0.0
+        for _ in range(samples_per_run):
+            q = within_pool[rng.integers(len(within_pool))]
+            mates = members[genres[q]]
+            p = q
+            while p == q:
+                p = mates[rng.integers(len(mates))]
+            swg += tss(q, p)
+        sbg = 0.0
+        for _ in range(samples_per_run):
+            q = between_pool[rng.integers(len(between_pool))]
+            pool = others[genres[q]]
+            sbg += tss(q, pool[rng.integers(len(pool))])
+        within.append(swg)
+        between.append(sbg)
+    return within, between

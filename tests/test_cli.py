@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from artistnet import centrality, graph
+from artistnet import centrality, genre, graph, ingest
 from artistnet.cli import _load_graph_artifacts, _load_scores_csv, main
 
 GENRES = {i: ("rock" if i <= 10 else "jazz") for i in range(1, 21)}
@@ -22,9 +22,11 @@ EDGES = (
 )
 
 
-def write_fixture(tmp_path: Path, names=None) -> Path:
-    """Fixture corpus and config; `names` overrides artist names by id."""
+def write_fixture(tmp_path: Path, names=None, genres=None) -> Path:
+    """Fixture corpus and config; `names` and `genres` override artist
+    names and main genres by id."""
     name = {i: f"artist{i}" for i in GENRES} | (names or {})
+    main_genre = GENRES | (genres or {})
     influence = tmp_path / "influence.csv"
     with open(influence, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -35,8 +37,8 @@ def write_fixture(tmp_path: Path, names=None) -> Path:
         ])
         for s, d in EDGES:
             w.writerow([
-                s, name[s], GENRES[s], STARTS[s],
-                d, name[d], GENRES[d], STARTS[d],
+                s, name[s], main_genre[s], STARTS[s],
+                d, name[d], main_genre[d], STARTS[d],
             ])
 
     songs = tmp_path / "songs.csv"
@@ -176,6 +178,36 @@ class TestPipeline:
             assert p.read_bytes() == (tmp_path / "t4" / p.name).read_bytes()
 
 
+def test_genre_csv_artifacts_round_trip_awkward_genres(tmp_path):
+    awkward = ["Stage, Screen & Film", 'Comedy/"Spoken"', "Música Latina"]
+    genres = {i: awkward[0] if i <= 10 else awkward[1] if i <= 15 else awkward[2] for i in GENRES}
+    cfg_path = write_fixture(tmp_path, genres=genres)
+    data = json.loads(cfg_path.read_text())
+    data["trend"] = {"genre": awkward[2], "feature": "energy"}
+    cfg_path.write_text(json.dumps(data))
+    for stage in STAGES[:5]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    out = tmp_path / "out"
+
+    def read(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))[1:]
+
+    g = _load_graph_artifacts(out)
+    assert {row[0] for row in read("genre_clusters.csv")} == set(awkward)
+    debut = genre.debut_counts(ingest.load_influence(out / "influence_clean.csv"))
+    assert [(gn, int(y), int(c)) for gn, y, c in read("debut_counts.csv")] == [
+        (gn, y, c) for (gn, y), c in sorted(debut.items())]
+    cross, selfp = genre.genre_influence_matrix(g, 0.05)
+    assert [(a, b, float(w), int(f)) for a, b, w, f in read("genre_influence_matrix.csv")] == (
+        [(a, b, w, 0) for a, b, w in cross] + [(a, b, w, 1) for a, b, w in selfp])
+    songs, _ = ingest.load_songs(out / "songs_clean.csv")
+    series, everything = genre.genre_feature_trend(
+        songs, awkward[2], "energy", {i: n.genre for i, n in g.nodes.items()})
+    assert [(gn, int(y), float(v)) for gn, y, v in read("genre_trend.csv")] == (
+        [(awkward[2], y, v) for y, v in series.items()] + [("__all__", y, v) for y, v in everything.items()])
+
+
 def test_graph_artifacts_round_trip_awkward_names(tmp_path):
     names = ["Crosby, Stills, Nash & Young", 'The "Band"', "Björk"]
     nodes = [graph.ArtistNode(i, name, f"genre, {name}", 1950 + i) for i, name in enumerate(names)]
@@ -242,6 +274,23 @@ class TestConfigErrors:
     def test_bad_threads(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
         assert main(["ingest", "--config", str(cfg_path), "--threads", "0"]) == 2
+
+    @pytest.mark.parametrize("override, field", [
+        ({"sampling": 5}, "sampling"),
+        ({"cluster": {"cut": "3"}}, "cluster.cut"),
+        ({"sampling": {"samples_per_run": 2.5}}, "sampling.samples_per_run"),
+        ({"sampling": {"runs": True}}, "sampling.runs"),
+        ({"elastic_net": {"lambda_grid": []}}, "elastic_net.lambda_grid"),
+        ({"pca_k": True}, "pca_k"),
+    ])
+    def test_mistyped_field_is_named(self, tmp_path, capsys, override, field):
+        cfg_path = write_fixture(tmp_path)
+        data = json.loads(cfg_path.read_text())
+        for key, value in override.items():
+            data[key] = data[key] | value if isinstance(value, dict) and key in data else value
+        cfg_path.write_text(json.dumps(data))
+        assert main(["ingest", "--config", str(cfg_path)]) == 2
+        assert f"config field '{field}':" in capsys.readouterr().err
 
     def test_bad_sampling(self, tmp_path, capsys):
         cfg_path = write_fixture(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from oracles import reference_sample_similarity
 
 from artistnet.centrality import CentralityScores
 from artistnet.genre import (
@@ -71,6 +72,21 @@ class TestSampleSimilarity:
         b = sample_similarity(profiles, genres, cfg)
         assert a.within_totals == b.within_totals
         assert a.between_totals == b.between_totals
+
+    def test_totals_equal_the_one_pair_at_a_time_reference(self):
+        rng = np.random.default_rng(23)
+        sizes = {"duo": 2, "trio": 3, "big": 6, "solo": 1}
+        genres = {}
+        for g, n in sizes.items():
+            genres.update({len(genres) + k: g for k in range(n)})
+        profiles = {i: rng.normal(scale=3.0, size=5) for i in genres}
+        profiles[4] = np.zeros(5)
+        cfg = SamplingConfig(300, 4, seed=11)
+        report = sample_similarity(profiles, genres, cfg)
+        within, between = reference_sample_similarity(profiles, genres, 300, 4, 11)
+        assert report.within_totals == within
+        assert report.between_totals == between
+        assert report.excluded_genres == ["solo"]
 
     def test_needs_two_genres(self, rng):
         profiles = {0: np.zeros(2), 1: np.ones(2)}

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_tss
+
 from artistnet.simvec import (
     PcaModel,
     SimvecError,
@@ -15,6 +17,7 @@ from artistnet.simvec import (
     standardize,
     ts,
     tss,
+    tss_rows,
     uniqueness,
 )
 
@@ -182,6 +185,81 @@ class TestTriangleSector:
         r2 = tss(a, b[: len(a)])
         assert r2.tss >= 0.0
         assert 10.0 <= r2.theta_prime <= 190.0
+
+
+# Components are 0 or at least 1e-3 in magnitude, so no product underflows.
+component = st.one_of(st.just(0.0), st.floats(1e-3, 100.0), st.floats(-100.0, -1e-3))
+
+
+@st.composite
+def row_pairs(draw):
+    """Matching rows: independent vectors, a vector against a positive or
+    negative multiple of itself (parallel, antiparallel), itself, or zero."""
+    d = draw(st.integers(1, 9))
+    vec = st.lists(component, min_size=d, max_size=d).map(np.array)
+    A, B = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(vec)
+        kind = draw(st.sampled_from(["other", "multiple", "same", "zero"]))
+        if kind == "other":
+            b = draw(vec)
+        elif kind == "multiple":
+            b = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 10.0)) * a
+        else:
+            b = a.copy() if kind == "same" else np.zeros(d)
+        A.append(a)
+        B.append(b)
+    return np.array(A), np.array(B)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestKernel:
+    @given(row_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_reference(self, pair):
+        A, B = pair
+        t, s, theta = tss_rows(A, B)
+        ref = [reference_tss(a, b) for a, b in zip(A, B)]
+        assert bits(t) == bits([r[0] for r in ref])
+        assert bits(s) == bits([r[1] for r in ref])
+        assert bits(theta) == bits([r[2] for r in ref])
+        assert bits(t * s) == bits([r[0] * r[1] for r in ref])
+        assert [tss(a, b).tss for a, b in zip(A, B)] == (t * s).tolist()
+
+    def test_bitwise_equal_to_reference_in_bulk(self):
+        # Last-ulp differences (np.arccos, array ** 2) hit well under 1% of
+        # pairs, so they need many pairs to show.
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(20000, 9)) * rng.uniform(0.01, 50.0, size=(20000, 1))
+        B = rng.normal(size=(20000, 9)) * rng.uniform(0.01, 50.0, size=(20000, 1))
+        ref = np.array([reference_tss(a, b) for a, b in zip(A, B)])
+        assert bits(np.stack(tss_rows(A, B), axis=1).ravel()) == bits(ref.ravel())
+
+    def test_antiparallel_passes_180_degrees(self):
+        A = np.array([[1.0, 2.0, -0.5], [3.0, 0.0, 1e-3]])
+        t, s, theta = tss_rows(A, -2.5 * A)
+        assert theta.tolist() == [190.0, 190.0]
+        assert bits(t) == bits([reference_tss(a, -2.5 * a)[0] for a in A])
+        assert (t >= 0.0).all()
+
+    def test_zero_rows_take_the_offset(self):
+        t, s, theta = tss_rows(np.zeros((2, 3)), [[0.0, 0.0, 0.0], [1.0, -2.0, 2.0]])
+        assert theta.tolist() == [10.0, 10.0] and t.tolist() == [0.0, 0.0]
+        assert bits(s) == bits([0.0, reference_tss([0.0, 0.0, 0.0], [1.0, -2.0, 2.0])[1]])
+        assert s[1] == pytest.approx(math.pi)  # (ED + MD)^2 = 36, theta' = 10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_raises(self, bad):
+        P = np.ones((3, 4))
+        P[2, 1] = bad
+        tss_rows(P[:2], P[:2][::-1])  # only the given rows are checked
+        with pytest.raises(SimvecError):
+            tss_rows(P[:2], P[1:])
+        with pytest.raises(SimvecError):
+            tss_rows(P[1:], P[:2])
 
 
 class TestUniqueness:
