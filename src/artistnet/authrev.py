@@ -58,14 +58,12 @@ def average_extreme_distance(values, mode: str = "pair_mean") -> float:
     coefficient (n >= 3 only), which exceeds 1 for polarized inputs and
     so flags them more aggressively at a fixed threshold.
     """
-    vals = list(values)
+    vals = np.asarray(list(values), dtype=float)
     n = len(vals)
     if n < 2:
         raise AuthRevError("need at least 2 similarity values")
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += abs(vals[i] - vals[j])
+    upper = np.arange(n)[:, None] < np.arange(n)  # pairs i < j, read in row-major order
+    total = float(np.add.accumulate(np.abs(vals[:, None] - vals)[upper])[-1])  # left to right
     if mode == "pair_mean":
         return 2.0 * total / (n * (n - 1))
     if mode == "unbounded":
@@ -316,61 +314,71 @@ def label_revolutionaries(scores, periphery: dict[int, float],
 # random forest
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float(np.sum(p * p))
+def _gini(counts: np.ndarray):
+    """Gini impurity of each row (last axis) of class counts; 0 if empty."""
+    total = counts.sum(axis=-1, keepdims=True)
+    p = counts / np.where(total == 0, 1.0, total)
+    return np.where(total[..., 0] == 0, 0.0, 1.0 - np.sum(p * p, axis=-1))
 
 
+@dataclass
 class _Tree:
-    __slots__ = ("root",)
-
-    def __init__(self, root):
-        self.root = root
-
-    def predict_proba(self, x):
-        node = self.root
-        while "proba" not in node:
-            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-        return node["proba"]
+    root: dict
 
 
 def _grow(X, y, n_classes, rng, depth, max_depth, m_features, importances, n_total):
+    """Grow one Gini tree depth-first, left child first; an internal node
+    draws its features with one rng.choice call. Each drawn column is
+    sorted once; its thresholds are the midpoints of consecutive distinct
+    values, left = values <= midpoint (a searchsorted count, so a midpoint
+    that rounds up onto the next value sends that value left), and left
+    class counts come off one cumulative sum of one-hot labels in sorted
+    order. The split is the first minimum (first feature, then smallest
+    threshold), taken only if it is below the node's impurity."""
     counts = np.bincount(y, minlength=n_classes).astype(float)
-    node_gini = _gini(counts)
-    n = len(y)
-    if depth >= max_depth or n < 2 or node_gini == 0.0:
+    node_gini = float(_gini(counts))
+    n, d = X.shape
+    if depth >= max_depth or n < 2 or node_gini == 0.0 or d == 0:
         return {"proba": (counts / counts.sum()).tolist()}
-    d = X.shape[1]
     feats = sorted(rng.choice(d, size=min(m_features, d), replace=False).tolist())
-    best = None  # (gini_after, feature, threshold, mask)
-    for f in feats:
-        col = X[:, f]
-        values = np.unique(col)
-        if len(values) < 2:
-            continue
-        for thr in (values[:-1] + values[1:]) / 2.0:
-            mask = col <= thr
-            nl = int(mask.sum())
-            left = np.bincount(y[mask], minlength=n_classes).astype(float)
-            right = counts - left
-            score = (nl * _gini(left) + (n - nl) * _gini(right)) / n
-            if best is None or score < best[0]:
-                best = (score, f, float(thr), mask)
-    if best is None or best[0] >= node_gini:
+    order = np.argsort(X[:, feats], axis=0, kind="stable")
+    cols = X[order, feats]  # each drawn column, sorted
+    prefix = np.cumsum(np.eye(n_classes)[y[order]], axis=0)  # (rows, features, classes)
+    candidates = []  # per feature: (feature, thresholds, left sizes, left class counts)
+    for j, f in enumerate(feats):
+        col = cols[:, j]
+        last = np.flatnonzero(col[:-1] != col[1:])  # last row of each run of equal values
+        thresholds = (col[last] + col[last + 1]) / 2.0
+        nl = np.searchsorted(col, thresholds, side="right")
+        candidates.append((np.full(len(nl), f), thresholds, nl, prefix[nl - 1, j]))
+    feature, threshold, nl, left = (np.concatenate(c) for c in zip(*candidates))
+    gini_left, gini_right = _gini(np.stack([left, counts - left]))
+    scores = (nl * gini_left + (n - nl) * gini_right) / n
+    # the first minimum: first feature, then smallest threshold
+    best = int(np.argmin(scores)) if len(scores) else None
+    if best is None or scores[best] >= node_gini:
         return {"proba": (counts / counts.sum()).tolist()}
-    score, f, thr, mask = best
+    f, thr, score = int(feature[best]), float(threshold[best]), float(scores[best])
+    mask = X[:, f] <= thr
     importances[f] += (n / n_total) * (node_gini - score)
     return {
-        "feature": int(f),
+        "feature": f,
         "threshold": thr,
         "left": _grow(X[mask], y[mask], n_classes, rng, depth + 1, max_depth,
                       m_features, importances, n_total),
         "right": _grow(X[~mask], y[~mask], n_classes, rng, depth + 1, max_depth,
                        m_features, importances, n_total),
     }
+
+
+def _route(node, X, rows, probas):
+    """Add the proba of the leaf each of `rows` reaches from `node`."""
+    if "proba" in node:
+        probas[rows] += node["proba"]
+        return
+    left = X[rows, node["feature"]] <= node["threshold"]
+    _route(node["left"], X, rows[left], probas)
+    _route(node["right"], X, rows[~left], probas)
 
 
 @dataclass
@@ -385,10 +393,9 @@ class ForestModel:
     def predict(self, X):
         X = np.asarray(X, dtype=float)
         probas = np.zeros((X.shape[0], len(self.classes)))
-        for tree in self.trees:
-            for i, x in enumerate(X):
-                probas[i] += tree.predict_proba(x)
-        return np.array([self.classes[int(np.argmax(p))] for p in probas])
+        for tree in self.trees:  # each row sums its leaf probas in tree order
+            _route(tree.root, X, np.arange(X.shape[0]), probas)
+        return np.asarray(self.classes)[np.argmax(probas, axis=1)]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -413,20 +420,20 @@ def forest_train(X, labels, trees: int = 200, max_depth: int = 8,
 
     The first split[0] fraction of rows trains, the next split[1] fraction
     validates, the next split[2] tests (rows are assumed ordered by
-    influence rank). Importances are normalized impurity decreases.
+    influence rank). Importances are normalized impurity decreases. Each
+    tree draws a bootstrap sample from its own SeedSequence.spawn seed and
+    is grown by _grow's sorted prefix-count sweep (CART), so a seed fixes
+    the trees; prediction routes all rows down a tree at once.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     n, d = X.shape
-    f_train, f_val, f_test = split
-    i_train = max(1, int(round(n * f_train)))
-    i_val = i_train + max(1, int(round(n * f_val)))
-    i_test = i_val + max(1, int(round(n * f_test)))
+    i_train = max(1, int(round(n * split[0])))
+    i_val = i_train + max(1, int(round(n * split[1])))
+    i_test = i_val + max(1, int(round(n * split[2])))
     if i_test > n:
         raise AuthRevError("split fractions exceed the dataset")
     Xtr, ytr_raw = X[:i_train], labels[:i_train]
-    Xv, yv = X[i_train:i_val], labels[i_train:i_val]
-    Xte, yte = X[i_val:i_test], labels[i_val:i_test]
 
     classes = sorted(set(ytr_raw.tolist()))
     if len(classes) < 2:
@@ -437,27 +444,19 @@ def forest_train(X, labels, trees: int = 200, max_depth: int = 8,
     m_features = features_per_split or math.ceil(math.sqrt(d))
     importances = np.zeros(d)
     grown = []
-    seeds = np.random.SeedSequence(seed).spawn(trees)
-    for ss in seeds:
+    for ss in np.random.SeedSequence(seed).spawn(trees):
         rng = np.random.default_rng(ss)
         idx = rng.integers(0, len(ytr), size=len(ytr))
-        root = _grow(Xtr[idx], ytr[idx], len(classes), rng, 0, max_depth,
-                     m_features, importances, len(ytr))
-        grown.append(_Tree(root))
+        grown.append(_Tree(_grow(Xtr[idx], ytr[idx], len(classes), rng, 0, max_depth,
+                                 m_features, importances, len(ytr))))
 
     total = importances.sum()
     if total > 0:
         importances = importances / total
 
-    model = ForestModel(
-        trees=grown,
-        classes=classes,
-        feature_importances=importances,
-        train_accuracy=0.0,
-        validation_accuracy=0.0,
-        test_accuracy=0.0,
+    model = ForestModel(grown, classes, importances, 0.0, 0.0, 0.0)
+    model.train_accuracy, model.validation_accuracy, model.test_accuracy = (
+        float(np.mean(model.predict(X[lo:hi]) == labels[lo:hi]))
+        for lo, hi in ((0, i_train), (i_train, i_val), (i_val, i_test))
     )
-    model.train_accuracy = float(np.mean(model.predict(Xtr) == ytr_raw))
-    model.validation_accuracy = float(np.mean(model.predict(Xv) == yv))
-    model.test_accuracy = float(np.mean(model.predict(Xte) == yte))
     return model

@@ -524,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the JSON config")
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, help="seed override")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: every stage runs in one process")
     common.add_argument("--format", choices=["csv", "json", "dot", "newick"],
                         help="restrict optional export formats")
     parser = argparse.ArgumentParser(

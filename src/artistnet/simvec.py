@@ -227,9 +227,8 @@ def most_similar(query: int, profiles: dict[int, np.ndarray]):
     ascending id). Returns a list of (id, tss)."""
     if query not in profiles:
         raise SimvecError(f"unknown profile id {query}")
-    qv = profiles[query]
-    ranked = [
-        (i, tss(qv, v).tss) for i, v in sorted(profiles.items()) if i != query
-    ]
-    ranked.sort(key=lambda t: (t[1], t[0]))
-    return ranked
+    others = [i for i in sorted(profiles) if i != query]
+    if not others:
+        return []
+    t, s, _ = tss_rows([profiles[query]] * len(others), [profiles[i] for i in others])
+    return sorted(zip(others, (t * s).tolist()), key=lambda r: (r[1], r[0]))

@@ -148,3 +148,111 @@ def reference_sample_similarity(profiles, genres, samples_per_run, runs, seed):
         within.append(swg)
         between.append(sbg)
     return within, between
+
+
+def reference_average_extreme_distance(values, mode="pair_mean"):
+    """Average extreme distance by a running total over the pairs (i, j),
+    i < j, in row-major order."""
+    vals = list(values)
+    n = len(vals)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += abs(vals[i] - vals[j])
+    return 2.0 * total / (n * (n - 1) if mode == "pair_mean" else n * (n - 2))
+
+def _reference_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float(np.sum(p * p))
+
+
+def _reference_grow(X, y, n_classes, rng, depth, max_depth, m_features, importances, n_total):
+    counts = np.bincount(y, minlength=n_classes).astype(float)
+    node_gini = _reference_gini(counts)
+    n = len(y)
+    if depth >= max_depth or n < 2 or node_gini == 0.0:
+        return {"proba": (counts / counts.sum()).tolist()}
+    d = X.shape[1]
+    feats = sorted(rng.choice(d, size=min(m_features, d), replace=False).tolist())
+    best = None  # (gini_after, feature, threshold, mask)
+    for f in feats:
+        col = X[:, f]
+        values = np.unique(col)
+        if len(values) < 2:
+            continue
+        for thr in (values[:-1] + values[1:]) / 2.0:
+            mask = col <= thr
+            nl = int(mask.sum())
+            left = np.bincount(y[mask], minlength=n_classes).astype(float)
+            right = counts - left
+            score = (nl * _reference_gini(left) + (n - nl) * _reference_gini(right)) / n
+            if best is None or score < best[0]:
+                best = (score, f, float(thr), mask)
+    if best is None or best[0] >= node_gini:
+        return {"proba": (counts / counts.sum()).tolist()}
+    score, f, thr, mask = best
+    importances[f] += (n / n_total) * (node_gini - score)
+    return {
+        "feature": int(f),
+        "threshold": thr,
+        "left": _reference_grow(X[mask], y[mask], n_classes, rng, depth + 1, max_depth,
+                                m_features, importances, n_total),
+        "right": _reference_grow(X[~mask], y[~mask], n_classes, rng, depth + 1, max_depth,
+                                 m_features, importances, n_total),
+    }
+
+
+def _reference_predict(roots, classes, X):
+    probas = np.zeros((X.shape[0], len(classes)))
+    for root in roots:
+        for i, x in enumerate(X):
+            node = root
+            while "proba" not in node:
+                node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+            probas[i] += node["proba"]
+    return np.array([classes[int(np.argmax(p))] for p in probas])
+
+
+def reference_forest_train(X, labels, trees=200, max_depth=8, features_per_split=None,
+                           seed=0, split=(0.10, 0.05, 0.05)):
+    """The forest grown by re-masking and re-counting the column for every
+    candidate threshold, and scored by walking each row down each tree.
+    Returns an authrev.ForestModel."""
+    from artistnet.authrev import ForestModel, _Tree
+
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    n, d = X.shape
+    i_train = max(1, int(round(n * split[0])))
+    i_val = i_train + max(1, int(round(n * split[1])))
+    i_test = i_val + max(1, int(round(n * split[2])))
+    Xtr, ytr_raw = X[:i_train], labels[:i_train]
+    classes = sorted(set(ytr_raw.tolist()))
+    class_index = {c: i for i, c in enumerate(classes)}
+    ytr = np.array([class_index[c] for c in ytr_raw])
+    m_features = features_per_split or math.ceil(math.sqrt(d))
+    importances = np.zeros(d)
+    roots = []
+    for ss in np.random.SeedSequence(seed).spawn(trees):
+        rng = np.random.default_rng(ss)
+        idx = rng.integers(0, len(ytr), size=len(ytr))
+        roots.append(_reference_grow(Xtr[idx], ytr[idx], len(classes), rng, 0, max_depth,
+                                     m_features, importances, len(ytr)))
+    total = importances.sum()
+    if total > 0:
+        importances = importances / total
+
+    def accuracy(lo, hi):
+        return float(np.mean(_reference_predict(roots, classes, X[lo:hi]) == labels[lo:hi]))
+
+    return ForestModel(
+        trees=[_Tree(r) for r in roots],
+        classes=classes,
+        feature_importances=importances,
+        train_accuracy=accuracy(0, i_train),
+        validation_accuracy=accuracy(i_train, i_val),
+        test_accuracy=accuracy(i_val, i_test),
+    )

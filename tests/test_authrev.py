@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph
+from oracles import reference_average_extreme_distance, reference_forest_train
 
 from artistnet.authrev import (
     AuthRevError,
@@ -49,6 +52,12 @@ class TestAverageExtremeDistance:
     def test_unknown_mode(self):
         with pytest.raises(AuthRevError):
             average_extreme_distance([0.0, 1.0], mode="median")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=60),
+           st.sampled_from(["pair_mean", "unbounded"]))
+    def test_matches_pairwise_loop_bitwise(self, vals, mode):
+        assert average_extreme_distance(vals, mode) == reference_average_extreme_distance(vals, mode)
 
 
 class TestAuthenticity:
@@ -310,3 +319,65 @@ class TestForest:
         X, y = separable_dataset(n=20)
         with pytest.raises(AuthRevError):
             forest_train(X, y, trees=5, split=(0.8, 0.2, 0.2))
+
+
+# A column pair (a, next float above a) whose midpoint rounds up onto the
+# larger value: 1 + 2**-52 has an odd last mantissa bit, so the tied sum
+# rounds to the even neighbour above.
+_ODD = 1.0 + 2.0 ** -52
+_ADJACENT = [_ODD, np.nextafter(_ODD, 2.0), -_ODD, np.nextafter(-_ODD, 0.0), 3.0]
+
+
+def _forest_case(seed, kinds, n, n_classes):
+    """Rows of one column per kind (ties, constant, adjacent floats, or
+    normal) and labels of n_classes classes, the first rows holding two."""
+    rng = np.random.default_rng(seed)
+    columns = {
+        "ties": lambda: rng.integers(0, 4, size=n).astype(float),
+        "constant": lambda: np.full(n, 0.25),
+        "adjacent": lambda: rng.choice(_ADJACENT, size=n),
+        "normal": lambda: rng.normal(size=n),
+    }
+    X = np.column_stack([columns[k]() for k in kinds])
+    y = rng.integers(0, n_classes, size=n)
+    y[:2] = [0, 1]
+    return X, np.array(["c%d" % c for c in y])
+
+
+class TestForestMatchesReference:
+    """forest_train against the per-threshold re-counting forest it
+    replaced: identical trees, importances and accuracies, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["ties", "constant", "adjacent", "normal"]),
+                       min_size=1, max_size=5),
+        n=st.integers(15, 60),
+        n_classes=st.sampled_from([2, 3]),
+        max_depth=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_property(self, seed, kinds, n, n_classes, max_depth, data):
+        X, y = _forest_case(seed, kinds, n, n_classes)
+        features = data.draw(st.integers(1, len(kinds)))
+        kw = dict(trees=3, max_depth=max_depth, features_per_split=features,
+                  seed=seed, split=(0.5, 0.2, 0.2))
+        got, want = forest_train(X, y, **kw), reference_forest_train(X, y, **kw)
+        assert got.to_json() == want.to_json()
+
+    def test_no_features_grows_leaves(self):
+        X, y = np.zeros((20, 0)), np.array(["a", "b"] * 10)
+        kw = dict(trees=2, split=(0.5, 0.2, 0.2))
+        assert forest_train(X, y, **kw).to_json() == reference_forest_train(X, y, **kw).to_json()
+
+    def test_seeded_paper_shape(self):
+        # 382 rows x 13 features, two classes, rounded so that values tie.
+        rng = np.random.default_rng(382)
+        X = np.round(rng.normal(size=(382, 13)), 2)
+        y = np.where(X[:, 0] + X[:, 5] + rng.normal(scale=1.5, size=382) > 0, "major", "non_major")
+        kw = dict(trees=20, max_depth=8, seed=5, split=(0.8, 0.1, 0.09))
+        got, want = forest_train(X, y, **kw), reference_forest_train(X, y, **kw)
+        assert got.to_json() == want.to_json()
+        assert (got.train_accuracy, got.validation_accuracy, got.test_accuracy) == (
+            want.train_accuracy, want.validation_accuracy, want.test_accuracy)

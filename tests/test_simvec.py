@@ -305,6 +305,22 @@ class TestMostSimilar:
         )
         assert [(i, v) for v, i in expected] == ranked
 
+    def test_matches_reference_ranking_bitwise(self, rng):
+        profiles = {i: rng.normal(size=9) * rng.uniform(0.1, 10.0) for i in range(60)}
+        profiles[60] = profiles[7].copy()  # a tie at 0 with the query's twin
+        profiles[61] = np.zeros(9)
+        profiles[62] = -profiles[7]
+        for query in (7, 61):
+            want = sorted(
+                ((i, math.prod(reference_tss(profiles[query], v)[:2]))
+                 for i, v in profiles.items() if i != query),
+                key=lambda r: (r[1], r[0]),
+            )
+            assert most_similar(query, profiles) == want
+
+    def test_single_profile_ranks_nothing(self):
+        assert most_similar(3, {3: np.ones(2)}) == []
+
     def test_query_excluded(self, rng):
         profiles = {i: rng.normal(size=3) for i in range(5)}
         assert all(i != 2 for i, _ in most_similar(2, profiles))
