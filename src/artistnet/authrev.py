@@ -333,8 +333,9 @@ def _grow(X, y, n_classes, rng, depth, max_depth, m_features, importances, n_tot
     values, left = values <= midpoint (a searchsorted count, so a midpoint
     that rounds up onto the next value sends that value left), and left
     class counts come off one cumulative sum of one-hot labels in sorted
-    order. The split is the first minimum (first feature, then smallest
-    threshold), taken only if it is below the node's impurity."""
+    order. A threshold that leaves the right side empty is skipped. The
+    split is the first minimum (first feature, then smallest threshold),
+    taken only if it is below the node's impurity."""
     counts = np.bincount(y, minlength=n_classes).astype(float)
     node_gini = float(_gini(counts))
     n, d = X.shape
@@ -354,6 +355,7 @@ def _grow(X, y, n_classes, rng, depth, max_depth, m_features, importances, n_tot
     feature, threshold, nl, left = (np.concatenate(c) for c in zip(*candidates))
     gini_left, gini_right = _gini(np.stack([left, counts - left]))
     scores = (nl * gini_left + (n - nl) * gini_right) / n
+    scores[nl == n] = np.inf  # a midpoint that rounded up onto the largest value: right side empty
     # the first minimum: first feature, then smallest threshold
     best = int(np.argmin(scores)) if len(scores) else None
     if best is None or scores[best] >= node_gini:

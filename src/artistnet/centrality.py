@@ -15,12 +15,11 @@ The composite score is NI = (e^GC - 1) * LC * SC.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 from artistnet.graph import GraphError, InfluenceGraph, reach_stats, reachability_counts, two_hop_count
+from artistnet.ingest import write_table
 
 
 @dataclass(frozen=True)
@@ -113,13 +112,8 @@ def top_k(g: InfluenceGraph, k: int, genre: str | None = None):
     return [(s, reachability_counts(target, s.node_id)) for s in scores[:k]]
 
 
-def export_scores_csv(g: InfluenceGraph, scores: list[CentralityScores]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
-                "first_order", "second_order", "total_reach"])
-    for s in scores:
-        node = g.nodes[s.node_id]
-        w.writerow([s.node_id, node.name, node.genre, repr(s.lc), repr(s.sc), repr(s.gc),
-                    repr(s.ni), s.rank_ni, *reachability_counts(g, s.node_id)])
-    return buf.getvalue()
+def export_scores_csv(path, g: InfluenceGraph, scores: list[CentralityScores]) -> None:
+    write_table(path, ["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
+                       "first_order", "second_order", "total_reach"],
+                ([s.node_id, g.nodes[s.node_id].name, g.nodes[s.node_id].genre, s.lc, s.sc, s.gc,
+                  s.ni, s.rank_ni, *reachability_counts(g, s.node_id)] for s in scores))

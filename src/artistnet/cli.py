@@ -1,23 +1,32 @@
-"""Command-line pipeline: each stage persists its outputs under the output
-directory and records them in a manifest (config snapshot, input/output
-hashes, seed) so any run is reproducible.
+"""Command-line pipeline. `STAGES` is the one declaration of the eight
+stages: each `Stage` names its command words, its function and the
+artifacts it writes. The argument parser, the dispatch, the manifest's
+stage keys and the missing-artifact message (which names the command of
+the stage that writes the file) all read it.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 missing upstream
+A stage reads and writes only through its `Context`, which records each
+file as the stage opens or writes it; after the stage the manifest
+(config snapshot, seed, SHA-256 of every input and output) is updated from
+those records, so it lists exactly what the stage read and wrote. Every
+CSV artifact goes through `ingest.write_table`/`ingest.read_table`.
+
+Exit codes: 0 success, 2 config error (including a configured input file
+or directory that does not exist), 3 data error, 4 missing upstream
 artifact.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,16 +36,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEPENDENCY = 4
 
-STAGE_COMMANDS = {
-    "ingest": "ingest",
-    "graph": "graph build",
-    "centrality": "centrality",
-    "similarity": "similarity",
-    "genre": "genre",
-    "authenticity": "authenticity",
-    "revolution": "revolution",
-}
-
 
 class ConfigError(Exception):
     def __init__(self, field: str, message: str):
@@ -45,10 +44,9 @@ class ConfigError(Exception):
 
 
 class DependencyError(Exception):
-    def __init__(self, artifact: str, stage: str):
-        super().__init__(
-            f"missing artifact {artifact}; run `artistnet {STAGE_COMMANDS[stage]}` first"
-        )
+    def __init__(self, artifact: str):
+        producer = next(s.command for s in STAGES if artifact in s.writes)
+        super().__init__(f"missing artifact {artifact}; run `artistnet {producer}` first")
 
 
 DEFAULT_CONFIG = {
@@ -151,195 +149,175 @@ def _validate_config(cfg: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# manifest and IO helpers
+# stage context and manifest
+
+
+class Context:
+    """One stage's access to the run: the config, the files it reads and
+    the artifacts it writes, each recorded for the manifest as it goes."""
+
+    def __init__(self, cfg: dict, stage: Stage):
+        self.cfg, self.stage = cfg, stage
+        self.out = Path(cfg["out_dir"])
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+
+    def read(self, name: str | Path) -> Path:
+        """Path of input `name`, recorded if it is a file: a config field
+        (influence_csv, songs_csv, phrases_file, bios_dir), an artifact in
+        out_dir, or a `Path` found by the stage (a bio). A missing
+        configured path is a config error naming the field; a missing
+        artifact names the stage that writes it."""
+        if isinstance(name, Path):
+            path = name
+        elif name in self.cfg:
+            path = Path(self.cfg[name])
+            kind = "directory" if name.endswith("_dir") else "file"
+            if not (path.is_dir() if kind == "directory" else path.is_file()):
+                raise ConfigError(name, f"no such {kind}: {path}")
+        else:
+            path = self.out / name
+            if not path.is_file():
+                raise DependencyError(name)
+        if path.is_file():
+            self.inputs.append(path)
+        return path
+
+    def write(self, name: str) -> Path:
+        """Path of artifact `name`, one of the stage's declared `writes`."""
+        if name not in self.stage.writes:
+            raise RuntimeError(f"stage {self.stage.command} does not declare {name} in its writes")
+        path = self.out / name
+        self.outputs.append(path)
+        return path
+
+    def write_text(self, name: str, text: str) -> None:
+        self.write(name).write_text(text, encoding="utf-8")
+
+    def write_json(self, name: str, obj) -> None:
+        self.write_text(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+    def write_table(self, name: str, header: list[str], rows) -> None:
+        ingest.write_table(self.write(name), header, rows)
+
+    def read_rows(self, name: str):
+        return ingest.read_table(self.read(name))
+
+    def load_graph(self) -> graph.InfluenceGraph:
+        nodes = [graph.ArtistNode(int(r["id"]), r["name"], r["genre"], int(r["active_start"]))
+                 for r in self.read_rows("nodes.csv")]
+        edges = [graph.InfluenceEdge(int(r["from"]), int(r["to"]), int(r["year_diff"]),
+                                     float(r["weight"]) if r["weight"] else None)
+                 for r in self.read_rows("edges.csv")]
+        return graph.InfluenceGraph(nodes, edges)
+
+    def load_profiles(self, name: str) -> dict[int, np.ndarray]:
+        return {int(r["artist_id"]): np.array([float(v) for k, v in r.items() if k != "artist_id"])
+                for r in self.read_rows(name)}
+
+    def load_scores(self) -> list[centrality.CentralityScores]:
+        return [centrality.CentralityScores(
+                    int(r["node_id"]), float(r["lc"]), float(r["sc"]), float(r["gc"]),
+                    float(r["ni"]), int(r["rank_ni"]))
+                for r in self.read_rows("centrality.csv")]
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _update_manifest(out: Path, stage: str, cfg: dict, inputs: list[Path], outputs: list[Path]) -> None:
-    manifest_path = out / "manifest.json"
+def _update_manifest(ctx: Context) -> None:
+    manifest_path = ctx.out / "manifest.json"
     manifest = {}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
     manifest.setdefault("stages", {})
-    manifest["config_snapshot"] = cfg
-    manifest["stages"][stage] = {
+    manifest["config_snapshot"] = ctx.cfg
+    manifest["stages"][ctx.stage.name] = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": cfg["seed"],
-        "inputs": {str(p): _sha256(p) for p in sorted(inputs)},
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+        "seed": ctx.cfg["seed"],
+        "inputs": {str(p): _sha256(p) for p in sorted(ctx.inputs)},
+        "outputs": {p.name: _sha256(p) for p in sorted(ctx.outputs)},
     }
-    _write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def _need(out: Path, name: str, stage: str) -> Path:
-    path = out / name
-    if not path.exists():
-        raise DependencyError(name, stage)
-    return path
-
-
-def _load_graph_artifacts(out: Path) -> graph.InfluenceGraph:
-    nodes_path = _need(out, "nodes.csv", "graph")
-    edges_path = _need(out, "edges.csv", "graph")
-    nodes = []
-    with open(nodes_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            nodes.append(
-                graph.ArtistNode(
-                    id=int(row["id"]), name=row["name"], genre=row["genre"],
-                    active_start=int(row["active_start"]),
-                )
-            )
-    edges = []
-    with open(edges_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            edges.append(
-                graph.InfluenceEdge(
-                    src=int(row["from"]), dst=int(row["to"]),
-                    year_diff=int(row["year_diff"]),
-                    weight=float(row["weight"]) if row["weight"] else None,
-                )
-            )
-    return graph.InfluenceGraph(nodes, edges)
-
-
-def _load_profiles_csv(path: Path) -> dict[int, np.ndarray]:
-    profiles = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            profiles[int(row[0])] = np.array([float(v) for v in row[1:]])
-    return profiles
-
-
-def _load_scores_csv(path: Path) -> list[centrality.CentralityScores]:
-    scores = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            scores.append(
-                centrality.CentralityScores(
-                    node_id=int(row["node_id"]), lc=float(row["lc"]), sc=float(row["sc"]),
-                    gc=float(row["gc"]), ni=float(row["ni"]), rank_ni=int(row["rank_ni"]),
-                )
-            )
-    return scores
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One header and the rows through csv.writer; floats go in as repr
-    strings, so they read back exactly."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _write(path, buf.getvalue())
-
-
-def _write_profiles(path: Path, rows: dict[int, np.ndarray], width: int) -> None:
-    _write_csv(path, ["artist_id"] + [f"c{i}" for i in range(width)],
-               ([i] + [repr(float(v)) for v in vec] for i, vec in sorted(rows.items())))
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def stage_ingest(cfg: dict, out: Path) -> None:
-    rows = ingest.load_influence(cfg["influence_csv"])
+def _profile_header(width: int) -> list[str]:
+    return ["artist_id"] + [f"c{i}" for i in range(width)]
+
+
+def stage_ingest(ctx: Context) -> None:
+    influence_path, songs_path = ctx.read("influence_csv"), ctx.read("songs_csv")
+    rows = ingest.load_influence(influence_path)
     known = {r.influencer_id for r in rows} | {r.follower_id for r in rows}
-    songs, report = ingest.load_songs(cfg["songs_csv"], known_artist_ids=known)
+    songs, report = ingest.load_songs(songs_path, known_artist_ids=known)
     profiles = ingest.build_artist_profiles(songs)
-    ingest.write_influence(out / "influence_clean.csv", rows)
-    ingest.write_songs(out / "songs_clean.csv", songs)
-    _write(out / "cleaning_report.json", report.to_json())
-    _write_profiles(out / "artist_profiles.csv", {a: p.features for a, p in profiles.items()},
-                    len(ingest.FEATURES))
-    _update_manifest(
-        out, "ingest", cfg,
-        [Path(cfg["influence_csv"]), Path(cfg["songs_csv"])],
-        [out / n for n in ("influence_clean.csv", "songs_clean.csv", "cleaning_report.json", "artist_profiles.csv")],
-    )
+    ingest.write_influence(ctx.write("influence_clean.csv"), rows)
+    ingest.write_songs(ctx.write("songs_clean.csv"), songs)
+    ctx.write_text("cleaning_report.json", report.to_json())
+    ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
+                    ([a, *p.features] for a, p in profiles.items()))
 
 
-def stage_graph_build(cfg: dict, out: Path, fmt: str | None) -> None:
-    src = _need(out, "influence_clean.csv", "ingest")
-    rows = ingest.load_influence(src)
-    g = graph.build_graph(rows)
+def stage_graph_build(ctx: Context) -> None:
+    g = graph.build_graph(ingest.load_influence(ctx.read("influence_clean.csv")))
+    built = len(g.edges)
     g = graph.normalize_weights(g)
     dag, removed = graph.remove_cycles(g)
-    _write(out / "nodes.csv", graph.export_nodes_csv(dag))
-    _write(out / "edges.csv", graph.export_edges_csv(dag))
-    _write_csv(out / "removed_edges.csv", ["from", "to", "year_diff", "weight"],
-               ([e.src, e.dst, e.year_diff, repr(e.weight)] for e in removed))
-    outputs = [out / "nodes.csv", out / "edges.csv", out / "removed_edges.csv"]
-    if fmt in (None, "dot"):
-        _write(out / "graph.dot", graph.export_dot(dag))
-        outputs.append(out / "graph.dot")
-    summary = {
+    graph.export_nodes_csv(ctx.write("nodes.csv"), dag)
+    graph.export_edges_csv(ctx.write("edges.csv"), dag)
+    ctx.write_table("removed_edges.csv", ["from", "to", "year_diff", "weight"],
+                    ([e.src, e.dst, e.year_diff, e.weight] for e in removed))
+    ctx.write_text("graph.dot", graph.export_dot(dag))
+    ctx.write_json("graph_summary.json", {
         "nodes": dag.n_nodes,
         "edges": len(dag.edges),
+        "edges_dropped_year_window": built - len(g.edges),
         "edges_removed_in_decycle": len(removed),
         "self_loops_dropped": dag.self_loops_dropped,
-    }
-    _write(out / "graph_summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    outputs.append(out / "graph_summary.json")
-    _update_manifest(out, "graph", cfg, [src], outputs)
+    })
 
 
-def stage_centrality(cfg: dict, out: Path) -> None:
-    g = _load_graph_artifacts(out)
+def stage_centrality(ctx: Context) -> None:
+    g = ctx.load_graph()
     scores = centrality.node_influence(g)
-    _write(out / "centrality.csv", centrality.export_scores_csv(g, scores))
-    corr = graph.year_diff_centrality_correlation(g, scores)
-    _write(out / "year_diff_correlation.json", json.dumps(corr, sort_keys=True, indent=2) + "\n")
-    _update_manifest(
-        out, "centrality", cfg,
-        [out / "nodes.csv", out / "edges.csv"],
-        [out / "centrality.csv", out / "year_diff_correlation.json"],
-    )
+    centrality.export_scores_csv(ctx.write("centrality.csv"), g, scores)
+    ctx.write_json("year_diff_correlation.json", graph.year_diff_centrality_correlation(g, scores))
 
 
-def stage_similarity(cfg: dict, out: Path) -> None:
-    src = _need(out, "artist_profiles.csv", "ingest")
-    raw = _load_profiles_csv(src)
+def stage_similarity(ctx: Context) -> None:
+    raw = ctx.load_profiles("artist_profiles.csv")
     ids = sorted(raw)
     X = np.array([raw[i] for i in ids])
     std = simvec.standardize(X)
-    model = simvec.fit_pca(std.vectors, cfg["pca_k"], means=std.means, stdevs=std.stdevs)
+    model = simvec.fit_pca(std.vectors, ctx.cfg["pca_k"], means=std.means, stdevs=std.stdevs)
     projected = simvec.project(model, std.vectors)
-    _write(out / "pca_model.json", model.to_json())
-    _write_profiles(out / "profiles_standardized.csv", dict(zip(ids, std.vectors)), X.shape[1])
-    _write_profiles(out / "profiles_projected.csv", dict(zip(ids, projected)), cfg["pca_k"])
-    cap = min(cfg["uniqueness_cap"], len(ids))
+    ctx.write_text("pca_model.json", model.to_json())
+    ctx.write_table("profiles_standardized.csv", _profile_header(X.shape[1]),
+                    ([i, *v] for i, v in zip(ids, std.vectors)))
+    ctx.write_table("profiles_projected.csv", _profile_header(ctx.cfg["pca_k"]),
+                    ([i, *v] for i, v in zip(ids, projected)))
+    cap = min(ctx.cfg["uniqueness_cap"], len(ids))
     sample = projected[:cap]
     uniq = {
         metric: simvec.uniqueness(sample, metric)
         for metric in ("euclidean", "cosine", "tss")
     }
     uniq["n_vectors"] = cap
-    _write(out / "uniqueness.json", json.dumps(uniq, sort_keys=True, indent=2) + "\n")
-    _update_manifest(
-        out, "similarity", cfg, [src],
-        [out / n for n in ("pca_model.json", "profiles_standardized.csv",
-                           "profiles_projected.csv", "uniqueness.json")],
-    )
+    ctx.write_json("uniqueness.json", uniq)
 
 
-def stage_genre(cfg: dict, out: Path) -> None:
-    g = _load_graph_artifacts(out)
-    projected = _load_profiles_csv(_need(out, "profiles_projected.csv", "similarity"))
-    standardized = _load_profiles_csv(_need(out, "profiles_standardized.csv", "similarity"))
-    scores = _load_scores_csv(_need(out, "centrality.csv", "centrality"))
-    influence_rows = ingest.load_influence(_need(out, "influence_clean.csv", "ingest"))
+def stage_genre(ctx: Context) -> None:
+    cfg = ctx.cfg
+    g = ctx.load_graph()
+    projected = ctx.load_profiles("profiles_projected.csv")
+    standardized = ctx.load_profiles("profiles_standardized.csv")
+    scores = ctx.load_scores()
+    influence_rows = ingest.load_influence(ctx.read("influence_clean.csv"))
     genres = {i: n.genre for i, n in g.nodes.items()}
 
     sample_cfg = genre.SamplingConfig(
@@ -349,64 +327,47 @@ def stage_genre(cfg: dict, out: Path) -> None:
     )
     sim_profiles = {i: v for i, v in projected.items() if i in genres}
     sim_report = genre.sample_similarity(sim_profiles, genres, sample_cfg)
-    _write(out / "genre_similarity_sampling.json", sim_report.to_json())
+    ctx.write_text("genre_similarity_sampling.json", sim_report.to_json())
     inf_report = genre.sample_influence(g, scores, genres, sample_cfg)
-    _write(out / "genre_influence_sampling.json", inf_report.to_json())
+    ctx.write_text("genre_influence_sampling.json", inf_report.to_json())
 
     cluster_profiles = {i: v for i, v in standardized.items() if i in genres}
     dendro = genre.cluster_genres(cluster_profiles, genres, linkage=cfg["cluster"]["linkage"])
-    _write(out / "dendrogram.json", dendro.to_json())
-    _write(out / "dendrogram.newick", dendro.to_newick() + "\n")
+    ctx.write_text("dendrogram.json", dendro.to_json())
+    ctx.write_text("dendrogram.newick", dendro.to_newick() + "\n")
     cut_k = min(cfg["cluster"]["cut"], len(dendro.leaves))
     flat = dendro.flat_cut(cut_k)
-    _write_csv(out / "genre_clusters.csv", ["genre", "cluster"], sorted(flat.items()))
+    ctx.write_table("genre_clusters.csv", ["genre", "cluster"], sorted(flat.items()))
     debut = genre.debut_counts(influence_rows)
-    _write_csv(out / "debut_counts.csv", ["genre", "year", "count"],
-               ([gname, year, count] for (gname, year), count in sorted(debut.items())))
+    ctx.write_table("debut_counts.csv", ["genre", "year", "count"],
+                    ([gname, year, count] for (gname, year), count in sorted(debut.items())))
     cross, selfp = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])
-    _write_csv(out / "genre_influence_matrix.csv", ["from_genre", "to_genre", "weight", "self_pair"],
-               [[gm, gn, repr(w), 0] for gm, gn, w in cross]
-               + [[gm, gn, repr(w), 1] for gm, gn, w in selfp])
+    ctx.write_table("genre_influence_matrix.csv", ["from_genre", "to_genre", "weight", "self_pair"],
+                    [[gm, gn, w, 0] for gm, gn, w in cross] + [[gm, gn, w, 1] for gm, gn, w in selfp])
 
-    outputs = [
-        out / n
-        for n in (
-            "genre_similarity_sampling.json", "genre_influence_sampling.json",
-            "dendrogram.json", "dendrogram.newick", "genre_clusters.csv",
-            "debut_counts.csv", "genre_influence_matrix.csv",
-        )
-    ]
     if cfg["trend"]:
-        songs, _ = ingest.load_songs(_need(out, "songs_clean.csv", "ingest"))
+        songs, _ = ingest.load_songs(ctx.read("songs_clean.csv"))
         gseries, aseries = genre.genre_feature_trend(
             songs, cfg["trend"]["genre"], cfg["trend"]["feature"], genres
         )
-        trend_path = out / "genre_trend.csv"
-        _write_csv(trend_path, ["genre", "year", "value"],
-                   [[cfg["trend"]["genre"], y, repr(v)] for y, v in sorted(gseries.items())]
-                   + [["__all__", y, repr(v)] for y, v in sorted(aseries.items())])
-        outputs.append(trend_path)
-
-    _update_manifest(
-        out, "genre", cfg,
-        [out / "nodes.csv", out / "edges.csv", out / "profiles_projected.csv",
-         out / "profiles_standardized.csv", out / "centrality.csv", out / "influence_clean.csv"],
-        outputs,
-    )
+        ctx.write_table("genre_trend.csv", ["genre", "year", "value"],
+                        [[cfg["trend"]["genre"], y, v] for y, v in sorted(gseries.items())]
+                        + [["__all__", y, v] for y, v in sorted(aseries.items())])
 
 
-def stage_authenticity(cfg: dict, out: Path) -> None:
-    g = _load_graph_artifacts(out)
-    projected = _load_profiles_csv(_need(out, "profiles_projected.csv", "similarity"))
-    standardized = _load_profiles_csv(_need(out, "profiles_standardized.csv", "similarity"))
-    scores = _load_scores_csv(_need(out, "centrality.csv", "centrality"))
+def stage_authenticity(ctx: Context) -> None:
+    cfg = ctx.cfg
+    g = ctx.load_graph()
+    projected = ctx.load_profiles("profiles_projected.csv")
+    standardized = ctx.load_profiles("profiles_standardized.csv")
+    scores = ctx.load_scores()
 
     auth_scores, summary = authrev.authenticity(
         g, projected, alpha=cfg["authenticity"]["alpha"], mode=cfg["authenticity"]["mode"]
     )
-    _write_csv(out / "authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
-               ([s.node_id, repr(s.ad), int(s.extreme), repr(s.stdev)] for s in auth_scores))
-    _write(out / "authenticity_summary.json", summary.to_json())
+    ctx.write_table("authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
+                    ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores))
+    ctx.write_text("authenticity_summary.json", summary.to_json())
 
     ni = {s.node_id: s.ni for s in scores}
     ids = sorted(i for i in standardized if i in ni)
@@ -415,32 +376,28 @@ def stage_authenticity(cfg: dict, out: Path) -> None:
     fit = authrev.elastic_net_grid(
         X, y, cfg["elastic_net"]["lambda_grid"], cfg["elastic_net"]["alpha_mix"]
     )
-    _write(out / "elastic_net.json", fit.to_json())
-    _update_manifest(
-        out, "authenticity", cfg,
-        [out / "nodes.csv", out / "edges.csv", out / "profiles_projected.csv",
-         out / "profiles_standardized.csv", out / "centrality.csv"],
-        [out / "authenticity.csv", out / "authenticity_summary.json", out / "elastic_net.json"],
-    )
+    ctx.write_text("elastic_net.json", fit.to_json())
 
 
-def stage_revolution(cfg: dict, out: Path) -> None:
-    g = _load_graph_artifacts(out)
-    scores = _load_scores_csv(_need(out, "centrality.csv", "centrality"))
-    standardized = _load_profiles_csv(_need(out, "profiles_standardized.csv", "similarity"))
+def stage_revolution(ctx: Context) -> None:
+    cfg = ctx.cfg
+    g = ctx.load_graph()
+    scores = ctx.load_scores()
+    standardized = ctx.load_profiles("profiles_standardized.csv")
 
     periphery = {s.node_id: authrev.periphery_score(g, s.node_id) for s in scores}
     keyword_ids: set[int] = set()
     if cfg["phrases_file"] and cfg["bios_dir"]:
         phrases = [
             line.strip()
-            for line in Path(cfg["phrases_file"]).read_text(encoding="utf-8").splitlines()
+            for line in ctx.read("phrases_file").read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
         bios = {}
-        for path in sorted(Path(cfg["bios_dir"]).glob("*.txt")):
+        for path in sorted(ctx.read("bios_dir").glob("*.txt")):
             try:
-                bios[int(path.stem)] = path.read_text(encoding="utf-8")
+                artist = int(path.stem)
+                bios[artist] = ctx.read(path).read_text(encoding="utf-8")
             except ValueError:
                 continue
         keyword_ids, _missing = authrev.semantic_match(phrases, bios)
@@ -448,8 +405,9 @@ def stage_revolution(cfg: dict, out: Path) -> None:
     labels = authrev.label_revolutionaries(
         scores, periphery, keyword_ids, cfg["thresholds"]["periphery"]
     )
-    _write_csv(out / "revolution_labels.csv", ["node_id", "label", "evidence"],
-               ([l.node_id, l.label, "|".join(l.evidence)] for l in sorted(labels, key=lambda l: l.node_id)))
+    ctx.write_table("revolution_labels.csv", ["node_id", "label", "evidence"],
+                    ([l.node_id, l.label, "|".join(l.evidence)]
+                     for l in sorted(labels, key=lambda l: l.node_id)))
 
     # Forest over labeled nodes ordered by influence rank; skipped (with a
     # recorded reason) when the training slice degenerates to one class.
@@ -467,52 +425,65 @@ def stage_revolution(cfg: dict, out: Path) -> None:
             seed=cfg["seed"],
             split=tuple(cfg["forest"]["split"]),
         )
-        _write(out / "forest_model.json", model.to_json())
+        ctx.write_text("forest_model.json", model.to_json())
     except authrev.AuthRevError as exc:
-        _write(
-            out / "forest_model.json",
-            json.dumps({"trained": False, "reason": str(exc)}, sort_keys=True, indent=2) + "\n",
-        )
-    _update_manifest(
-        out, "revolution", cfg,
-        [out / "centrality.csv", out / "profiles_standardized.csv"],
-        [out / "revolution_labels.csv", out / "forest_model.json"],
-    )
+        ctx.write_json("forest_model.json", {"trained": False, "reason": str(exc)})
 
 
-REPORT_PIECES = [
-    ("cleaning_report.json", "ingest", "cleaning"),
-    ("graph_summary.json", "graph", "graph"),
-    ("year_diff_correlation.json", "centrality", "year_diff_correlation"),
-    ("uniqueness.json", "similarity", "uniqueness"),
-    ("genre_similarity_sampling.json", "genre", "genre_similarity"),
-    ("genre_influence_sampling.json", "genre", "genre_influence"),
-    ("authenticity_summary.json", "authenticity", "authenticity"),
-    ("elastic_net.json", "authenticity", "elastic_net"),
-]
+# The JSON artifacts bundled into report.json, by report key.
+REPORT_PIECES = {
+    "cleaning_report.json": "cleaning",
+    "graph_summary.json": "graph",
+    "year_diff_correlation.json": "year_diff_correlation",
+    "uniqueness.json": "uniqueness",
+    "genre_similarity_sampling.json": "genre_similarity",
+    "genre_influence_sampling.json": "genre_influence",
+    "authenticity_summary.json": "authenticity",
+    "elastic_net.json": "elastic_net",
+}
 
 
-def stage_report(cfg: dict, out: Path) -> None:
-    report: dict = {}
-    inputs = []
-    for name, stage, key in REPORT_PIECES:
-        path = _need(out, name, stage)
-        report[key] = json.loads(path.read_text())
-        inputs.append(path)
-    labels_path = _need(out, "revolution_labels.csv", "revolution")
-    inputs.append(labels_path)
+def stage_report(ctx: Context) -> None:
+    report = {key: json.loads(ctx.read(name).read_text()) for name, key in REPORT_PIECES.items()}
     counts = {"major": 0, "non_major": 0, "unlabeled": 0}
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            counts[row["label"]] += 1
+    for row in ctx.read_rows("revolution_labels.csv"):
+        counts[row["label"]] += 1
     report["revolution_label_counts"] = counts
-    forest_path = _need(out, "forest_model.json", "revolution")
-    forest = json.loads(forest_path.read_text())
+    forest = json.loads(ctx.read("forest_model.json").read_text())
     forest.pop("trees", None)  # summaries only in the bundle
     report["forest"] = forest
-    inputs.append(forest_path)
-    _write(out / "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _update_manifest(out, "report", cfg, inputs, [out / "report.json"])
+    ctx.write_json("report.json", report)
+
+
+@dataclass(frozen=True)
+class Stage:
+    command: str  # the words after `artistnet`
+    fn: Callable[[Context], None]
+    writes: tuple[str, ...]  # every artifact the stage may write
+
+    @property
+    def name(self) -> str:
+        """The stage's key in the manifest: its first command word."""
+        return self.command.split()[0]
+
+
+STAGES = (
+    Stage("ingest", stage_ingest,
+          ("influence_clean.csv", "songs_clean.csv", "cleaning_report.json", "artist_profiles.csv")),
+    Stage("graph build", stage_graph_build,
+          ("nodes.csv", "edges.csv", "removed_edges.csv", "graph.dot", "graph_summary.json")),
+    Stage("centrality", stage_centrality, ("centrality.csv", "year_diff_correlation.json")),
+    Stage("similarity", stage_similarity,
+          ("pca_model.json", "profiles_standardized.csv", "profiles_projected.csv", "uniqueness.json")),
+    Stage("genre", stage_genre,
+          ("genre_similarity_sampling.json", "genre_influence_sampling.json", "dendrogram.json",
+           "dendrogram.newick", "genre_clusters.csv", "debut_counts.csv",
+           "genre_influence_matrix.csv", "genre_trend.csv")),  # genre_trend.csv only with `trend`
+    Stage("authenticity", stage_authenticity,
+          ("authenticity.csv", "authenticity_summary.json", "elastic_net.json")),
+    Stage("revolution", stage_revolution, ("revolution_labels.csv", "forest_model.json")),
+    Stage("report", stage_report, ("report.json",)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -526,19 +497,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="seed override")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: every stage runs in one process")
-    common.add_argument("--format", choices=["csv", "json", "dot", "newick"],
-                        help="restrict optional export formats")
     parser = argparse.ArgumentParser(
         prog="artistnet", description="Artist influence network pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest", parents=[common])
-    graph_cmd = sub.add_parser("graph")
-    graph_sub = graph_cmd.add_subparsers(dest="graph_command", required=True)
-    graph_sub.add_parser("build", parents=[common])
-    for name in ("centrality", "similarity", "genre", "authenticity", "revolution", "report"):
-        sub.add_parser(name, parents=[common])
+    for stage in STAGES:
+        word, *rest = stage.command.split()
+        cmd = sub.add_parser(word, parents=[] if rest else [common])
+        if rest:  # a two-word command such as `graph build`
+            cmd = cmd.add_subparsers(dest="action", required=True).add_parser(rest[0], parents=[common])
+        cmd.set_defaults(stage=stage)
     return parser
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -553,36 +527,17 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.threads is not None and args.threads < 1:
             raise ConfigError("threads", "must be >= 1")
+        ctx = Context(cfg, args.stage)
+        ctx.out.mkdir(parents=True, exist_ok=True)
+        args.stage.fn(ctx)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        if args.command == "ingest":
-            stage_ingest(cfg, out)
-        elif args.command == "graph":
-            stage_graph_build(cfg, out, args.format)
-        elif args.command == "centrality":
-            stage_centrality(cfg, out)
-        elif args.command == "similarity":
-            stage_similarity(cfg, out)
-        elif args.command == "genre":
-            stage_genre(cfg, out)
-        elif args.command == "authenticity":
-            stage_authenticity(cfg, out)
-        elif args.command == "revolution":
-            stage_revolution(cfg, out)
-        elif args.command == "report":
-            stage_report(cfg, out)
+        return _fail(exc, EXIT_CONFIG)
     except DependencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENCY
+        return _fail(exc, EXIT_DEPENDENCY)
     except (ingest.IngestError, graph.GraphError, simvec.SimvecError,
             genre.GenreError, authrev.AuthRevError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_DATA)
+    _update_manifest(ctx)
     return 0
 
 

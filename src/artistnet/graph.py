@@ -3,13 +3,11 @@ weights with max-min normalization, cycle removal, and reachability."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from artistnet.ingest import RawInfluenceRow
+from artistnet.ingest import RawInfluenceRow, write_table
 
 # Year differences outside this window are discarded before normalization;
 # the lower bound also anchors the max-min transform so weights stay > 0.
@@ -391,20 +389,14 @@ def year_diff_centrality_correlation(g: InfluenceGraph, scores, mode: str = "per
     return out
 
 
-def export_edges_csv(g: InfluenceGraph) -> str:
-    lines = ["from,to,year_diff,weight"]
-    for (s, d), e in sorted(g.edges.items()):
-        w = "" if e.weight is None else repr(e.weight)
-        lines.append(f"{s},{d},{e.year_diff},{w}")
-    return "\n".join(lines) + "\n"
+def export_edges_csv(path, g: InfluenceGraph) -> None:
+    write_table(path, ["from", "to", "year_diff", "weight"],
+                ([s, d, e.year_diff, e.weight] for (s, d), e in sorted(g.edges.items())))
 
 
-def export_nodes_csv(g: InfluenceGraph) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "name", "genre", "active_start"])
-    w.writerows([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items()))
-    return buf.getvalue()
+def export_nodes_csv(path, g: InfluenceGraph) -> None:
+    write_table(path, ["id", "name", "genre", "active_start"],
+                ([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items())))
 
 
 def export_dot(g: InfluenceGraph) -> str:

@@ -1,10 +1,12 @@
-"""Loading and cleaning of the influence and song CSV datasets."""
+"""Loading and cleaning of the influence and song CSV datasets, and the
+one CSV codec (`write_table`/`read_table`) every artifact goes through."""
 
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import dataclass, field, asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,10 +106,32 @@ class ArtistProfile:
     features: np.ndarray  # mean of the 13 retained features
 
 
-def _check_header(found, expected, path):
-    missing = [c for c in expected if c not in (found or [])]
-    if missing:
-        raise IngestError(f"{path}: missing column(s) {missing}")
+def write_table(path, header, rows) -> None:
+    """Write `header` and `rows` as CSV in the dialect of every artifact:
+    UTF-8, LF line ends, csv.writer quoting (a field holding a comma, quote,
+    CR or LF is quoted), floats as repr (so they read back exactly) and None
+    as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # csv quotes a field that holds a character of the line terminator,
+        # so records are made with "\r\n" (quoting "\r" as well as "\n")
+        # and written with "\n".
+        sink = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
+        w = csv.writer(sink, lineterminator="\r\n")
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def read_table(path, columns=()):
+    """Rows of a CSV file as dicts keyed by its header, read lazily; blank
+    lines are skipped and every cell stays a string (an empty one, such as
+    write_table's None, reads as ""). Raises IngestError when the header
+    lacks one of `columns`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise IngestError(f"{path}: missing column(s) {missing}")
+        yield from reader
 
 
 def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
@@ -127,30 +151,27 @@ def load_influence(path) -> list[RawInfluenceRow]:
     pairs keeping the first occurrence."""
     rows: list[RawInfluenceRow] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, INFLUENCE_COLUMNS, path)
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                row = RawInfluenceRow(
-                    influencer_id=int(raw["influencer_id"]),
-                    influencer_name=raw["influencer_name"],
-                    influencer_main_genre=raw["influencer_main_genre"],
-                    influencer_active_start=int(raw["influencer_active_start"]),
-                    follower_id=int(raw["follower_id"]),
-                    follower_name=raw["follower_name"],
-                    follower_main_genre=raw["follower_main_genre"],
-                    follower_active_start=int(raw["follower_active_start"]),
-                )
-            except (TypeError, ValueError, KeyError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if row.influencer_id < 0 or row.follower_id < 0:
-                raise IngestError(f"{path}:{lineno}: negative artist id")
-            key = (row.influencer_id, row.follower_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(row)
+    for lineno, raw in enumerate(read_table(path, INFLUENCE_COLUMNS), start=2):
+        try:
+            row = RawInfluenceRow(
+                influencer_id=int(raw["influencer_id"]),
+                influencer_name=raw["influencer_name"],
+                influencer_main_genre=raw["influencer_main_genre"],
+                influencer_active_start=int(raw["influencer_active_start"]),
+                follower_id=int(raw["follower_id"]),
+                follower_name=raw["follower_name"],
+                follower_main_genre=raw["follower_main_genre"],
+                follower_active_start=int(raw["follower_active_start"]),
+            )
+        except (TypeError, ValueError, KeyError) as exc:
+            raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
+        if row.influencer_id < 0 or row.follower_id < 0:
+            raise IngestError(f"{path}:{lineno}: negative artist id")
+        key = (row.influencer_id, row.follower_id)
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append(row)
     return rows
 
 
@@ -165,79 +186,66 @@ def load_songs(path, known_artist_ids=None) -> tuple[list[SongRecord], CleaningR
     report = CleaningReport()
     songs: list[SongRecord] = []
     numeric = FEATURES + DROPPED_COLUMNS
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, SONG_COLUMNS, path)
-        for lineno, raw in enumerate(reader, start=2):
-            report.rows_read += 1
-            if any((raw.get(c) or "").strip() == "" for c in numeric):
-                report.rows_dropped_missing_value += 1
-                continue
-            values = {}
-            for col in numeric:
-                try:
-                    values[col] = float(raw[col])
-                except ValueError as exc:
-                    raise IngestError(
-                        f"{path}:{lineno}: unparsable numeric field {col}={raw[col]!r}"
-                    ) from exc
-            artist_ids = _parse_artist_ids(raw["artist_ids"], path, lineno)
-            if not artist_ids:
-                report.rows_dropped_missing_artist += 1
-                continue
-            if not (-60.0 <= values["loudness"] <= 0.0):
-                report.rows_dropped_loudness += 1
-                continue
-            unlinked = known_artist_ids is not None and not any(
-                a in known_artist_ids for a in artist_ids
+    for lineno, raw in enumerate(read_table(path, SONG_COLUMNS), start=2):
+        report.rows_read += 1
+        if any((raw.get(c) or "").strip() == "" for c in numeric):
+            report.rows_dropped_missing_value += 1
+            continue
+        values = {}
+        for col in numeric:
+            try:
+                values[col] = float(raw[col])
+            except ValueError as exc:
+                raise IngestError(
+                    f"{path}:{lineno}: unparsable numeric field {col}={raw[col]!r}"
+                ) from exc
+        artist_ids = _parse_artist_ids(raw["artist_ids"], path, lineno)
+        if not artist_ids:
+            report.rows_dropped_missing_artist += 1
+            continue
+        if not (-60.0 <= values["loudness"] <= 0.0):
+            report.rows_dropped_loudness += 1
+            continue
+        unlinked = known_artist_ids is not None and not any(
+            a in known_artist_ids for a in artist_ids
+        )
+        if unlinked:
+            report.rows_flagged_unlinked += 1
+        songs.append(
+            SongRecord(
+                artist_ids=artist_ids,
+                danceability=values["danceability"],
+                energy=values["energy"],
+                valence=values["valence"],
+                tempo=values["tempo"],
+                loudness=values["loudness"],
+                key=int(values["key"]),
+                acousticness=values["acousticness"],
+                instrumentalness=values["instrumentalness"],
+                liveness=values["liveness"],
+                speechiness=values["speechiness"],
+                duration_ms=values["duration_ms"],
+                popularity=values["popularity"],
+                year=int(values["year"]),
+                mode=int(values["mode"]),
+                explicit=int(values["explicit"]),
+                unlinked=unlinked,
             )
-            if unlinked:
-                report.rows_flagged_unlinked += 1
-            songs.append(
-                SongRecord(
-                    artist_ids=artist_ids,
-                    danceability=values["danceability"],
-                    energy=values["energy"],
-                    valence=values["valence"],
-                    tempo=values["tempo"],
-                    loudness=values["loudness"],
-                    key=int(values["key"]),
-                    acousticness=values["acousticness"],
-                    instrumentalness=values["instrumentalness"],
-                    liveness=values["liveness"],
-                    speechiness=values["speechiness"],
-                    duration_ms=values["duration_ms"],
-                    popularity=values["popularity"],
-                    year=int(values["year"]),
-                    mode=int(values["mode"]),
-                    explicit=int(values["explicit"]),
-                    unlinked=unlinked,
-                )
-            )
+        )
     return songs, report
 
 
 def write_songs(path, songs: list[SongRecord]) -> None:
     """Serialize cleaned songs back to CSV (inverse of load_songs modulo
     cleaning; used for the idempotence check and stage persistence)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SONG_COLUMNS)
-        for s in songs:
-            ids = "[" + ", ".join(str(a) for a in s.artist_ids) + "]"
-            writer.writerow(
-                [ids]
-                + [repr(float(getattr(s, f))) if f not in ("key", "year") else str(getattr(s, f)) for f in FEATURES]
-                + [s.explicit, s.mode]
-            )
+    write_table(path, SONG_COLUMNS, (
+        ["[" + ", ".join(str(a) for a in s.artist_ids) + "]"]
+        + [getattr(s, f) for f in FEATURES] + [s.explicit, s.mode]
+        for s in songs))
 
 
 def write_influence(path, rows: list[RawInfluenceRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INFLUENCE_COLUMNS)
-        for r in rows:
-            writer.writerow([getattr(r, c) for c in INFLUENCE_COLUMNS])
+    write_table(path, INFLUENCE_COLUMNS, ([getattr(r, c) for c in INFLUENCE_COLUMNS] for r in rows))
 
 
 def build_artist_profiles(songs: list[SongRecord]) -> dict[int, ArtistProfile]:

@@ -186,6 +186,8 @@ def _reference_grow(X, y, n_classes, rng, depth, max_depth, m_features, importan
         for thr in (values[:-1] + values[1:]) / 2.0:
             mask = col <= thr
             nl = int(mask.sum())
+            if nl == n:  # the midpoint rounded up onto the largest value
+                continue
             left = np.bincount(y[mask], minlength=n_classes).astype(float)
             right = counts - left
             score = (nl * _reference_gini(left) + (n - nl) * _reference_gini(right)) / n

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,6 +367,18 @@ class TestForestMatchesReference:
                   seed=seed, split=(0.5, 0.2, 0.2))
         got, want = forest_train(X, y, **kw), reference_forest_train(X, y, **kw)
         assert got.to_json() == want.to_json()
+
+    def test_no_split_leaves_an_empty_side(self):
+        # Adjacent floats whose midpoint rounds up onto the column's largest
+        # value: that threshold sends every row left, so it is skipped
+        # rather than grown into a 0/0 (NaN) leaf.
+        X, y = _forest_case(19, ["adjacent"], 30, 2)
+        model = forest_train(X, y, trees=3, max_depth=3, seed=19, split=(0.5, 0.2, 0.2))
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        json.loads(model.to_json(), parse_constant=reject)
 
     def test_no_features_grows_leaves(self):
         X, y = np.zeros((20, 0)), np.array(["a", "b"] * 10)

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from artistnet import centrality, genre, graph, ingest
-from artistnet.cli import _load_graph_artifacts, _load_scores_csv, main
+from artistnet import cli
+from artistnet.cli import main
 
 GENRES = {i: ("rock" if i <= 10 else "jazz") for i in range(1, 21)}
 STARTS = {i: 1950 + 2 * i for i in range(1, 21)}
@@ -84,10 +85,33 @@ STAGES = [
 ]
 
 
+def reader(out: Path) -> cli.Context:
+    """A context over `out`, reading artifacts back as the stages do."""
+    return cli.Context({"out_dir": str(out)}, None)
+
+
 def run_all(cfg_path: Path, extra=()):
     for stage in STAGES:
         code = main(stage + ["--config", str(cfg_path)] + list(extra))
         assert code == 0, f"stage {stage} failed"
+
+
+def configure(cfg_path: Path, **fields) -> None:
+    """Set top-level config fields of the fixture's config file."""
+    cfg_path.write_text(json.dumps(json.loads(cfg_path.read_text()) | fields))
+
+
+def write_bios(tmp_path: Path) -> dict:
+    """A phrases file and a bios directory (two bios, one file whose name
+    is not an artist id); returns the config fields that point at them."""
+    phrases = tmp_path / "phrases.txt"
+    phrases.write_text("revolutionary\n", encoding="utf-8")
+    bios = tmp_path / "bios"
+    bios.mkdir()
+    (bios / "1.txt").write_text("A revolutionary sound.", encoding="utf-8")
+    (bios / "12.txt").write_text("Quiet work.", encoding="utf-8")
+    (bios / "notes.txt").write_text("not a bio", encoding="utf-8")
+    return {"phrases_file": str(phrases), "bios_dir": str(bios)}
 
 
 class TestPipeline:
@@ -193,7 +217,7 @@ def test_genre_csv_artifacts_round_trip_awkward_genres(tmp_path):
         with open(out / name, newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))[1:]
 
-    g = _load_graph_artifacts(out)
+    g = reader(out).load_graph()
     assert {row[0] for row in read("genre_clusters.csv")} == set(awkward)
     debut = genre.debut_counts(ingest.load_influence(out / "influence_clean.csv"))
     assert [(gn, int(y), int(c)) for gn, y, c in read("debut_counts.csv")] == [
@@ -213,19 +237,107 @@ def test_graph_artifacts_round_trip_awkward_names(tmp_path):
     nodes = [graph.ArtistNode(i, name, f"genre, {name}", 1950 + i) for i, name in enumerate(names)]
     edges = [graph.InfluenceEdge(0, 1, 1, 0.5), graph.InfluenceEdge(1, 2, 1, 0.25)]
     g = graph.InfluenceGraph(nodes, edges)
-    (tmp_path / "nodes.csv").write_text(graph.export_nodes_csv(g), encoding="utf-8")
-    (tmp_path / "edges.csv").write_text(graph.export_edges_csv(g), encoding="utf-8")
-    back = _load_graph_artifacts(tmp_path)
+    graph.export_nodes_csv(tmp_path / "nodes.csv", g)
+    graph.export_edges_csv(tmp_path / "edges.csv", g)
+    back = reader(tmp_path).load_graph()
     assert back.nodes == g.nodes
     assert back.edges == g.edges
     scores = centrality.node_influence(g)
-    (tmp_path / "centrality.csv").write_text(centrality.export_scores_csv(g, scores), encoding="utf-8")
-    assert _load_scores_csv(tmp_path / "centrality.csv") == scores
+    centrality.export_scores_csv(tmp_path / "centrality.csv", g, scores)
+    assert reader(tmp_path).load_scores() == scores
     with open(tmp_path / "centrality.csv", newline="", encoding="utf-8") as fh:
         assert {r["name"] for r in csv.DictReader(fh)} == set(names)
 
 
+ADVERSARIAL_NAMES = {
+    1: "Crosby, Stills, Nash & Young", 2: 'The "Band"', 3: "Björk", 4: "two\nlines",
+    5: "carriage\rreturn", 6: "", 7: " padded ", 8: "back\\slash", 11: "Sigur Rós",
+    12: '"', 13: "tab\there", 14: "crlf\r\nname", 15: "東京事変",
+}
+ADVERSARIAL_GENRES = ['Stage, Screen & "Film"', "Comedy\r\nSpoken", "Música\nLatina"]
+
+
+def test_all_stages_on_adversarial_names_and_genres(tmp_path):
+    genres = {i: ADVERSARIAL_GENRES[0] if i <= 10 else ADVERSARIAL_GENRES[1] if i <= 15
+              else ADVERSARIAL_GENRES[2] for i in GENRES}
+    cfg_path = write_fixture(tmp_path, ADVERSARIAL_NAMES, genres)
+    configure(cfg_path, trend={"genre": ADVERSARIAL_GENRES[2], "feature": "energy"}, **write_bios(tmp_path))
+    run_all(cfg_path)
+    out = tmp_path / "out"
+    tables = {p.name: list(ingest.read_table(p)) for p in sorted(out.glob("*.csv"))}
+    assert len(tables) == 15
+    for name, rows in tables.items():
+        assert rows, name
+        for row in rows:  # no cell lost or split off
+            assert None not in row and None not in row.values(), (name, row)
+    names = {i: f"artist{i}" for i in GENRES} | ADVERSARIAL_NAMES
+    assert {int(r["id"]): (r["name"], r["genre"]) for r in tables["nodes.csv"]} == {
+        i: (names[i], genres[i]) for i in GENRES}
+    assert {int(r["node_id"]): (r["name"], r["genre"]) for r in tables["centrality.csv"]} == {
+        i: (names[i], genres[i]) for i in GENRES}
+    clean = ingest.load_influence(out / "influence_clean.csv")
+    assert clean == ingest.load_influence(tmp_path / "influence.csv")
+    assert {r["genre"] for r in tables["genre_clusters.csv"]} == set(ADVERSARIAL_GENRES)
+    assert {r["genre"] for r in tables["debut_counts.csv"]} == set(ADVERSARIAL_GENRES)
+    assert {r["genre"] for r in tables["genre_trend.csv"]} == {ADVERSARIAL_GENRES[2], "__all__"}
+
+
+def test_graph_summary_counts_year_window_drops(tmp_path):
+    cfg_path = write_fixture(tmp_path)
+    with open(tmp_path / "influence.csv", "a", newline="") as fh:  # year_diff 80: outside (-30, 80)
+        csv.writer(fh).writerow([1, "artist1", "rock", STARTS[1], 21, "late", "rock", STARTS[1] + 80])
+    for stage in STAGES[:2]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    summary = json.loads((tmp_path / "out" / "graph_summary.json").read_text())
+    assert summary["edges_dropped_year_window"] == 1
+    assert (summary["nodes"], summary["edges"]) == (21, len(EDGES) - 1)
+
+
+class TestManifest:
+    def test_inputs_are_every_file_read(self, tmp_path):
+        cfg_path = write_fixture(tmp_path)
+        bios = write_bios(tmp_path)
+        configure(cfg_path, trend={"genre": "jazz", "feature": "energy"}, **bios)
+        run_all(cfg_path)
+        out = tmp_path / "out"
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        artifacts = lambda *names: {str(out / n) for n in names}
+        assert set(stages["genre"]["inputs"]) == artifacts(
+            "nodes.csv", "edges.csv", "profiles_projected.csv", "profiles_standardized.csv",
+            "centrality.csv", "influence_clean.csv", "songs_clean.csv")
+        assert set(stages["revolution"]["inputs"]) == artifacts(
+            "nodes.csv", "edges.csv", "centrality.csv", "profiles_standardized.csv") | {
+            bios["phrases_file"], str(Path(bios["bios_dir"]) / "1.txt"),
+            str(Path(bios["bios_dir"]) / "12.txt")}
+
+    def test_outputs_are_the_declared_writes(self, tmp_path):
+        cfg_path = write_fixture(tmp_path)
+        configure(cfg_path, trend={"genre": "jazz", "feature": "energy"})
+        run_all(cfg_path)
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        assert sorted(s.name for s in cli.STAGES) == sorted(stages)
+        for stage in cli.STAGES:
+            assert sorted(stages[stage.name]["outputs"]) == sorted(stage.writes), stage.command
+
+    def test_undeclared_write_raises(self, tmp_path):
+        ctx = cli.Context({"out_dir": str(tmp_path)}, cli.STAGES[0])
+        with pytest.raises(RuntimeError, match="nodes.csv"):
+            ctx.write("nodes.csv")
+        assert ctx.outputs == []
+
+
 class TestDependencies:
+    @pytest.mark.parametrize("command, upstream", [
+        (s.command, u) for s, u in zip(cli.STAGES[1:], [
+            "ingest", "graph build", "ingest", "graph build", "graph build", "graph build", "ingest"])
+    ])
+    def test_stage_run_alone_names_upstream_command(self, tmp_path, capsys, command, upstream):
+        cfg_path = write_fixture(tmp_path)
+        assert main(command.split() + ["--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"run `artistnet {upstream}` first" in err
+        assert err.count("\n") == 1
+
     def test_centrality_before_graph(self, tmp_path, capsys):
         cfg_path = write_fixture(tmp_path)
         code = main(["centrality", "--config", str(cfg_path)])
@@ -245,6 +357,20 @@ class TestDependencies:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("field, upstream", [
+        ("influence_csv", 0), ("songs_csv", 0), ("phrases_file", 6), ("bios_dir", 6)])
+    def test_missing_configured_input_is_named(self, tmp_path, capsys, field, upstream):
+        cfg_path = write_fixture(tmp_path)
+        configure(cfg_path, **write_bios(tmp_path))
+        for stage in STAGES[:upstream]:
+            assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+        configure(cfg_path, **{field: str(tmp_path / "missing")})
+        capsys.readouterr()
+        assert main(STAGES[upstream] + ["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}':" in err and str(tmp_path / "missing") in err
+        assert err.count("\n") == 1
+
     def test_missing_required_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"songs_csv": "x.csv"}))

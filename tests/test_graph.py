@@ -239,18 +239,26 @@ class TestCorrelation:
             year_diff_centrality_correlation(g, scores)
 
 
+def exported(tmp_path, export, *args) -> str:
+    """The exact text an artifact writer puts in its file."""
+    path = tmp_path / "export.csv"
+    export(path, *args)
+    return path.read_bytes().decode("utf-8")
+
+
 class TestExports:
-    def test_exports_are_stable(self):
+    def test_exports_are_stable(self, tmp_path):
         edges = [(0, 2, 0.5), (0, 1, 0.25), (1, 2, 1.0)]
         a = make_graph(3, edges)
         b = make_graph(3, list(reversed(edges)))
-        assert export_edges_csv(a) == export_edges_csv(b)
-        assert export_nodes_csv(a) == export_nodes_csv(b)
-        assert export_edges_csv(a).splitlines()[0] == "from,to,year_diff,weight"
+        assert exported(tmp_path, export_edges_csv, a) == exported(tmp_path, export_edges_csv, b)
+        assert exported(tmp_path, export_nodes_csv, a) == exported(tmp_path, export_nodes_csv, b)
+        assert exported(tmp_path, export_edges_csv, a) == (
+            "from,to,year_diff,weight\n0,1,1,0.25\n0,2,2,0.5\n1,2,1,1.0\n")
 
-    def test_plain_names_are_not_quoted(self):
+    def test_plain_names_are_not_quoted(self, tmp_path):
         g = make_graph(2, [(0, 1, 0.5)], genres={1: "Jazz"})
-        assert export_nodes_csv(g) == (
+        assert exported(tmp_path, export_nodes_csv, g) == (
             "id,name,genre,active_start\n0,artist0,Pop/Rock,1950\n1,artist1,Jazz,1951\n"
         )
 

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artistnet import ingest
 from artistnet.ingest import (
@@ -8,8 +13,10 @@ from artistnet.ingest import (
     build_artist_profiles,
     load_influence,
     load_songs,
+    read_table,
     write_influence,
     write_songs,
+    write_table,
 )
 
 INFLUENCE_HEADER = ",".join(ingest.INFLUENCE_COLUMNS)
@@ -224,3 +231,66 @@ class TestArtistProfiles:
     def test_artist_with_no_songs_absent(self, tmp_path):
         songs = self.make_songs(tmp_path, [song_row(artist_ids="[1]")])
         assert 2 not in build_artist_profiles(songs)
+
+
+# Column kinds of every CSV artifact the pipeline writes: "s" text, "i"
+# integer, "f" float, "f?" float or None.
+PROFILE = ["i"] + ["f"] * 13
+TABLE_LAYOUTS = {
+    "influence_clean.csv": ["i", "s", "s", "i", "i", "s", "s", "i"],
+    "songs_clean.csv": ["s"] + ["i" if f in ("key", "year") else "f" for f in FEATURES] + ["i", "i"],
+    "artist_profiles.csv": PROFILE,
+    "profiles_standardized.csv": PROFILE,
+    "profiles_projected.csv": PROFILE[:6],
+    "nodes.csv": ["i", "s", "s", "i"],
+    "edges.csv": ["i", "i", "i", "f?"],
+    "removed_edges.csv": ["i", "i", "i", "f?"],
+    "centrality.csv": ["i", "s", "s", "f", "f", "f", "f", "i", "i", "i", "i"],
+    "genre_clusters.csv": ["s", "i"],
+    "debut_counts.csv": ["s", "i", "i"],
+    "genre_influence_matrix.csv": ["s", "s", "f", "i"],
+    "genre_trend.csv": ["s", "i", "f"],
+    "authenticity.csv": ["i", "f", "i", "f"],
+    "revolution_labels.csv": ["i", "s", "s"],
+}
+# Text is any Unicode string, drawn so that the characters CSV treats
+# specially (comma, quote, "\r", "\n") are common; NUL and non-ASCII text
+# are included. Only surrogate code points (category Cs) are left out:
+# they cannot be encoded as UTF-8, so no input file can hold them.
+CELLS = {
+    "s": st.text(st.sampled_from(list(',"\r\n ')) | st.characters(exclude_categories=["Cs"])),
+    "i": st.integers(-2**63, 2**63),
+    "f": st.floats(),
+    "f?": st.none() | st.floats(),
+}
+PARSE = {"s": str, "i": int, "f": float, "f?": lambda cell: float(cell) if cell else None}
+
+
+class TestTableCodec:
+    @pytest.mark.parametrize("artifact", sorted(TABLE_LAYOUTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, artifact, data):
+        kinds = TABLE_LAYOUTS[artifact]
+        header = [f"col{i}" for i in range(len(kinds))]
+        rows = data.draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / artifact
+            write_table(path, header, rows)
+            back = list(read_table(path, header))
+        assert [list(r) for r in back] == [header] * len(rows)
+        got = [tuple(PARSE[k](r[c]) for k, c in zip(kinds, header)) for r in back]
+        # floats are compared by repr, so bit for bit, -0.0 and nan included
+        exact = lambda row: tuple(repr(v) if isinstance(v, float) else v for v in row)
+        assert [exact(row) for row in got] == [exact(row) for row in rows]
+
+    def test_dialect(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["name", "x", "y"], [["a, b", 0.1, None], ['say "hi"\r', 1, 2.5]])
+        assert path.read_bytes() == b'name,x,y\n"a, b",0.1,\n"say ""hi""\r",1,2.5\n'
+
+    def test_missing_column_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a"], [])
+        with pytest.raises(IngestError, match="'b'"):
+            list(read_table(path, ["a", "b"]))
