@@ -409,6 +409,7 @@ class ForestModel:
                 "train_accuracy": self.train_accuracy,
                 "validation_accuracy": self.validation_accuracy,
                 "test_accuracy": self.test_accuracy,
+                "trained": True,
             },
             sort_keys=True,
             indent=2,
@@ -418,14 +419,15 @@ class ForestModel:
 def forest_train(X, labels, trees: int = 200, max_depth: int = 8,
                  features_per_split: int | None = None, seed: int = 0,
                  split: tuple[float, float, float] = (0.10, 0.05, 0.05)) -> ForestModel:
-    """Bootstrap forest of Gini trees over rank-ordered rows.
+    """Bootstrap forest of Gini trees over ordered rows.
 
     The first split[0] fraction of rows trains, the next split[1] fraction
-    validates, the next split[2] tests (rows are assumed ordered by
-    influence rank). Importances are normalized impurity decreases. Each
-    tree draws a bootstrap sample from its own SeedSequence.spawn seed and
-    is grown by _grow's sorted prefix-count sweep (CART), so a seed fixes
-    the trees; prediction routes all rows down a tree at once.
+    validates, the next split[2] tests (the CLI passes the rows in a
+    class-stratified order, so each slice keeps the class mix). Importances
+    are normalized impurity decreases. Each tree draws a bootstrap sample
+    from its own SeedSequence.spawn seed and is grown by _grow's sorted
+    prefix-count sweep (CART), so a seed fixes the trees; prediction routes
+    all rows down a tree at once.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)

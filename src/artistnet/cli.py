@@ -68,11 +68,15 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """`base` updated from `override`, nested objects merged key by key; a
+    key `base` has no default for is an error naming its dotted path."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            raise ConfigError(prefix + key, "unknown field")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{prefix}{key}.")
         else:
             out[key] = value
     return out
@@ -260,7 +264,7 @@ def stage_ingest(ctx: Context) -> None:
     ingest.write_songs(ctx.write("songs_clean.csv"), songs)
     ctx.write_text("cleaning_report.json", report.to_json())
     ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
-                    ([a, *p.features] for a, p in profiles.items()))
+                    ([a, *p] for a, p in profiles.items()))
 
 
 def stage_graph_build(ctx: Context) -> None:
@@ -317,7 +321,6 @@ def stage_genre(ctx: Context) -> None:
     projected = ctx.load_profiles("profiles_projected.csv")
     standardized = ctx.load_profiles("profiles_standardized.csv")
     scores = ctx.load_scores()
-    influence_rows = ingest.load_influence(ctx.read("influence_clean.csv"))
     genres = {i: n.genre for i, n in g.nodes.items()}
 
     sample_cfg = genre.SamplingConfig(
@@ -338,7 +341,7 @@ def stage_genre(ctx: Context) -> None:
     cut_k = min(cfg["cluster"]["cut"], len(dendro.leaves))
     flat = dendro.flat_cut(cut_k)
     ctx.write_table("genre_clusters.csv", ["genre", "cluster"], sorted(flat.items()))
-    debut = genre.debut_counts(influence_rows)
+    debut = genre.debut_counts(g)
     ctx.write_table("debut_counts.csv", ["genre", "year", "count"],
                     ([gname, year, count] for (gname, year), count in sorted(debut.items())))
     cross, selfp = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])
@@ -409,12 +412,14 @@ def stage_revolution(ctx: Context) -> None:
                     ([l.node_id, l.label, "|".join(l.evidence)]
                      for l in sorted(labels, key=lambda l: l.node_id)))
 
-    # Forest over labeled nodes ordered by influence rank; skipped (with a
-    # recorded reason) when the training slice degenerates to one class.
+    # Forest over labeled nodes in a seeded, class-stratified order of their
+    # influence ranks, so that every slice keeps the class mix; skipped
+    # (with a recorded reason) when the training slice has one class.
     by_id = {s.node_id: s for s in scores}
     labeled = [l for l in labels if l.label != "unlabeled"]
     labeled.sort(key=lambda l: (by_id[l.node_id].rank_ni, l.node_id))
     rows = [l for l in labeled if l.node_id in standardized]
+    rows = [rows[k] for k in _stratified_order([l.label for l in rows], cfg["seed"])]
     try:
         X = np.array([standardized[l.node_id] for l in rows])
         y = np.array([l.label for l in rows])
@@ -428,6 +433,18 @@ def stage_revolution(ctx: Context) -> None:
         ctx.write_text("forest_model.json", model.to_json())
     except authrev.AuthRevError as exc:
         ctx.write_json("forest_model.json", {"trained": False, "reason": str(exc)})
+
+
+def _stratified_order(labels: list[str], seed: int) -> list[int]:
+    """Positions of `labels` in an order whose every prefix keeps the class
+    mix: each class is shuffled by one seeded generator, its i-th of n_c
+    members keyed (i + 0.5) / n_c, and the rows sorted by (key, class)."""
+    rng = np.random.default_rng(seed)
+    keyed = []
+    for c in sorted(set(labels)):
+        members = rng.permutation([k for k, l in enumerate(labels) if l == c]).tolist()
+        keyed += [((i + 0.5) / len(members), c, k) for i, k in enumerate(members)]
+    return [k for _, _, k in sorted(keyed)]
 
 
 # The JSON artifacts bundled into report.json, by report key.

@@ -1,15 +1,17 @@
 """Genre-level analyses: within/between-genre similarity and influence
-sampling, hierarchical genre clustering, and genre time-series statistics."""
+sampling, hierarchical genre clustering, and genre time series (debut
+counts read off the graph's nodes, feature trends off the song table)."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from artistnet.graph import InfluenceGraph
-from artistnet.ingest import FEATURES, RawInfluenceRow, SongRecord
+from artistnet.ingest import FEATURES, NUMERIC, SongTable
 from artistnet.simvec import tss_rows
 
 
@@ -227,7 +229,7 @@ class Dendrogram:
     def to_newick(self) -> str:
         def render(node) -> str:
             if "name" in node:
-                return "'" + node["name"].replace("'", "_") + "'"
+                return "'" + node["name"].replace("'", "''") + "'"
             inner = ",".join(render(c) for c in node["children"])
             return f"({inner}):{node['distance']!r}"
 
@@ -312,20 +314,13 @@ def cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],
     return Dendrogram(leaves=names, merges=merges, tree=trees[labels[0]])
 
 
-def debut_counts(rows: list[RawInfluenceRow]) -> dict[tuple[str, int], int]:
-    """Debutants per (main genre, active-start year); each artist counted
-    once regardless of how many rows mention them."""
-    seen: dict[int, tuple[str, int]] = {}
-    for row in rows:
-        seen.setdefault(row.influencer_id, (row.influencer_main_genre, row.influencer_active_start))
-        seen.setdefault(row.follower_id, (row.follower_main_genre, row.follower_active_start))
-    counts: dict[tuple[str, int], int] = {}
-    for genre, year in seen.values():
-        counts[(genre, year)] = counts.get((genre, year), 0) + 1
-    return counts
+def debut_counts(g: InfluenceGraph) -> dict[tuple[str, int], int]:
+    """Debutants per (main genre, active-start year): each node of the
+    graph counted once."""
+    return dict(Counter((n.genre, n.active_start) for n in g.nodes.values()))
 
 
-def genre_feature_trend(songs: list[SongRecord], genre: str, feature: str,
+def genre_feature_trend(songs: SongTable, genre: str, feature: str,
                         artist_genres: dict[int, str]):
     """Per-year mean of a raw feature for one genre vs all genres.
 
@@ -340,14 +335,15 @@ def genre_feature_trend(songs: list[SongRecord], genre: str, feature: str,
         raise GenreError(f"unknown genre {genre!r}")
     genre_acc: dict[int, list[float]] = {}
     global_acc: dict[int, list[float]] = {}
-    for song in songs:
-        song_genres = {artist_genres[a] for a in song.artist_ids if a in artist_genres}
+    years = map(int, songs.values[:, NUMERIC.index("year")].tolist())
+    values = songs.values[:, NUMERIC.index(feature)].tolist()
+    for artist_ids, year, value in zip(songs.artist_ids, years, values):
+        song_genres = {artist_genres[a] for a in artist_ids if a in artist_genres}
         if not song_genres:
             continue
-        value = float(getattr(song, feature))
-        global_acc.setdefault(song.year, []).append(value)
+        global_acc.setdefault(year, []).append(value)
         if genre in song_genres:
-            genre_acc.setdefault(song.year, []).append(value)
+            genre_acc.setdefault(year, []).append(value)
     genre_series = {y: float(np.mean(v)) for y, v in sorted(genre_acc.items())}
     global_series = {y: float(np.mean(v)) for y, v in sorted(global_acc.items())}
     return genre_series, global_series

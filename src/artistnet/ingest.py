@@ -1,10 +1,13 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
-one CSV codec (`write_table`/`read_table`) every artifact goes through."""
+one CSV codec (`write_table`/`read_table`) every artifact goes through.
+Cleaned songs are one `SongTable`; artist profiles map id to mean vector."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from array import array
 from dataclasses import dataclass, field, asdict
 from types import SimpleNamespace
 
@@ -43,6 +46,9 @@ INFLUENCE_COLUMNS = [
 ]
 
 SONG_COLUMNS = ["artist_ids"] + FEATURES + DROPPED_COLUMNS
+NUMERIC = SONG_COLUMNS[1:]
+LOUDNESS = NUMERIC.index("loudness")
+TRUNCATED = [NUMERIC.index(c) for c in ("key", "year", "explicit", "mode")]
 
 
 class IngestError(Exception):
@@ -61,29 +67,17 @@ class RawInfluenceRow:
     follower_active_start: int
 
 
-@dataclass(frozen=True)
-class SongRecord:
-    artist_ids: tuple[int, ...]
-    danceability: float
-    energy: float
-    valence: float
-    tempo: float
-    loudness: float
-    key: int
-    acousticness: float
-    instrumentalness: float
-    liveness: float
-    speechiness: float
-    duration_ms: float
-    popularity: float
-    year: int
-    mode: int
-    explicit: int
-    unlinked: bool = False
+@dataclass(frozen=True, eq=False)
+class SongTable:
+    """Cleaned songs, one row per song: `values` holds the numeric columns
+    in NUMERIC order (the first 13 are FEATURES), with key, year, explicit
+    and mode truncated toward zero as int() does."""
+    artist_ids: list[tuple[int, ...]]
+    values: np.ndarray  # (len, 15) float64
+    unlinked: np.ndarray  # (len,) bool: no artist is in the influence table
 
-    def feature_vector(self) -> np.ndarray:
-        """The 13 retained features, in the canonical FEATURES order."""
-        return np.array([float(getattr(self, f)) for f in FEATURES])
+    def __len__(self) -> int:
+        return len(self.artist_ids)
 
 
 @dataclass
@@ -97,13 +91,6 @@ class CleaningReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-
-@dataclass(frozen=True)
-class ArtistProfile:
-    artist_id: int
-    n_songs: int
-    features: np.ndarray  # mean of the 13 retained features
 
 
 def write_table(path, header, rows) -> None:
@@ -146,6 +133,13 @@ def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
         raise IngestError(f"{path}:{lineno}: bad artist_ids {text!r}") from exc
 
 
+def _is_finite(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def load_influence(path) -> list[RawInfluenceRow]:
     """Load and type the influence table, deduplicating (influencer, follower)
     pairs keeping the first occurrence."""
@@ -175,94 +169,81 @@ def load_influence(path) -> list[RawInfluenceRow]:
     return rows
 
 
-def load_songs(path, known_artist_ids=None) -> tuple[list[SongRecord], CleaningReport]:
+def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     """Load the song table, applying the cleaning rules.
 
-    Rows with loudness outside [-60, 0] or with a missing numeric cell are
-    dropped and counted; `explicit` and `mode` are always marked dropped.
-    When `known_artist_ids` is given, songs none of whose artists appear in
-    it are flagged `unlinked` (kept).
+    Rows with loudness outside [-60, 0], no artist or a missing numeric
+    cell are dropped and counted; `explicit` and `mode` are always marked
+    dropped. A cell that does not parse as a finite number is an error
+    naming its line and column. When `known_artist_ids` is given, songs
+    none of whose artists appear in it are flagged `unlinked` (kept).
     """
     report = CleaningReport()
-    songs: list[SongRecord] = []
-    numeric = FEATURES + DROPPED_COLUMNS
+    ids: list[tuple[int, ...]] = []
+    flat = array("d")
+    unlinked: list[bool] = []
     for lineno, raw in enumerate(read_table(path, SONG_COLUMNS), start=2):
         report.rows_read += 1
-        if any((raw.get(c) or "").strip() == "" for c in numeric):
-            report.rows_dropped_missing_value += 1
-            continue
-        values = {}
-        for col in numeric:
-            try:
-                values[col] = float(raw[col])
-            except ValueError as exc:
-                raise IngestError(
-                    f"{path}:{lineno}: unparsable numeric field {col}={raw[col]!r}"
-                ) from exc
+        cells = [raw[c] for c in NUMERIC]
+        try:
+            row = [float(c) for c in cells]
+        except (TypeError, ValueError):  # a missing cell (blank, or None in a short row) fails too
+            row = None
+            if any((c or "").strip() == "" for c in cells):
+                report.rows_dropped_missing_value += 1
+                continue
+        if row is None or not all(map(math.isfinite, row)):
+            col, cell = next((c, v) for c, v in zip(NUMERIC, cells) if not _is_finite(v))
+            raise IngestError(f"{path}:{lineno}: numeric field {col}={cell!r} is not a finite number")
         artist_ids = _parse_artist_ids(raw["artist_ids"], path, lineno)
         if not artist_ids:
             report.rows_dropped_missing_artist += 1
             continue
-        if not (-60.0 <= values["loudness"] <= 0.0):
+        if not (-60.0 <= row[LOUDNESS] <= 0.0):
             report.rows_dropped_loudness += 1
             continue
-        unlinked = known_artist_ids is not None and not any(
-            a in known_artist_ids for a in artist_ids
-        )
-        if unlinked:
-            report.rows_flagged_unlinked += 1
-        songs.append(
-            SongRecord(
-                artist_ids=artist_ids,
-                danceability=values["danceability"],
-                energy=values["energy"],
-                valence=values["valence"],
-                tempo=values["tempo"],
-                loudness=values["loudness"],
-                key=int(values["key"]),
-                acousticness=values["acousticness"],
-                instrumentalness=values["instrumentalness"],
-                liveness=values["liveness"],
-                speechiness=values["speechiness"],
-                duration_ms=values["duration_ms"],
-                popularity=values["popularity"],
-                year=int(values["year"]),
-                mode=int(values["mode"]),
-                explicit=int(values["explicit"]),
-                unlinked=unlinked,
-            )
-        )
-    return songs, report
+        linked = known_artist_ids is None or any(a in known_artist_ids for a in artist_ids)
+        report.rows_flagged_unlinked += not linked
+        ids.append(artist_ids)
+        flat.extend(row)
+        unlinked.append(not linked)
+    values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
+    # int() truncation; adding 0.0 turns trunc's -0.0 into int()'s 0.
+    values[:, TRUNCATED] = np.trunc(values[:, TRUNCATED]) + 0.0
+    return SongTable(ids, values, np.array(unlinked, dtype=bool)), report
 
 
-def write_songs(path, songs: list[SongRecord]) -> None:
+def write_songs(path, songs: SongTable) -> None:
     """Serialize cleaned songs back to CSV (inverse of load_songs modulo
-    cleaning; used for the idempotence check and stage persistence)."""
-    write_table(path, SONG_COLUMNS, (
-        ["[" + ", ".join(str(a) for a in s.artist_ids) + "]"]
-        + [getattr(s, f) for f in FEATURES] + [s.explicit, s.mode]
-        for s in songs))
+    cleaning; used for the idempotence check and stage persistence). The
+    table becomes Python values a block of rows at a time: as Python floats
+    in lists, all of it at once would take 4-5 times the array's memory."""
+    def rows(step=4096):
+        for start in range(0, len(songs), step):
+            block = songs.values[start:start + step].tolist()
+            for artist_ids, row in zip(songs.artist_ids[start:start + step], block):
+                for k in TRUNCATED:
+                    row[k] = int(row[k])
+                yield ["[" + ", ".join(map(str, artist_ids)) + "]", *row]
+
+    write_table(path, SONG_COLUMNS, rows())
 
 
 def write_influence(path, rows: list[RawInfluenceRow]) -> None:
     write_table(path, INFLUENCE_COLUMNS, ([getattr(r, c) for c in INFLUENCE_COLUMNS] for r in rows))
 
 
-def build_artist_profiles(songs: list[SongRecord]) -> dict[int, ArtistProfile]:
+def build_artist_profiles(songs: SongTable) -> dict[int, np.ndarray]:
     """Per-artist mean of the 13 retained features over all songs listing
-    that artist; a song with k artists contributes to all k profiles."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for song in songs:
-        vec = song.feature_vector()
-        for artist in song.artist_ids:
-            if artist in sums:
-                sums[artist] = sums[artist] + vec
-                counts[artist] += 1
-            else:
-                sums[artist] = vec.copy()
-                counts[artist] = 1
-    return {
-        a: ArtistProfile(artist_id=a, n_songs=counts[a], features=sums[a] / counts[a])
-        for a in sorted(sums)
-    }
+    that artist; a song with k artists contributes to all k profiles (a
+    song listing an artist twice counts twice). Sums accumulate in song
+    order from -0.0, the additive identity, so a profile is bit for bit the
+    left-to-right sum of its songs divided by their count."""
+    slot_of: dict[int, int] = {}
+    slot = np.array([slot_of.setdefault(a, len(slot_of)) for ids in songs.artist_ids for a in ids],
+                    dtype=np.intp)
+    song = np.array([r for r, ids in enumerate(songs.artist_ids) for _ in ids], dtype=np.intp)
+    sums = np.full((len(slot_of), len(FEATURES)), -0.0)
+    np.add.at(sums, slot, songs.values[song, :len(FEATURES)])
+    means = sums / np.bincount(slot, minlength=len(slot_of))[:, None]
+    return {a: means[slot_of[a]] for a in sorted(slot_of)}

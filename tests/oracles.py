@@ -6,6 +6,7 @@ with explicit loops.
 """
 
 import math
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -258,3 +259,95 @@ def reference_forest_train(X, labels, trees=200, max_depth=8, features_per_split
         validation_accuracy=accuracy(i_train, i_val),
         test_accuracy=accuracy(i_val, i_test),
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-row song loader the song table replaced
+
+
+@dataclass(frozen=True)
+class SongRecord:
+    artist_ids: tuple[int, ...]
+    danceability: float
+    energy: float
+    valence: float
+    tempo: float
+    loudness: float
+    key: int
+    acousticness: float
+    instrumentalness: float
+    liveness: float
+    speechiness: float
+    duration_ms: float
+    popularity: float
+    year: int
+    mode: int
+    explicit: int
+    unlinked: bool = False
+
+    def feature_vector(self) -> np.ndarray:
+        from artistnet.ingest import FEATURES
+
+        return np.array([float(getattr(self, f)) for f in FEATURES])
+
+
+def reference_load_songs(path, known_artist_ids=None):
+    """One frozen record per kept song, cleaned by the rules of
+    `ingest.load_songs`, one dict of parsed cells at a time; a cell that is
+    not a finite number raises the same IngestError."""
+    from artistnet.ingest import (DROPPED_COLUMNS, FEATURES, SONG_COLUMNS, CleaningReport,
+                                  IngestError, _parse_artist_ids, read_table)
+
+    report = CleaningReport()
+    songs = []
+    numeric = FEATURES + DROPPED_COLUMNS
+    for lineno, raw in enumerate(read_table(path, SONG_COLUMNS), start=2):
+        report.rows_read += 1
+        if any((raw.get(c) or "").strip() == "" for c in numeric):
+            report.rows_dropped_missing_value += 1
+            continue
+        values = {}
+        for col in numeric:
+            try:
+                values[col] = float(raw[col])
+            except ValueError:
+                values[col] = math.nan
+            if not math.isfinite(values[col]):
+                raise IngestError(
+                    f"{path}:{lineno}: numeric field {col}={raw[col]!r} is not a finite number")
+        artist_ids = _parse_artist_ids(raw["artist_ids"], path, lineno)
+        if not artist_ids:
+            report.rows_dropped_missing_artist += 1
+            continue
+        if not (-60.0 <= values["loudness"] <= 0.0):
+            report.rows_dropped_loudness += 1
+            continue
+        unlinked = known_artist_ids is not None and not any(
+            a in known_artist_ids for a in artist_ids
+        )
+        if unlinked:
+            report.rows_flagged_unlinked += 1
+        songs.append(SongRecord(
+            artist_ids=artist_ids,
+            **{c: values[c] for c in FEATURES if c not in ("key", "year")},
+            key=int(values["key"]), year=int(values["year"]),
+            mode=int(values["mode"]), explicit=int(values["explicit"]),
+            unlinked=unlinked,
+        ))
+    return songs, report
+
+
+def reference_build_artist_profiles(songs) -> dict:
+    """Per-artist mean feature vector: a running sum started from each
+    artist's first song, divided by its song count."""
+    sums, counts = {}, {}
+    for song in songs:
+        vec = song.feature_vector()
+        for artist in song.artist_ids:
+            if artist in sums:
+                sums[artist] = sums[artist] + vec
+                counts[artist] += 1
+            else:
+                sums[artist] = vec.copy()
+                counts[artist] = 1
+    return {a: sums[a] / counts[a] for a in sorted(sums)}

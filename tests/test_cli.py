@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from artistnet import centrality, genre, graph, ingest
@@ -219,7 +220,7 @@ def test_genre_csv_artifacts_round_trip_awkward_genres(tmp_path):
 
     g = reader(out).load_graph()
     assert {row[0] for row in read("genre_clusters.csv")} == set(awkward)
-    debut = genre.debut_counts(ingest.load_influence(out / "influence_clean.csv"))
+    debut = genre.debut_counts(g)
     assert [(gn, int(y), int(c)) for gn, y, c in read("debut_counts.csv")] == [
         (gn, y, c) for (gn, y), c in sorted(debut.items())]
     cross, selfp = genre.genre_influence_matrix(g, 0.05)
@@ -293,6 +294,52 @@ def test_graph_summary_counts_year_window_drops(tmp_path):
     assert (summary["nodes"], summary["edges"]) == (21, len(EDGES) - 1)
 
 
+def write_random_fixture(tmp_path: Path, n: int = 160) -> Path:
+    """A seeded acyclic corpus of `n` artists in four genres, each following
+    up to three earlier artists and with two songs; the config keeps the
+    default forest split."""
+    rng = np.random.default_rng(7)
+    genre_of = [["rock", "jazz", "blues", "folk"][k] for k in rng.integers(4, size=n)]
+    start = [1900 + i // 2 for i in range(n)]
+    artist = lambda i: [i, f"artist{i}", genre_of[i], start[i]]
+    ingest.write_table(tmp_path / "influence.csv", ingest.INFLUENCE_COLUMNS, (
+        artist(int(i)) + artist(j) for j in range(1, n)
+        for i in rng.choice(j, size=min(j, 3), replace=False)))
+    ingest.write_table(tmp_path / "songs.csv", ingest.SONG_COLUMNS, (
+        [f"[{i}]", *rng.uniform(0, 1, 4).tolist(), -float(rng.uniform(1, 30)), i % 12,
+         *rng.uniform(0, 1, 6).tolist(), start[i] + k, 0, 1]
+        for i in range(n) for k in range(2)))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "influence_csv": str(tmp_path / "influence.csv"), "songs_csv": str(tmp_path / "songs.csv"),
+        "out_dir": str(tmp_path / "out"), "sampling": {"samples_per_run": 50, "runs": 2},
+        "forest": {"trees": 10}}))
+    return cfg_path
+
+
+def test_forest_trains_at_the_default_split(tmp_path):
+    cfg_path = write_random_fixture(tmp_path)
+    run_all(cfg_path)
+    out = tmp_path / "out"
+    model = json.loads((out / "forest_model.json").read_text())
+    assert model["trained"] is True and model["n_trees"] == 10
+    assert json.loads((out / "report.json").read_text())["forest"]["trained"] is True
+
+
+@pytest.mark.parametrize("cells, column", [
+    ({"key": "nan"}, "key"), ({"year": "inf"}, "year"), ({"danceability": "nan"}, "danceability")])
+def test_non_finite_song_cell_is_a_data_error(tmp_path, capsys, cells, column):
+    cfg_path = write_fixture(tmp_path)
+    songs = tmp_path / "songs.csv"
+    rows = list(ingest.read_table(songs))
+    rows[3].update(cells)  # line 5 of the file
+    ingest.write_table(songs, ingest.SONG_COLUMNS, ([r[c] for c in ingest.SONG_COLUMNS] for r in rows))
+    assert main(["ingest", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{songs}:5: numeric field {column}=" in err
+    assert err.count("\n") == 1
+
+
 class TestManifest:
     def test_inputs_are_every_file_read(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
@@ -304,7 +351,7 @@ class TestManifest:
         artifacts = lambda *names: {str(out / n) for n in names}
         assert set(stages["genre"]["inputs"]) == artifacts(
             "nodes.csv", "edges.csv", "profiles_projected.csv", "profiles_standardized.csv",
-            "centrality.csv", "influence_clean.csv", "songs_clean.csv")
+            "centrality.csv", "songs_clean.csv")
         assert set(stages["revolution"]["inputs"]) == artifacts(
             "nodes.csv", "edges.csv", "centrality.csv", "profiles_standardized.csv") | {
             bios["phrases_file"], str(Path(bios["bios_dir"]) / "1.txt"),
@@ -417,6 +464,14 @@ class TestConfigErrors:
         cfg_path.write_text(json.dumps(data))
         assert main(["ingest", "--config", str(cfg_path)]) == 2
         assert f"config field '{field}':" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, field", [
+        ({"sede": 3}, "sede"), ({"forest": {"tress": 10}}, "forest.tress")])
+    def test_unknown_field_is_named(self, tmp_path, capsys, override, field):
+        cfg_path = write_fixture(tmp_path)
+        configure(cfg_path, **override)
+        assert main(["ingest", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: config field '{field}': unknown field\n"
 
     def test_bad_sampling(self, tmp_path, capsys):
         cfg_path = write_fixture(tmp_path)

@@ -16,7 +16,8 @@ from artistnet.genre import (
     sample_influence,
     sample_similarity,
 )
-from artistnet.ingest import RawInfluenceRow
+from artistnet.graph import InfluenceGraph, build_graph
+from artistnet.ingest import NUMERIC, RawInfluenceRow, SongTable
 from artistnet.simvec import tss
 
 
@@ -225,6 +226,12 @@ class TestClusterGenres:
         tree = json.loads(dendro.to_json())
         assert sorted(tree["leaves"]) == ["a", "b", "c"]
 
+    def test_newick_escapes_apostrophes(self):
+        profiles = {0: np.zeros(2), 1: np.ones(2), 2: np.full(2, 5.0)}
+        genres = {0: "Rock 'n' Roll", 1: "Jazz", 2: "Blues"}
+        newick = cluster_genres(profiles, genres).to_newick()
+        assert "'Rock ''n'' Roll'" in newick
+
     def test_ward_mode(self, rng):
         profiles, genres = clustered_profiles(rng, genres=("a", "b", "c"))
         dendro = cluster_genres(profiles, genres, linkage="ward")
@@ -249,11 +256,11 @@ class TestDebutCounts:
             influence_row(1, "Jazz", 1950, 2, "Pop", 1970),
             influence_row(2, "Pop", 1970, 3, "Pop", 1980),
         ]
-        counts = debut_counts(rows)
+        counts = debut_counts(build_graph(rows))
         assert counts[("Pop", 1970)] == 1
 
     def test_empty(self):
-        assert debut_counts([]) == {}
+        assert debut_counts(InfluenceGraph([], [])) == {}
 
     def test_hand_counted_fixture(self):
         rows = [
@@ -261,7 +268,7 @@ class TestDebutCounts:
             influence_row(1, "Jazz", 1950, 3, "Pop", 1970),
             influence_row(4, "Jazz", 1950, 5, "Blues", 1960),
         ]
-        counts = debut_counts(rows)
+        counts = debut_counts(build_graph(rows))
         assert counts == {
             ("Jazz", 1950): 2,
             ("Pop", 1970): 2,
@@ -271,19 +278,10 @@ class TestDebutCounts:
 
 class TestFeatureTrend:
     def make_songs(self, specs):
-        from artistnet.ingest import SongRecord
-
-        songs = []
-        for artist, year, energy in specs:
-            songs.append(
-                SongRecord(
-                    artist_ids=(artist,), danceability=0.5, energy=energy, valence=0.5,
-                    tempo=100.0, loudness=-10.0, key=1, acousticness=0.5,
-                    instrumentalness=0.5, liveness=0.5, speechiness=0.5,
-                    duration_ms=1000.0, popularity=10.0, year=year, mode=0, explicit=0,
-                )
-            )
-        return songs
+        values = np.full((len(specs), len(NUMERIC)), 0.5)
+        for row, (_, year, energy) in zip(values, specs):
+            row[NUMERIC.index("year")], row[NUMERIC.index("energy")] = year, energy
+        return SongTable([(artist,) for artist, _, _ in specs], values, np.zeros(len(specs), bool))
 
     def test_all_songs_genre_coincides_with_global(self):
         songs = self.make_songs([(1, 1970, 0.2), (2, 1970, 0.4), (1, 1980, 0.9)])

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import reference_build_artist_profiles, reference_load_songs
 
 from artistnet import ingest
 from artistnet.ingest import (
@@ -117,7 +118,8 @@ class TestLoadSongs:
         songs, report = load_songs(p)
         assert set(report.columns_dropped) == {"explicit", "mode"}
         assert len(FEATURES) == 13
-        assert songs[0].feature_vector().shape == (13,)
+        assert ingest.NUMERIC[:13] == FEATURES
+        assert songs.values.shape == (1, 15)
 
     def test_unparsable_numeric_reports_line(self, tmp_path):
         p = tmp_path / "songs.csv"
@@ -143,7 +145,7 @@ class TestLoadSongs:
         p = tmp_path / "songs.csv"
         write_lines(p, [SONG_HEADER, song_row(artist_ids="[1]"), song_row(artist_ids="[9]")])
         songs, report = load_songs(p, known_artist_ids={1})
-        flags = {s.artist_ids: s.unlinked for s in songs}
+        flags = dict(zip(songs.artist_ids, songs.unlinked.tolist()))
         assert flags == {(1,): False, (9,): True}
         assert report.rows_flagged_unlinked == 1
 
@@ -174,7 +176,9 @@ class TestLoadSongs:
         q = tmp_path / "roundtrip.csv"
         write_songs(q, songs1)
         songs2, report2 = load_songs(q)
-        assert songs1 == songs2
+        assert songs1.artist_ids == songs2.artist_ids
+        assert songs1.values.tobytes() == songs2.values.tobytes()
+        assert songs1.unlinked.tolist() == songs2.unlinked.tolist()
         assert report2.rows_read == len(songs1)
 
     def test_influence_roundtrip(self, tmp_path):
@@ -199,7 +203,7 @@ class TestArtistProfiles:
     def test_single_song_profile_equals_song(self, tmp_path):
         songs = self.make_songs(tmp_path, [song_row(artist_ids="[7]")])
         profiles = build_artist_profiles(songs)
-        np.testing.assert_allclose(profiles[7].features, songs[0].feature_vector())
+        np.testing.assert_allclose(profiles[7], songs.values[0, :13])
 
     def test_mean_of_two_songs(self, tmp_path):
         songs = self.make_songs(tmp_path, [
@@ -207,16 +211,15 @@ class TestArtistProfiles:
             song_row(artist_ids="[7]", danceability=0.6),
         ])
         profiles = build_artist_profiles(songs)
-        assert profiles[7].features[FEATURES.index("danceability")] == pytest.approx(0.4)
+        assert profiles[7][FEATURES.index("danceability")] == pytest.approx(0.4)
 
     def test_shared_song_contributes_to_both(self, tmp_path):
         songs = self.make_songs(tmp_path, [song_row(artist_ids="[1, 2]")])
         profiles = build_artist_profiles(songs)
         # independent oracle: accumulate per artist by hand
-        expected = songs[0].feature_vector()
+        expected = songs.values[0, :13]
         for artist in (1, 2):
-            np.testing.assert_allclose(profiles[artist].features, expected)
-        assert profiles[1].n_songs == profiles[2].n_songs == 1
+            np.testing.assert_allclose(profiles[artist], expected)
 
     def test_permutation_invariant(self, tmp_path):
         rows = [
@@ -226,11 +229,75 @@ class TestArtistProfiles:
         ]
         a = build_artist_profiles(self.make_songs(tmp_path, rows))
         b = build_artist_profiles(self.make_songs(tmp_path, rows[::-1]))
-        np.testing.assert_allclose(a[3].features, b[3].features)
+        np.testing.assert_allclose(a[3], b[3])
 
     def test_artist_with_no_songs_absent(self, tmp_path):
         songs = self.make_songs(tmp_path, [song_row(artist_ids="[1]")])
         assert 2 not in build_artist_profiles(songs)
+
+
+def full_row(ids="[7]", **cells):
+    """A song row of strings: every numeric cell "1" unless given."""
+    return [ids] + [cells.get(c, "1") for c in ingest.NUMERIC]
+
+
+NUMBER_CELLS = st.sampled_from(["0", "-0.0", "0.0", "1", "-1.5", "2.5", "0.1", "7", "1e3", "-7.9", ""]) | (
+    st.floats(-1e6, 1e6).map(repr))
+LOUDNESS_CELLS = st.sampled_from(["-60", "-60.0", "60", "0", "-0.0", "0.0", "-60.000001", "-10", "-0.5", ""])
+ID_CELLS = st.sampled_from(["[]", "[1, 1]", "[1]", "[2]", "[1, 2]", "[3, 2, 1]", "[ 4 ]", "", "[5]"])
+# Whole rows, or short ones (the cells after the cut are missing).
+SONG_ROWS = st.tuples(
+    ID_CELLS, *(LOUDNESS_CELLS if c == "loudness" else NUMBER_CELLS for c in ingest.NUMERIC),
+    st.just(16) | st.integers(1, 15),
+).map(lambda t: list(t[:t[-1]]))
+# At most one cell per file that is not a finite number: (row, column, text).
+BAD_CELL = st.none() | st.tuples(st.integers(0, 7), st.sampled_from(ingest.NUMERIC),
+                                 st.sampled_from(["nan", "inf", "-inf", "NaN", "x", "1e999"]))
+
+
+class TestSongTableMatchesReference:
+    """The song table against the per-row loader it replaced
+    (`oracles.reference_load_songs`): the same rows, bit for bit, the same
+    cleaning report, the same first error, and the same profiles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(SONG_ROWS, max_size=8), known=st.none() | st.frozensets(st.integers(1, 5)),
+           bad=BAD_CELL)
+    @example(rows=[full_row("[7]", danceability="-0.0", key="-0.0"),
+                   full_row("[7, 8]", danceability="-0.0", key="-0.5"),
+                   full_row("[8]", danceability="0.0", year="-1.5")], known=None, bad=None)
+    @example(rows=[full_row("[1]", loudness="-60"), full_row("[1, 1]", loudness="60"),
+                   full_row("[2]", loudness="0"), full_row("[2]", loudness="-0.0"),
+                   full_row("[]"), full_row("[3]")[:5]], known=frozenset({1}), bad=None)
+    def test_load_and_profiles(self, rows, known, bad):
+        if bad is not None and bad[0] < len(rows) and 1 + ingest.NUMERIC.index(bad[1]) < len(rows[bad[0]]):
+            rows[bad[0]][1 + ingest.NUMERIC.index(bad[1])] = bad[2]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "songs.csv"
+            write_table(path, ingest.SONG_COLUMNS, rows)
+            outcomes = []
+            for load in (load_songs, reference_load_songs):
+                try:
+                    outcomes.append(load(path, known_artist_ids=known))
+                except IngestError as exc:
+                    outcomes.append(str(exc))
+        table, expected = outcomes
+        if isinstance(expected, str) or isinstance(table, str):
+            assert table == expected
+            return
+        (table, report), (songs, expected_report) = table, expected
+        assert report == expected_report
+        assert len(table) == len(songs)
+        assert table.artist_ids == [s.artist_ids for s in songs]
+        assert table.unlinked.tolist() == [s.unlinked for s in songs]
+        reference = np.array([[float(getattr(s, c)) for c in ingest.NUMERIC] for s in songs])
+        assert table.values.tobytes() == reference.reshape(-1, 15).tobytes()
+        profiles = build_artist_profiles(table)
+        expected_profiles = reference_build_artist_profiles(songs)
+        assert list(profiles) == list(expected_profiles)
+        for artist, profile in profiles.items():
+            assert repr(profile) == repr(expected_profiles[artist])
+            assert profile.tobytes() == expected_profiles[artist].tobytes()
 
 
 # Column kinds of every CSV artifact the pipeline writes: "s" text, "i"
