@@ -10,7 +10,8 @@ out-direction (influence flows influencer -> follower):
 * out_closeness (GC): reachability-corrected closeness
   (reachable/(N-1))^2 / (sum of hop distances).
 
-The composite score is NI = (e^GC - 1) * LC * SC.
+The composite score is NI = (e^GC - 1) * LC * SC. SC, GC and the reach
+columns read `graph.reach_table`: exact counts from one BFS per graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from artistnet.graph import GraphError, InfluenceGraph, reach_stats, reachability_counts, two_hop_count
+from artistnet.graph import GraphError, InfluenceGraph, reach_table, reachability_counts
 from artistnet.ingest import write_table
 
 
@@ -56,19 +57,18 @@ def cluster_rank(g: InfluenceGraph, node: int) -> float:
 
 
 def semi_local(g: InfluenceGraph, node: int) -> float:
-    total = 0
-    for u in g.out_neighbors(node):
-        total += sum(two_hop_count(g, w) for w in g.out_neighbors(u))
-    return float(total)
+    succ, two_hop = g._succ, reach_table(g)[2]
+    return float(sum(two_hop[w] for u in succ[g._index(node)] for w in succ[u]))
 
 
 def out_closeness(g: InfluenceGraph, node: int) -> float:
     if g.n_nodes < 2:
         raise GraphError("out_closeness needs at least 2 nodes")
-    reachable, dist_sum = reach_stats(g, node)
-    if reachable == 0:
+    reach, dist, _ = reach_table(g)
+    k = g._index(node)
+    if reach[k] == 0:
         return 0.0
-    return (reachable / (g.n_nodes - 1)) ** 2 / dist_sum
+    return (reach[k] / (g.n_nodes - 1)) ** 2 / dist[k]
 
 
 def node_influence(g: InfluenceGraph) -> list[CentralityScores]:

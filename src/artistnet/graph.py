@@ -3,7 +3,8 @@ weights with max-min normalization, cycle removal, and reachability."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,6 +14,9 @@ from artistnet.ingest import RawInfluenceRow, write_table
 # the lower bound also anchors the max-min transform so weights stay > 0.
 YEAR_DIFF_MIN = -30
 YEAR_DIFF_MAX = 80
+# Sources per pass of `reach_table`'s bit-parallel BFS: 16 uint64 words a
+# node, so one level gathers at most E * 128 bytes.
+BFS_CHUNK = 1024
 
 
 class GraphError(Exception):
@@ -35,6 +39,16 @@ class InfluenceEdge:
     weight: float | None = None  # normalized to (0, 1]
 
 
+def _csr(row: np.ndarray, col: np.ndarray, n: int):
+    """(indptr, indices, rows as lists) of the pairs (row[i], col[i]) over
+    n dense nodes, each row's columns ascending."""
+    indices = col[np.lexsort((col, row))]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return indptr, indices, [flat[bounds[k]:bounds[k + 1]] for k in range(n)]
+
+
 class InfluenceGraph:
     """Immutable directed graph over artist nodes.
 
@@ -42,7 +56,8 @@ class InfluenceGraph:
     The out-adjacency is built once, in CSR form over a dense index of the
     sorted node ids: the successors of dense node k are
     `indices[indptr[k]:indptr[k + 1]]`, ascending, so every traversal is
-    deterministic. Traversals read `_succ`, the same rows as Python lists.
+    deterministic. Traversals read `_succ`, the same rows as Python lists,
+    and `_in_csr`, the in-adjacency in the same form, built on first use.
     """
 
     def __init__(self, nodes, edges, self_loops_dropped: int = 0):
@@ -62,16 +77,14 @@ class InfluenceGraph:
         n, m = len(self._ids), len(self.edges)
         src = np.fromiter((self._pos[s] for s, _ in self.edges), np.int64, m)
         dst = np.fromiter((self._pos[d] for _, d in self.edges), np.int64, m)
-        self.indices = dst[np.lexsort((dst, src))]
-        self.indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        self._succ = [flat[bounds[k]:bounds[k + 1]] for k in range(n)]
-        self._pred = None  # in-adjacency, transposed from _succ on first use
-        # Per-node results read by more than one centrality column, keyed
-        # by node id; O(n) each.
-        self._reach: dict[int, tuple[int, int]] = {}
-        self._two_hop: dict[int, int] = {}
+        self.indptr, self.indices, self._succ = _csr(src, dst, n)
+        self._reach_table = None  # filled by reach_table on first use
+
+    @cached_property
+    def _in_csr(self):
+        """(indptr, indices, rows as lists) of the in-adjacency."""
+        n = len(self._ids)
+        return _csr(self.indices, np.repeat(np.arange(n), np.diff(self.indptr)), n)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -87,13 +100,7 @@ class InfluenceGraph:
         return [self._ids[k] for k in self._succ[self._index(i)]]
 
     def in_neighbors(self, i: int) -> list[int]:
-        k = self._index(i)
-        if self._pred is None:
-            self._pred = [[] for _ in self._ids]
-            for v, succ in enumerate(self._succ):
-                for w in succ:
-                    self._pred[w].append(v)
-        return [self._ids[v] for v in self._pred[k]]
+        return [self._ids[k] for k in self._in_csr[2][self._index(i)]]
 
     def out_degree(self, i: int) -> int:
         return len(self._succ[self._index(i)])
@@ -154,7 +161,8 @@ def normalize_weights(g: InfluenceGraph) -> InfluenceGraph:
         raise GraphError("no edges remain after year-difference filtering")
     x_max = max(e.year_diff for e in kept)
     denom = x_max - YEAR_DIFF_MIN
-    weighted = [replace(e, weight=(e.year_diff - YEAR_DIFF_MIN) / denom) for e in kept]
+    weighted = [InfluenceEdge(e.src, e.dst, e.year_diff, (e.year_diff - YEAR_DIFF_MIN) / denom)
+                for e in kept]
     return InfluenceGraph(g.nodes.values(), weighted, g.self_loops_dropped)
 
 
@@ -210,19 +218,29 @@ def _tarjan_scc(roots, succ: list) -> list[list[int]]:
     return comps
 
 
-def _search(succ, u: int, v: int, members: set[int]) -> set[int] | None:
-    """Nodes reachable from `u` along `succ` inside `members` (u included),
-    or None as soon as `v` turns out to be one of them."""
-    seen = {u}
-    stack = [u]
-    while stack:
-        for w in succ[stack.pop()]:
-            if w == v:
-                return None
-            if w not in seen and w in members:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _split_search(succ, pred, u: int, v: int, members: set[int]):
+    """After deleting (u, v) from the SCC `members`: None if u still reaches
+    v inside it, else (nodes u reaches, nodes that reach v), u's and v's new
+    SCCs. Alternates one pop of a DFS from u along `succ` with one of a DFS
+    from v along `pred` until one finds a node the other has seen; once a
+    side runs dry, u cannot reach v and the other side runs on alone."""
+    fwd, bwd = {u}, {v}
+    fstack, bstack = [u], [v]
+    while fstack and bstack:
+        for stack, seen, other, adj in ((fstack, fwd, bwd, succ), (bstack, bwd, fwd, pred)):
+            for w in adj[stack.pop()]:
+                if w in other:
+                    return None
+                if w not in seen and w in members:
+                    seen.add(w)
+                    stack.append(w)
+    for stack, seen, adj in ((fstack, fwd, succ), (bstack, bwd, pred)):
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen and w in members:
+                    seen.add(w)
+                    stack.append(w)
+    return fwd, bwd
 
 
 def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge]]:
@@ -232,21 +250,22 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
 
     Works in rounds over a worklist of nontrivial SCCs, visited by smallest
     member. Each SCC holds its internal edges sorted once, heaviest first,
-    and pops its lightest remaining one off the end. Deleting an edge only
-    splits the SCC C that holds it, and C minus (u, v) stays strongly
-    connected if and only if u still reaches v inside it. So each deletion
-    runs one early-exit search from u. If it finds v, C carries over to
-    the next round whole. If not, every node of C still reaches u, so the
-    nodes the search reached are u's whole new SCC, and Tarjan runs only on
-    the rest of C. The largest piece keeps C's edge list and skips edges
-    that are no longer internal to it; smaller pieces sort their own.
-    Cost: one Tarjan pass over the graph, then O(V_C + E_C) per deletion,
-    instead of O(V + E) per round for the whole graph.
+    and pops its lightest remaining one off the end. Deleting an edge (u, v)
+    only splits the SCC C that holds it, and C minus (u, v) stays strongly
+    connected if and only if u still reaches v inside it. If not, every
+    node of C still reaches u and v reaches every node of C, so u's new SCC
+    is what u reaches and v's is what reaches v (Fleischer, Hendrickson &
+    Pinar 2000). `_split_search` interleaves both searches: if they meet,
+    C carries over whole; if not, Tarjan runs only on what neither reached,
+    usually little. The largest piece keeps C's edge list and skips edges
+    no longer internal to it; smaller pieces sort their own. Cost: one
+    Tarjan pass, then O(V_C + E_C) per deletion at worst.
     """
     if any(e.weight is None for e in g.edges.values()):
         raise GraphError("remove_cycles requires normalized weights")
     ids, pos = g._ids, g._pos
     succ = [list(row) for row in g._succ]
+    pred = [list(row) for row in g._in_csr[2]]
     ascending = sorted(g.edges.values(), key=lambda e: (e.weight, e.src, e.dst))
     rank = {(pos[e.src], pos[e.dst]): r for r, e in enumerate(ascending)}
 
@@ -267,18 +286,18 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
             while u not in members or v not in members:
                 u, v = inner.pop()
             succ[u].remove(v)
+            pred[v].remove(u)
             removed.append(g.edges[(ids[u], ids[v])])
-            reached = _search(succ, u, v, members)
-            if reached is None:
+            sides = _split_search(succ, pred, u, v, members)
+            if sides is None:
                 carried.append((first, members, inner))
                 continue
-            rest = members - reached
+            rest = members - sides[0] - sides[1]
             sub = [()] * len(succ)
             for x in rest:
                 sub[x] = [w for w in succ[x] if w in rest]
             pieces = [set(c) for c in _tarjan_scc(rest, sub) if len(c) > 1]
-            if len(reached) > 1:
-                pieces.append(reached)
+            pieces += [side for side in sides if len(side) > 1]
             if pieces:
                 largest = max(pieces, key=len)
                 carried.extend(scc(p, inner if p is largest else None) for p in pieces)
@@ -294,47 +313,47 @@ def is_acyclic(g: InfluenceGraph) -> bool:
     return all(len(c) == 1 for c in _tarjan_scc(range(g.n_nodes), g._succ))
 
 
-def bfs_distances(g: InfluenceGraph, node: int) -> dict[int, int]:
-    """Unweighted hop distances from `node` along out-edges (node excluded)."""
-    start = g._index(node)
-    succ, ids = g._succ, g._ids
-    dist = {start: 0}
-    frontier = [start]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt = []
-        for v in frontier:
-            for w in succ[v]:
-                if w not in dist:
-                    dist[w] = hops
-                    nxt.append(w)
-        frontier = nxt
-    del dist[start]
-    return {ids[w]: d for w, d in dist.items()}
-
-
-def reach_stats(g: InfluenceGraph, node: int) -> tuple[int, int]:
-    """(reachable node count, sum of hop distances) from `node`; one
-    `bfs_distances` per node, memoized on the graph."""
-    if node not in g._reach:
-        dist = bfs_distances(g, node)
-        g._reach[node] = (len(dist), sum(dist.values()))
-    return g._reach[node]
-
-
-def two_hop_count(g: InfluenceGraph, node: int) -> int:
-    """Number of distinct nodes at out-distance 1 or 2 from `node`,
-    memoized on the graph."""
-    if node not in g._two_hop:
-        k = g._index(node)
-        succ = g._succ
-        seen = set(succ[k])
-        for u in succ[k]:
-            seen.update(succ[u])
-        seen.discard(k)
-        g._two_hop[node] = len(seen)
-    return g._two_hop[node]
+def reach_table(g: InfluenceGraph) -> list[list[int]]:
+    """[reach counts, hop-distance sums, two-hop counts] by dense node, the
+    node itself excluded; two-hop counts the nodes at distance 1 or 2.
+    Computed once per graph, by a bit-parallel BFS from BFS_CHUNK sources
+    at a time (Then et al. 2014): bit s of a row says source s reached that
+    node. A level ORs the frontier rows along the in-edges leaving the
+    frontier in one `reduceat` over nonempty per-destination segments (it
+    misreads empty ones), keeps the unseen bits and counts each source's
+    new nodes as column sums. Cost per level: O(E_frontier * BFS_CHUNK / 64).
+    """
+    if g._reach_table is None:
+        n = len(g._ids)
+        table = np.zeros((3, n), np.int64)
+        in_indptr, in_indices, _ = g._in_csr
+        in_dst = np.repeat(np.arange(n), np.diff(in_indptr))
+        at = np.empty(n, np.int64)  # row of each frontier node in `rows`, else -1
+        for lo in range(0, n, BFS_CHUNK):
+            nodes = np.arange(lo, min(n, lo + BFS_CHUNK))  # the frontier, ascending
+            k = len(nodes)
+            rows = np.zeros((k, (k + 63) // 64), "<u8")  # the frontier's bits
+            rows[nodes - lo, (nodes - lo) // 64] = np.left_shift(1, (nodes - lo) % 64).astype("<u8")
+            seen = np.zeros((n, rows.shape[1]), "<u8")
+            seen[nodes] = rows
+            level = 0
+            while len(nodes):
+                level += 1
+                at[:] = -1
+                at[nodes] = np.arange(len(nodes))
+                src = at[in_indices]
+                live = np.flatnonzero(src >= 0)
+                dst = in_dst[live]
+                first = np.flatnonzero(np.diff(dst, prepend=-1))
+                nodes = dst[first]
+                rows = np.bitwise_or.reduceat(rows[src[live]], first) & ~seen[nodes]
+                keep = rows.any(1)
+                nodes, rows = nodes[keep], rows[keep]
+                seen[nodes] |= rows
+                count = np.unpackbits(rows.view("<u1"), axis=1, bitorder="little").sum(0, np.int64)[:k]
+                table[:, lo:lo + k] += count * np.array([[1], [level], [level <= 2]])
+        g._reach_table = table.tolist()
+    return g._reach_table
 
 
 def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
@@ -344,8 +363,9 @@ def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
     from first-order nodes, excluding the node and its first-order set;
     total: all nodes reachable from the node (excluding itself).
     """
-    first = g.out_degree(node)
-    return first, two_hop_count(g, node) - first, reach_stats(g, node)[0]
+    k, first = g._index(node), g.out_degree(node)
+    reach, _, two_hop = reach_table(g)
+    return first, two_hop[k] - first, reach[k]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:

@@ -112,13 +112,18 @@ def read_table(path, columns=()):
     """Rows of a CSV file as dicts keyed by its header, read lazily; blank
     lines are skipped and every cell stays a string (an empty one, such as
     write_table's None, reads as ""). Raises IngestError when the header
-    lacks one of `columns`."""
+    lacks one of `columns`, or when a row has more cells than the header
+    (DictReader files the extra cells under the key None)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
             raise IngestError(f"{path}: missing column(s) {missing}")
-        yield from reader
+        for row in reader:
+            if None in row:
+                width = len(reader.fieldnames)
+                raise IngestError(f"{path}:{reader.line_num}: {width + len(row[None])} cells, header has {width}")
+            yield row
 
 
 def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:

@@ -72,6 +72,27 @@ def brute_reachable(dg: nx.DiGraph, node) -> int:
     return len(nx.descendants(dg, node))
 
 
+def reference_bfs_distances(g, node) -> dict:
+    """Unweighted hop distances from `node` along out-edges (node excluded),
+    by one level-by-level BFS over the graph's successor rows."""
+    start = g._index(node)
+    succ, ids = g._succ, g._ids
+    dist = {start: 0}
+    frontier = [start]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for v in frontier:
+            for w in succ[v]:
+                if w not in dist:
+                    dist[w] = hops
+                    nxt.append(w)
+        frontier = nxt
+    del dist[start]
+    return {ids[w]: d for w, d in dist.items()}
+
+
 def reference_remove_cycles(g):
     """Round-based decycler: each round takes the SCCs of the whole
     remaining graph and deletes, in every nontrivial SCC visited by smallest

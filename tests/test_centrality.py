@@ -176,6 +176,12 @@ class TestTopK:
         got = top_k(g, 3)
         assert [s.node_id for s, _ in got] == [i for _, i in expected[:3]]
 
+    def test_genre_subgraph_without_edges(self):
+        genres = {0: "A", 1: "B", 2: "A", 3: "A"}
+        g = make_graph(4, [(0, 1), (1, 2), (1, 3)], genres=genres)
+        got = [(s.node_id, s.ni, s.rank_ni, counts) for s, counts in top_k(g, 3, genre="A")]
+        assert got == [(0, 0.0, 1, (0, 0, 0)), (2, 0.0, 1, (0, 0, 0)), (3, 0.0, 1, (0, 0, 0))]
+
     def test_subnet_depends_only_on_induced_subgraph(self):
         genres = {0: "A", 1: "A", 2: "A", 3: "B"}
         small = make_graph(3, [(0, 1), (1, 2)], genres=genres)

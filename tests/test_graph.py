@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
-from oracles import brute_reachable, reference_remove_cycles, to_nx
+from oracles import brute_reachable, reference_bfs_distances, reference_remove_cycles, to_nx
 
+from artistnet import graph
 from artistnet.centrality import CentralityScores, node_influence
 from artistnet.graph import (
     ArtistNode,
@@ -18,6 +19,7 @@ from artistnet.graph import (
     export_nodes_csv,
     is_acyclic,
     normalize_weights,
+    reach_table,
     reachability_counts,
     remove_cycles,
     year_diff_centrality_correlation,
@@ -157,6 +159,54 @@ class TestRemoveCycles:
         assert removed == expected
         assert dag.edges == kept
 
+    # One graph per outcome of the two-sided search. Each graph is one SCC
+    # whose lightest edge is (0, 1); `split_after_deleting` shows what the
+    # search finds when that edge goes, and the decycler must still agree
+    # with the round-based reference.
+    @staticmethod
+    def split_after_deleting(g, u, v):
+        succ = [list(row) for row in g._succ]
+        pred = [list(row) for row in g._in_csr[2]]
+        succ[u].remove(v)
+        pred[v].remove(u)
+        return graph._split_search(succ, pred, u, v, set(range(g.n_nodes)))
+
+    def assert_matches_reference(self, g):
+        dag, removed = remove_cycles(g)
+        kept, expected = reference_remove_cycles(g)
+        assert removed == expected
+        assert dag.edges == kept
+        assert is_acyclic(dag)
+
+    def test_searches_meet(self):
+        # 0 still reaches 1 through 2: the SCC carries over whole.
+        g = make_graph(4, [(0, 1, 0.1), (0, 2, 0.5), (2, 1, 0.5), (1, 3, 0.5), (3, 0, 0.5)])
+        assert self.split_after_deleting(g, 0, 1) is None
+        self.assert_matches_reference(g)
+
+    def test_forward_runs_out_first(self):
+        # 0 has no other out-edge; the backward search from 1 still has
+        # 3 and 4 to find after the forward one stops.
+        g = make_graph(5, [(0, 1, 0.1), (1, 2, 0.5), (2, 1, 0.5), (2, 3, 0.5), (3, 2, 0.5),
+                           (3, 4, 0.5), (4, 3, 0.3), (4, 0, 0.5)])
+        assert self.split_after_deleting(g, 0, 1) == ({0}, {1, 2, 3, 4})
+        self.assert_matches_reference(g)
+
+    def test_backward_runs_out_first(self):
+        # 1 has no other in-edge; the forward search from 0 still has 3
+        # and 4 to find after the backward one stops, and (1, 0) is left
+        # on no cycle although it is C's next-lightest edge.
+        g = make_graph(5, [(0, 1, 0.1), (1, 0, 0.2), (0, 2, 0.5), (2, 3, 0.5), (3, 4, 0.3),
+                           (4, 0, 0.5)])
+        assert self.split_after_deleting(g, 0, 1) == ({0, 2, 3, 4}, {1})
+        self.assert_matches_reference(g)
+
+    def test_leftover_goes_through_tarjan(self):
+        # 1 -> {2, 3} -> 0: the 2-cycle {2, 3} is in neither search's set.
+        g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.5), (2, 3, 0.5), (3, 2, 0.4), (3, 0, 0.5)])
+        assert self.split_after_deleting(g, 0, 1) == ({0}, {1})
+        self.assert_matches_reference(g)
+
     def test_deterministic(self):
         edges = [(0, 1, 0.4), (1, 2, 0.2), (2, 0, 0.9), (2, 3, 0.5), (3, 2, 0.5)]
         a = remove_cycles(make_graph(4, edges))
@@ -188,6 +238,63 @@ class TestReachability:
         dg = to_nx(g)
         for node in g.node_ids():
             assert reachability_counts(g, node)[2] == brute_reachable(dg, node)
+
+
+@st.composite
+def digraphs(draw, max_nodes=70):
+    """Digraphs with cycles, isolated nodes and nodes without in-edges."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        max_size=3 * n))
+    return make_graph(n, sorted(pairs))
+
+
+def seeded_digraph(n, seed, p=0.05):
+    """A chain through all n nodes plus random edges both ways, so that
+    reach crosses every source word."""
+    rng = np.random.default_rng(seed)
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    pairs |= {(s, d) for s, d in rng.integers(0, n, size=(int(p * n * n), 2)).tolist() if s != d}
+    return make_graph(n, sorted(pairs))
+
+
+class TestReachTable:
+    def assert_matches_reference(self, g):
+        reach, dist_sum, two_hop = reach_table(g)
+        for k, node in enumerate(g.node_ids()):
+            dist = reference_bfs_distances(g, node)
+            expected = (len(dist), sum(dist.values()), sum(1 for d in dist.values() if d <= 2))
+            assert (reach[k], dist_sum[k], two_hop[k]) == expected, node
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_matches_reference_bfs(self, g):
+        self.assert_matches_reference(g)
+
+    def test_cycles_isolated_nodes_and_sources(self):
+        # 0 -> 1 -> 2 -> 0 is a cycle, 3 is isolated, 4 has no in-edges.
+        g = make_graph(6, [(0, 1), (1, 2), (2, 0), (4, 0), (2, 5)])
+        assert reach_table(g) == [[3, 3, 3, 0, 4, 0], [6, 5, 4, 0, 10, 0], [2, 3, 3, 0, 2, 0]]
+        self.assert_matches_reference(g)
+
+    def test_no_edges(self):
+        assert reach_table(make_graph(3, [])) == [[0, 0, 0]] * 3
+        assert reach_table(InfluenceGraph([], [])) == [[], [], []]
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_word_boundary(self, n):
+        self.assert_matches_reference(seeded_digraph(n, seed=n))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_more_nodes_than_one_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(graph, "BFS_CHUNK", chunk)
+        for seed in range(3):
+            self.assert_matches_reference(seeded_digraph(70, seed))
+
+    def test_computed_once_per_graph(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        assert reach_table(g) is reach_table(g)
 
 
 class TestCorrelation:

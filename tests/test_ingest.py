@@ -96,6 +96,16 @@ class TestLoadInfluence:
         with pytest.raises(IngestError, match=":3"):
             load_influence(p)
 
+    def test_extra_cell_is_an_error(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [
+            INFLUENCE_HEADER,
+            influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970),
+            influence_row(1, "Jazz", 1950, 3, "Blues", 1965) + ",junk",
+        ])
+        with pytest.raises(IngestError, match=r"inf\.csv:3: 9 cells, header has 8$"):
+            load_influence(p)
+
 
 class TestLoadSongs:
     def test_loudness_below_range_dropped(self, tmp_path):
@@ -125,6 +135,12 @@ class TestLoadSongs:
         p = tmp_path / "songs.csv"
         write_lines(p, [SONG_HEADER, song_row(tempo="fast")])
         with pytest.raises(IngestError, match=":2"):
+            load_songs(p)
+
+    def test_extra_cell_is_an_error(self, tmp_path):
+        p = tmp_path / "songs.csv"
+        write_lines(p, [SONG_HEADER, song_row(), song_row(mode="1,99,junk")])
+        with pytest.raises(IngestError, match=r"songs\.csv:3: 18 cells, header has 16$"):
             load_songs(p)
 
     def test_missing_cell_dropped_and_counted(self, tmp_path):
