@@ -210,10 +210,9 @@ class Context:
     def load_graph(self) -> graph.InfluenceGraph:
         nodes = [graph.ArtistNode(int(r["id"]), r["name"], r["genre"], int(r["active_start"]))
                  for r in self.read_rows("nodes.csv")]
-        edges = [graph.InfluenceEdge(int(r["from"]), int(r["to"]), int(r["year_diff"]),
-                                     float(r["weight"]) if r["weight"] else None)
-                 for r in self.read_rows("edges.csv")]
-        return graph.InfluenceGraph(nodes, edges)
+        edges = np.fromiter(((int(r["from"]), int(r["to"]), int(r["year_diff"]), float(r["weight"] or "nan"))
+                             for r in self.read_rows("edges.csv")), graph.EDGE_COLUMNS)
+        return graph.InfluenceGraph.from_arrays(nodes, *(edges[c] for c in graph.EDGE_COLUMNS.names))
 
     def load_profiles(self, name: str) -> dict[int, np.ndarray]:
         return {int(r["artist_id"]): np.array([float(v) for k, v in r.items() if k != "artist_id"])
@@ -269,8 +268,6 @@ def stage_ingest(ctx: Context) -> None:
 
 def stage_graph_build(ctx: Context) -> None:
     g = graph.build_graph(ingest.load_influence(ctx.read("influence_clean.csv")))
-    built = len(g.edges)
-    g = graph.normalize_weights(g)
     dag, removed = graph.remove_cycles(g)
     graph.export_nodes_csv(ctx.write("nodes.csv"), dag)
     graph.export_edges_csv(ctx.write("edges.csv"), dag)
@@ -279,8 +276,8 @@ def stage_graph_build(ctx: Context) -> None:
     ctx.write_text("graph.dot", graph.export_dot(dag))
     ctx.write_json("graph_summary.json", {
         "nodes": dag.n_nodes,
-        "edges": len(dag.edges),
-        "edges_dropped_year_window": built - len(g.edges),
+        "edges": dag.n_edges,
+        "edges_dropped_year_window": dag.year_window_dropped,
         "edges_removed_in_decycle": len(removed),
         "self_loops_dropped": dag.self_loops_dropped,
     })

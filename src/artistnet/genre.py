@@ -133,41 +133,18 @@ def influence_proximity(rank_q: int, rank_p: int) -> float:
 
 
 def sample_influence(g: InfluenceGraph, scores, genres: dict[int, str],
-                     cfg: SamplingConfig, connected_only: bool = True) -> GenreSamplingReport:
+                     cfg: SamplingConfig) -> GenreSamplingReport:
     """Like sample_similarity but accumulating rank-proximity (IP) rather
-    than TSS, restricted by default to artist pairs joined by an edge.
+    than TSS over artist pairs joined by an edge.
 
     Runs where a side has no eligible pairs report 0 for that side and
     are flagged. Higher IP means stronger influence, so the verdict is
     mean(WIP) > mean(TIP).
     """
     rank = {s.node_id: s.rank_ni for s in scores}
-    if connected_only:
-        within_pairs = sorted(
-            (s, d) for (s, d) in g.edges if genres.get(s) == genres.get(d)
-            and s in rank and d in rank
-        )
-        between_pairs = sorted(
-            (s, d) for (s, d) in g.edges if genres.get(s) != genres.get(d)
-            and s in rank and d in rank
-        )
-    else:
-        members = _genre_members(rank.keys(), genres)
-        within_pairs = sorted(
-            (a, b)
-            for m in members.values()
-            for a in m
-            for b in m
-            if a != b
-        )
-        between_pairs = sorted(
-            (a, b)
-            for ga, ma in members.items()
-            for gb, mb in members.items()
-            if ga != gb
-            for a in ma
-            for b in mb
-        )
+    pairs = [(s, d) for s, d, _, _ in g.edge_rows() if s in rank and d in rank]
+    within_pairs = [(s, d) for s, d in pairs if genres.get(s) == genres.get(d)]
+    between_pairs = [(s, d) for s, d in pairs if genres.get(s) != genres.get(d)]
 
     def total_ip(rng, pairs) -> float:
         if not pairs:
@@ -356,7 +333,7 @@ def genre_influence_matrix(g: InfluenceGraph, threshold: float = 0.05):
     Returns (cross, self_pairs) as sorted (from, to, weight) lists."""
     counts: dict[tuple[str, str], int] = {}
     out_totals: dict[str, int] = {}
-    for (s, d), _ in sorted(g.edges.items()):
+    for s, d, _, _ in g.edge_rows():
         gm = g.nodes[s].genre
         gn = g.nodes[d].genre
         counts[(gm, gn)] = counts.get((gm, gn), 0) + 1

@@ -1,8 +1,11 @@
-"""Weighted directed influence network: construction, year-difference edge
-weights with max-min normalization, cycle removal, and reachability."""
+"""Weighted directed influence network: construction (self-loops and edges
+outside a year-difference window dropped, max-min normalized weights),
+cycle removal, and reachability. A graph keeps its edges once, as arrays in
+CSR order."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +20,8 @@ YEAR_DIFF_MAX = 80
 # Sources per pass of `reach_table`'s bit-parallel BFS: 16 uint64 words a
 # node, so one level gathers at most E * 128 bytes.
 BFS_CHUNK = 1024
+# One edge as a row of columns: ids, year difference, weight (NaN for none).
+EDGE_COLUMNS = np.dtype([("src", "i8"), ("dst", "i8"), ("year_diff", "i8"), ("weight", "f8")])
 
 
 class GraphError(Exception):
@@ -39,59 +44,87 @@ class InfluenceEdge:
     weight: float | None = None  # normalized to (0, 1]
 
 
-def _csr(row: np.ndarray, col: np.ndarray, n: int):
-    """(indptr, indices, rows as lists) of the pairs (row[i], col[i]) over
-    n dense nodes, each row's columns ascending."""
-    indices = col[np.lexsort((col, row))]
+def _rows(row: np.ndarray, col: np.ndarray, n: int):
+    """(indptr, rows as lists) of the pairs (row[i], col[i]), sorted by
+    (row, col), over n dense nodes."""
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    flat, bounds = indices.tolist(), indptr.tolist()
-    return indptr, indices, [flat[bounds[k]:bounds[k + 1]] for k in range(n)]
+    flat, bounds = col.tolist(), indptr.tolist()
+    return indptr, [flat[bounds[k]:bounds[k + 1]] for k in range(n)]
 
 
 class InfluenceGraph:
-    """Immutable directed graph over artist nodes.
+    """Immutable directed graph over artist nodes, its edges stored once.
 
-    Mutating stages (normalize_weights, remove_cycles) return new graphs.
-    The out-adjacency is built once, in CSR form over a dense index of the
-    sorted node ids: the successors of dense node k are
-    `indices[indptr[k]:indptr[k + 1]]`, ascending, so every traversal is
-    deterministic. Traversals read `_succ`, the same rows as Python lists,
-    and `_in_csr`, the in-adjacency in the same form, built on first use.
+    `nodes` maps id to ArtistNode. The edges are arrays in CSR order over a
+    dense index of the sorted node ids, ascending by (src, dst): edge j runs
+    from dense node `src[j]` to `indices[j]` with `year_diff[j]` and
+    `weight[j]` (NaN for an unweighted edge), and the out-edges of dense node
+    k are positions `indptr[k]:indptr[k + 1]`. Traversals read `_succ`, the
+    same rows as Python lists, and `_in_csr`, the in-adjacency in the same
+    form, built on first use; `edge_rows` walks the edges by id.
+
+    `from_arrays` is the one constructor that checks edges; `InfluenceGraph(
+    nodes, edges)` adapts ArtistNode and InfluenceEdge records into it.
+    remove_cycles and subgraph, which drop edges, return new graphs.
     """
 
-    def __init__(self, nodes, edges, self_loops_dropped: int = 0):
+    def __init__(self, nodes, edges):
+        table = np.fromiter(((e.src, e.dst, e.year_diff, math.nan if e.weight is None else e.weight)
+                             for e in edges), EDGE_COLUMNS)
+        self._build(nodes, *(table[c] for c in EDGE_COLUMNS.names), 0, 0)
+
+    @classmethod
+    def from_arrays(cls, nodes, src, dst, year_diff, weight, self_loops_dropped: int = 0,
+                    year_window_dropped: int = 0) -> InfluenceGraph:
+        """Graph over ArtistNode records and edge columns in any order: ids,
+        year differences and weights (NaN for none). Raises GraphError
+        naming the first edge, in input order, that is a self-loop, touches
+        an unknown node or repeats an earlier edge."""
+        g = cls.__new__(cls)
+        g._build(nodes, src, dst, year_diff, weight, self_loops_dropped, year_window_dropped)
+        return g
+
+    def _build(self, nodes, src, dst, year_diff, weight, self_loops_dropped, year_window_dropped):
         self.nodes: dict[int, ArtistNode] = {n.id: n for n in nodes}
-        self.edges: dict[tuple[int, int], InfluenceEdge] = {}
-        for e in edges:
-            if e.src == e.dst:
-                raise GraphError(f"self-loop edge {e.src}")
-            if e.src not in self.nodes or e.dst not in self.nodes:
-                raise GraphError(f"edge ({e.src}, {e.dst}) references unknown node")
-            if (e.src, e.dst) in self.edges:
-                raise GraphError(f"duplicate edge ({e.src}, {e.dst})")
-            self.edges[(e.src, e.dst)] = e
-        self.self_loops_dropped = self_loops_dropped
+        self.self_loops_dropped, self.year_window_dropped = self_loops_dropped, year_window_dropped
         self._ids = sorted(self.nodes)
         self._pos = {i: k for k, i in enumerate(self._ids)}
-        n, m = len(self._ids), len(self.edges)
-        src = np.fromiter((self._pos[s] for s, _ in self.edges), np.int64, m)
-        dst = np.fromiter((self._pos[d] for _, d in self.edges), np.int64, m)
-        self.indptr, self.indices, self._succ = _csr(src, dst, n)
+        self._id_array = ids = np.array(self._ids, np.int64)
+        src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+        s, d = np.searchsorted(ids, src), np.searchsorted(ids, dst)  # dense, if known
+        order = np.lexsort((d, s))  # stable: of two equal edges, the later sorts second
+        loop = src == dst
+        unknown = (np.searchsorted(ids, src, "right") == s) | (np.searchsorted(ids, dst, "right") == d)
+        repeat = np.zeros(len(src), bool)
+        repeat[order[1:]] = (np.diff(s[order]) == 0) & (np.diff(d[order]) == 0)
+        bad = np.flatnonzero(loop | unknown | repeat)
+        if len(bad):
+            j = bad[0]
+            a, b = int(src[j]), int(dst[j])
+            raise GraphError(f"self-loop edge {a}" if loop[j] else
+                             f"edge ({a}, {b}) references unknown node" if unknown[j] else
+                             f"duplicate edge ({a}, {b})")
+        self.src, self.indices = s[order], d[order]
+        self.year_diff = np.asarray(year_diff, np.int64)[order]
+        self.weight = np.asarray(weight, np.float64)[order]
+        self.indptr, self._succ = _rows(self.src, self.indices, len(ids))
         self._reach_table = None  # filled by reach_table on first use
 
     @cached_property
     def _in_csr(self):
         """(indptr, indices, rows as lists) of the in-adjacency."""
-        n = len(self._ids)
-        return _csr(self.indices, np.repeat(np.arange(n), np.diff(self.indptr)), n)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
+        order = np.lexsort((self.src, self.indices))
+        indptr, rows = _rows(self.indices, self.src[order], len(self._ids))
+        return indptr, self.src[order], rows
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.indices)
 
     def node_ids(self) -> list[int]:
         return list(self._ids)
@@ -102,9 +135,6 @@ class InfluenceGraph:
     def in_neighbors(self, i: int) -> list[int]:
         return [self._ids[k] for k in self._in_csr[2][self._index(i)]]
 
-    def out_degree(self, i: int) -> int:
-        return len(self._succ[self._index(i)])
-
     def _index(self, i: int) -> int:
         """Dense index of node id `i`."""
         try:
@@ -112,20 +142,37 @@ class InfluenceGraph:
         except KeyError:
             raise GraphError(f"unknown node id {i}") from None
 
-    def subgraph(self, keep_ids) -> "InfluenceGraph":
+    def edge_rows(self):
+        """(src id, dst id, year_diff, weight or None) of each edge,
+        ascending by (src, dst)."""
+        ids = self._id_array
+        return zip(ids[self.src].tolist(), ids[self.indices].tolist(), self.year_diff.tolist(),
+                   [None if math.isnan(w) else w for w in self.weight.tolist()])
+
+    def _with_edges(self, nodes, keep: np.ndarray, *dropped) -> InfluenceGraph:
+        """A graph over `nodes` and the edges where the mask `keep` holds."""
+        ids = self._id_array
+        return InfluenceGraph.from_arrays(nodes, ids[self.src[keep]], ids[self.indices[keep]],
+                                          self.year_diff[keep], self.weight[keep], *dropped)
+
+    def subgraph(self, keep_ids) -> InfluenceGraph:
         """Induced subgraph on `keep_ids`."""
         keep = set(keep_ids)
-        nodes = [n for i, n in sorted(self.nodes.items()) if i in keep]
-        edges = [e for (s, d), e in sorted(self.edges.items()) if s in keep and d in keep]
-        return InfluenceGraph(nodes, edges)
+        inside = np.array([i in keep for i in self._ids], bool)
+        return self._with_edges([self.nodes[i] for i in self._ids if i in keep],
+                                inside[self.src] & inside[self.indices])
 
 
 def build_graph(rows: list[RawInfluenceRow]) -> InfluenceGraph:
-    """One node per distinct artist id, one edge per (influencer, follower)
-    pair; self-influence rows are dropped and counted."""
+    """One node per distinct artist id, with its first row's name, genre
+    and active start, and one edge per row, as `load_influence` returns
+    them (one row per (influencer, follower) pair). Self-influence rows and
+    rows whose year difference x lies outside (YEAR_DIFF_MIN, YEAR_DIFF_MAX)
+    are dropped and counted; the rest are weighted
+    z = (x - YEAR_DIFF_MIN) / (x_max - YEAR_DIFF_MIN), in (0, 1], with
+    x_max the largest kept difference.
+    """
     nodes: dict[int, ArtistNode] = {}
-    edges: list[InfluenceEdge] = []
-    dropped = 0
     for row in rows:
         for aid, name, genre, start in (
             (row.influencer_id, row.influencer_name, row.influencer_main_genre, row.influencer_active_start),
@@ -133,37 +180,17 @@ def build_graph(rows: list[RawInfluenceRow]) -> InfluenceGraph:
         ):
             if aid not in nodes:
                 nodes[aid] = ArtistNode(id=aid, name=name, genre=genre, active_start=start)
-        if row.influencer_id == row.follower_id:
-            dropped += 1
-            continue
-        edges.append(
-            InfluenceEdge(
-                src=row.influencer_id,
-                dst=row.follower_id,
-                year_diff=row.follower_active_start - row.influencer_active_start,
-            )
-        )
-    return InfluenceGraph(nodes.values(), edges, self_loops_dropped=dropped)
-
-
-def normalize_weights(g: InfluenceGraph) -> InfluenceGraph:
-    """Max-min normalize year differences into (0, 1] edge weights.
-
-    Edges with year_diff <= -30 or >= 80 are removed; the rest map to
-    z = (x + 30) / (x_max + 30) with x_max the post-filter maximum.
-    """
-    kept = [
-        e
-        for (_, _), e in sorted(g.edges.items())
-        if YEAR_DIFF_MIN < e.year_diff < YEAR_DIFF_MAX
-    ]
-    if not kept:
+    src = np.array([r.influencer_id for r in rows], np.int64)
+    dst = np.array([r.follower_id for r in rows], np.int64)
+    diff = np.array([r.follower_active_start - r.influencer_active_start for r in rows], np.int64)
+    loop = src == dst
+    keep = ~loop & (YEAR_DIFF_MIN < diff) & (diff < YEAR_DIFF_MAX)
+    if not keep.any():
         raise GraphError("no edges remain after year-difference filtering")
-    x_max = max(e.year_diff for e in kept)
-    denom = x_max - YEAR_DIFF_MIN
-    weighted = [InfluenceEdge(e.src, e.dst, e.year_diff, (e.year_diff - YEAR_DIFF_MIN) / denom)
-                for e in kept]
-    return InfluenceGraph(g.nodes.values(), weighted, g.self_loops_dropped)
+    diff = diff[keep]
+    weight = (diff - YEAR_DIFF_MIN) / (diff.max() - YEAR_DIFF_MIN)
+    return InfluenceGraph.from_arrays(nodes.values(), src[keep], dst[keep], diff, weight,
+                                      int(loop.sum()), int(len(rows) - loop.sum() - keep.sum()))
 
 
 def _tarjan_scc(roots, succ: list) -> list[list[int]]:
@@ -261,13 +288,13 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
     no longer internal to it; smaller pieces sort their own. Cost: one
     Tarjan pass, then O(V_C + E_C) per deletion at worst.
     """
-    if any(e.weight is None for e in g.edges.values()):
+    if np.isnan(g.weight).any():
         raise GraphError("remove_cycles requires normalized weights")
-    ids, pos = g._ids, g._pos
+    src, dst = g.src.tolist(), g.indices.tolist()
     succ = [list(row) for row in g._succ]
     pred = [list(row) for row in g._in_csr[2]]
-    ascending = sorted(g.edges.values(), key=lambda e: (e.weight, e.src, e.dst))
-    rank = {(pos[e.src], pos[e.dst]): r for r, e in enumerate(ascending)}
+    ascending = np.lexsort((g.indices, g.src, g.weight)).tolist()  # edge positions
+    rank = {(src[p], dst[p]): r for r, p in enumerate(ascending)}
 
     def scc(members: set[int], inner=None):
         """Worklist entry: (smallest member, members, internal edges
@@ -277,8 +304,8 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
                            key=rank.__getitem__, reverse=True)
         return min(members), members, inner
 
-    work = [scc(set(c)) for c in _tarjan_scc(range(len(ids)), succ) if len(c) > 1]
-    removed: list[InfluenceEdge] = []
+    work = [scc(set(c)) for c in _tarjan_scc(range(g.n_nodes), succ) if len(c) > 1]
+    gone: list[int] = []  # positions of removed edges, in removal order
     while work:
         carried = []
         for first, members, inner in sorted(work, key=lambda c: c[0]):
@@ -287,7 +314,7 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
                 u, v = inner.pop()
             succ[u].remove(v)
             pred[v].remove(u)
-            removed.append(g.edges[(ids[u], ids[v])])
+            gone.append(ascending[rank[(u, v)]])
             sides = _split_search(succ, pred, u, v, members)
             if sides is None:
                 carried.append((first, members, inner))
@@ -302,9 +329,11 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
                 largest = max(pieces, key=len)
                 carried.extend(scc(p, inner if p is largest else None) for p in pieces)
         work = carried
-    gone = {(e.src, e.dst) for e in removed}
-    kept = [e for key, e in g.edges.items() if key not in gone]
-    dag = InfluenceGraph(g.nodes.values(), kept, g.self_loops_dropped)
+    ids, year_diff, weight = g._ids, g.year_diff.tolist(), g.weight.tolist()
+    removed = [InfluenceEdge(ids[src[p]], ids[dst[p]], year_diff[p], weight[p]) for p in gone]
+    keep = np.ones(g.n_edges, bool)
+    keep[gone] = False
+    dag = g._with_edges(g.nodes.values(), keep, g.self_loops_dropped, g.year_window_dropped)
     return dag, removed
 
 
@@ -363,55 +392,36 @@ def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
     from first-order nodes, excluding the node and its first-order set;
     total: all nodes reachable from the node (excluding itself).
     """
-    k, first = g._index(node), g.out_degree(node)
+    k = g._index(node)
+    first = len(g._succ[k])
     reach, _, two_hop = reach_table(g)
     return first, two_hop[k] - first, reach[k]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
-    """Pearson r; degenerate (zero variance) pairs report (0.0, True)."""
-    if np.std(x) == 0.0 or np.std(y) == 0.0:
-        return 0.0, True
-    return float(np.corrcoef(x, y)[0, 1]), False
-
-
-def year_diff_centrality_correlation(g: InfluenceGraph, scores, mode: str = "per_node"):
-    """Pearson correlation between year differences and each centrality
-    column (lc, sc, gc, ni).
-
-    per_node (default): each node's mean incident-edge year_diff vs its
-    scores. per_edge: each edge's year_diff vs its source node's scores.
-    Returns {column: {"r": float, "degenerate": bool}}.
+def year_diff_centrality_correlation(g: InfluenceGraph, scores):
+    """Pearson correlation between each node's mean incident-edge year_diff
+    and each of its centrality columns (lc, sc, gc, ni), over the scored
+    nodes that have an edge. Returns {column: {"r": float, "degenerate":
+    bool}}; a column or mean without variance is degenerate, with r 0.0.
     """
     by_id = {s.node_id: s for s in scores}
-    if mode == "per_node":
-        sums: dict[int, list[int]] = {}
-        for e in g.edges.values():
-            sums.setdefault(e.src, []).append(e.year_diff)
-            sums.setdefault(e.dst, []).append(e.year_diff)
-        ids = sorted(i for i in sums if i in by_id)
-        if len(ids) < 3:
-            raise GraphError("need at least 3 nodes with incident edges")
-        x = np.array([np.mean(sums[i]) for i in ids])
-        cols = {c: np.array([getattr(by_id[i], c) for i in ids]) for c in ("lc", "sc", "gc", "ni")}
-    elif mode == "per_edge":
-        pairs = [e for _, e in sorted(g.edges.items()) if e.src in by_id]
-        if len(pairs) < 3:
-            raise GraphError("need at least 3 edges")
-        x = np.array([e.year_diff for e in pairs], dtype=float)
-        cols = {c: np.array([getattr(by_id[e.src], c) for e in pairs]) for c in ("lc", "sc", "gc", "ni")}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    ends = np.concatenate([g.src, g.indices])
+    count = np.bincount(ends, minlength=g.n_nodes)
+    mean = np.bincount(ends, np.tile(g.year_diff, 2), g.n_nodes) / np.maximum(count, 1)
+    dense = [k for k in np.flatnonzero(count).tolist() if g._ids[k] in by_id]
+    if len(dense) < 3:
+        raise GraphError("need at least 3 nodes with incident edges")
+    x = mean[dense]
     out = {}
-    for name, col in cols.items():
-        r, degenerate = _pearson(x, col)
-        out[name] = {"r": r, "degenerate": degenerate}
+    for name in ("lc", "sc", "gc", "ni"):
+        y = np.array([getattr(by_id[g._ids[k]], name) for k in dense])
+        degenerate = bool(np.std(x) == 0.0 or np.std(y) == 0.0)
+        out[name] = {"r": 0.0 if degenerate else float(np.corrcoef(x, y)[0, 1]), "degenerate": degenerate}
     return out
 
 
 def export_edges_csv(path, g: InfluenceGraph) -> None:
-    write_table(path, ["from", "to", "year_diff", "weight"],
-                ([s, d, e.year_diff, e.weight] for (s, d), e in sorted(g.edges.items())))
+    write_table(path, ["from", "to", "year_diff", "weight"], g.edge_rows())
 
 
 def export_nodes_csv(path, g: InfluenceGraph) -> None:
@@ -424,8 +434,8 @@ def export_dot(g: InfluenceGraph) -> str:
     for i, n in sorted(g.nodes.items()):
         label = n.name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {i} [label="{label}"];')
-    for (s, d), e in sorted(g.edges.items()):
-        w = "" if e.weight is None else f' [weight={e.weight:.6f}]'
+    for s, d, _, w in g.edge_rows():
+        w = "" if w is None else f' [weight={w:.6f}]'
         lines.append(f"  {s} -> {d}{w};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -109,8 +109,15 @@ def write_table(path, header, rows) -> None:
 
 
 def read_table(path, columns=()):
-    """Rows of a CSV file as dicts keyed by its header, read lazily; blank
-    lines are skipped and every cell stays a string (an empty one, such as
+    """The rows of `read_numbered`, without their line numbers."""
+    return (row for _, row in read_numbered(path, columns))
+
+
+def read_numbered(path, columns=()):
+    """(line, row) for each row of a CSV file, read lazily: the row is a
+    dict keyed by the header and `line` is the reader's line number (the
+    last line of a row whose quoted cell spans lines). Blank lines are
+    skipped and every cell stays a string (an empty one, such as
     write_table's None, reads as ""). Raises IngestError when the header
     lacks one of `columns`, or when a row has more cells than the header
     (DictReader files the extra cells under the key None)."""
@@ -123,7 +130,7 @@ def read_table(path, columns=()):
             if None in row:
                 width = len(reader.fieldnames)
                 raise IngestError(f"{path}:{reader.line_num}: {width + len(row[None])} cells, header has {width}")
-            yield row
+            yield reader.line_num, row
 
 
 def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
@@ -147,10 +154,12 @@ def _is_finite(cell: str) -> bool:
 
 def load_influence(path) -> list[RawInfluenceRow]:
     """Load and type the influence table, deduplicating (influencer, follower)
-    pairs keeping the first occurrence."""
+    pairs keeping the first occurrence. An artist id given two different
+    active_start values is an error naming the line and both values."""
     rows: list[RawInfluenceRow] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(read_table(path, INFLUENCE_COLUMNS), start=2):
+    starts: dict[int, int] = {}
+    for lineno, raw in read_numbered(path, INFLUENCE_COLUMNS):
         try:
             row = RawInfluenceRow(
                 influencer_id=int(raw["influencer_id"]),
@@ -166,6 +175,11 @@ def load_influence(path) -> list[RawInfluenceRow]:
             raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
         if row.influencer_id < 0 or row.follower_id < 0:
             raise IngestError(f"{path}:{lineno}: negative artist id")
+        for aid, start in ((row.influencer_id, row.influencer_active_start),
+                           (row.follower_id, row.follower_active_start)):
+            if starts.setdefault(aid, start) != start:
+                raise IngestError(f"{path}:{lineno}: artist {aid} active_start {start} "
+                                  f"conflicts with {starts[aid]} given earlier")
         key = (row.influencer_id, row.follower_id)
         if key in seen:
             continue
@@ -187,7 +201,7 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     ids: list[tuple[int, ...]] = []
     flat = array("d")
     unlinked: list[bool] = []
-    for lineno, raw in enumerate(read_table(path, SONG_COLUMNS), start=2):
+    for lineno, raw in read_numbered(path, SONG_COLUMNS):
         report.rows_read += 1
         cells = [raw[c] for c in NUMERIC]
         try:

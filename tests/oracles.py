@@ -5,17 +5,29 @@ distances come from networkx, and every formula is evaluated directly
 with explicit loops.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
+from artistnet.graph import YEAR_DIFF_MAX, YEAR_DIFF_MIN, ArtistNode, GraphError, InfluenceEdge
+from artistnet.ingest import write_table
+
+
+def edges_of(g) -> dict:
+    """{(src, dst): InfluenceEdge} of a graph, read off its edge arrays."""
+    ids = g.node_ids()
+    columns = (g.src.tolist(), g.indices.tolist(), g.year_diff.tolist(), g.weight.tolist())
+    return {(ids[s], ids[d]): InfluenceEdge(ids[s], ids[d], y, None if math.isnan(w) else w)
+            for s, d, y, w in zip(*columns)}
+
 
 def to_nx(g) -> nx.DiGraph:
     dg = nx.DiGraph()
     dg.add_nodes_from(g.node_ids())
-    for (s, d), e in g.edges.items():
+    for (s, d), e in edges_of(g).items():
         dg.add_edge(s, d, weight=e.weight, year_diff=e.year_diff)
     return dg
 
@@ -98,11 +110,14 @@ def reference_remove_cycles(g):
     remaining graph and deletes, in every nontrivial SCC visited by smallest
     member, its minimum (weight, src, dst) edge. Returns (remaining edges
     by key, removed edges in deletion order)."""
-    edges = dict(g.edges)
+    return _decycle(g.node_ids(), edges_of(g))
+
+
+def _decycle(node_ids, edges: dict):
     removed = []
     while True:
         dg = nx.DiGraph()
-        dg.add_nodes_from(g.node_ids())
+        dg.add_nodes_from(node_ids)
         dg.add_edges_from(edges)
         comps = [c for c in nx.strongly_connected_components(dg) if len(c) > 1]
         if not comps:
@@ -114,6 +129,64 @@ def reference_remove_cycles(g):
             )
             del edges[(victim.src, victim.dst)]
             removed.append(victim)
+
+
+def reference_build_graph(rows):
+    """Record-based graph build: (ArtistNode by id, one unweighted
+    InfluenceEdge per row that is not self-influence, self-influence rows
+    dropped); a node takes its first row's name, genre and active start."""
+    nodes, edges, dropped = {}, [], 0
+    for row in rows:
+        for aid, name, genre, start in (
+            (row.influencer_id, row.influencer_name, row.influencer_main_genre, row.influencer_active_start),
+            (row.follower_id, row.follower_name, row.follower_main_genre, row.follower_active_start),
+        ):
+            if aid not in nodes:
+                nodes[aid] = ArtistNode(id=aid, name=name, genre=genre, active_start=start)
+        if row.influencer_id == row.follower_id:
+            dropped += 1
+            continue
+        edges.append(InfluenceEdge(src=row.influencer_id, dst=row.follower_id,
+                                   year_diff=row.follower_active_start - row.influencer_active_start))
+    return nodes, edges, dropped
+
+
+def reference_normalize_weights(edges):
+    """(edges with YEAR_DIFF_MIN < year_diff < YEAR_DIFF_MAX, ascending by
+    (src, dst), weighted z = (x + 30) / (x_max + 30) with x_max the largest
+    kept year_diff; the number dropped)."""
+    kept = [e for e in sorted(edges, key=lambda e: (e.src, e.dst))
+            if YEAR_DIFF_MIN < e.year_diff < YEAR_DIFF_MAX]
+    if not kept:
+        raise GraphError("no edges remain after year-difference filtering")
+    denom = max(e.year_diff for e in kept) - YEAR_DIFF_MIN
+    weighted = [InfluenceEdge(e.src, e.dst, e.year_diff, (e.year_diff - YEAR_DIFF_MIN) / denom)
+                for e in kept]
+    return weighted, len(edges) - len(kept)
+
+
+def reference_graph_build(rows, out) -> None:
+    """`graph build`'s five artifacts, written under `out` by the record
+    pipeline: build, normalize, the round-based decycler, and writers that
+    walk the records."""
+    nodes, edges, self_loops = reference_build_graph(rows)
+    weighted, window = reference_normalize_weights(edges)
+    kept, removed = _decycle(sorted(nodes), {(e.src, e.dst): e for e in weighted})
+    header = ["from", "to", "year_diff", "weight"]
+    write_table(out / "nodes.csv", ["id", "name", "genre", "active_start"],
+                ([i, n.name, n.genre, n.active_start] for i, n in sorted(nodes.items())))
+    write_table(out / "edges.csv", header, ([s, d, e.year_diff, e.weight] for (s, d), e in sorted(kept.items())))
+    write_table(out / "removed_edges.csv", header, ([e.src, e.dst, e.year_diff, e.weight] for e in removed))
+    lines = ["digraph influence {"]
+    for i, n in sorted(nodes.items()):
+        label = n.name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {i} [label="{label}"];')
+    lines += [f"  {s} -> {d} [weight={e.weight:.6f}];" for (s, d), e in sorted(kept.items())]
+    (out / "graph.dot").write_text("\n".join(lines + ["}"]) + "\n", encoding="utf-8")
+    summary = {"nodes": len(nodes), "edges": len(kept), "edges_dropped_year_window": window,
+               "edges_removed_in_decycle": len(removed), "self_loops_dropped": self_loops}
+    (out / "graph_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
+                                            encoding="utf-8")
 
 
 def reference_tss(a, b):

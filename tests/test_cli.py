@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import edges_of
+
 from artistnet import centrality, genre, graph, ingest
 from artistnet import cli
 from artistnet.cli import main
@@ -242,7 +244,7 @@ def test_graph_artifacts_round_trip_awkward_names(tmp_path):
     graph.export_edges_csv(tmp_path / "edges.csv", g)
     back = reader(tmp_path).load_graph()
     assert back.nodes == g.nodes
-    assert back.edges == g.edges
+    assert edges_of(back) == edges_of(g)
     scores = centrality.node_influence(g)
     centrality.export_scores_csv(tmp_path / "centrality.csv", g, scores)
     assert reader(tmp_path).load_scores() == scores
@@ -281,6 +283,47 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
     assert {r["genre"] for r in tables["genre_clusters.csv"]} == set(ADVERSARIAL_GENRES)
     assert {r["genre"] for r in tables["debut_counts.csv"]} == set(ADVERSARIAL_GENRES)
     assert {r["genre"] for r in tables["genre_trend.csv"]} == {ADVERSARIAL_GENRES[2], "__all__"}
+
+
+def test_empty_weight_round_trips_and_blocks_decycling(tmp_path):
+    nodes = [graph.ArtistNode(i, f"a{i}", "g", 1950) for i in range(3)]
+    g = graph.InfluenceGraph(nodes, [graph.InfluenceEdge(1, 2, 1, 0.5), graph.InfluenceEdge(0, 1, 1, None)])
+    graph.export_nodes_csv(tmp_path / "nodes.csv", g)
+    graph.export_edges_csv(tmp_path / "edges.csv", g)
+    text = (tmp_path / "edges.csv").read_text(encoding="utf-8")
+    assert text == "from,to,year_diff,weight\n0,1,1,\n1,2,1,0.5\n"
+    back = reader(tmp_path).load_graph()
+    graph.export_edges_csv(tmp_path / "edges.csv", back)
+    assert (tmp_path / "edges.csv").read_text(encoding="utf-8") == text
+    with pytest.raises(graph.GraphError, match="requires normalized weights"):
+        graph.remove_cycles(back)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda lines: lines + [lines[1]], "duplicate edge (1, 2)"),
+    (lambda lines: lines + ["99,1,0,0.5"], "edge (99, 1) references unknown node"),
+    (lambda lines: lines[:1] + ["2,2,0,0.5"] + lines[1:], "self-loop edge 2"),
+])
+def test_corrupted_edges_csv_is_a_data_error(tmp_path, capsys, corrupt, message):
+    cfg_path = write_fixture(tmp_path)
+    for stage in STAGES[:2]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    edges = tmp_path / "out" / "edges.csv"
+    edges.write_text("\n".join(corrupt(edges.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["centrality", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_conflicting_active_start_is_a_data_error(tmp_path, capsys):
+    cfg_path = write_fixture(tmp_path)
+    with open(tmp_path / "influence.csv", "a", newline="") as fh:
+        csv.writer(fh).writerow([3, "artist3", "rock", STARTS[3] + 1, 21, "late", "rock", 2000])
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'influence.csv'}:{len(EDGES) + 2}: artist 3 active_start {STARTS[3] + 1} "
+        f"conflicts with {STARTS[3]} given earlier\n")
 
 
 def test_graph_summary_counts_year_window_drops(tmp_path):

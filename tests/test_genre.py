@@ -144,8 +144,8 @@ class TestSampleInfluence:
 
         # independent replay of the documented sampling procedure
         rank = {s.node_id: s.rank_ni for s in scores}
-        within = sorted((s, d) for (s, d) in g.edges if genres[s] == genres[d])
-        between = sorted((s, d) for (s, d) in g.edges if genres[s] != genres[d])
+        within = sorted((s, d) for s, d, _ in edges if genres[s] == genres[d])
+        between = sorted((s, d) for s, d, _ in edges if genres[s] != genres[d])
         for run in range(cfg.runs):
             rr = np.random.default_rng(cfg.seed + run)
             wip = 0.0
@@ -158,17 +158,6 @@ class TestSampleInfluence:
                 tip += 1.0 / (1.0 + abs(rank[s] - rank[d]))
             assert report.within_totals[run] == wip
             assert report.between_totals[run] == tip
-
-    def test_unrestricted_mode_uses_all_pairs(self):
-        genres = {0: "a", 1: "a", 2: "b"}
-        g = make_graph(3, [(0, 2, 0.5)], genres)  # no within-genre edge
-        scores = scores_with_ranks({0: 1, 1: 2, 2: 3})
-        restricted = sample_influence(g, scores, genres, SamplingConfig(5, 1, seed=0))
-        unrestricted = sample_influence(
-            g, scores, genres, SamplingConfig(5, 1, seed=0), connected_only=False
-        )
-        assert restricted.within_totals == [0.0]
-        assert unrestricted.within_totals[0] > 0.0
 
 
 class TestClusterGenres:

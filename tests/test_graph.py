@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_digraph
-from oracles import brute_reachable, reference_bfs_distances, reference_remove_cycles, to_nx
+from oracles import (brute_reachable, edges_of, reference_bfs_distances, reference_graph_build,
+                     reference_remove_cycles, to_nx)
 
-from artistnet import graph
+from artistnet import cli, graph, ingest
 from artistnet.centrality import CentralityScores, node_influence
 from artistnet.graph import (
     ArtistNode,
@@ -18,7 +21,6 @@ from artistnet.graph import (
     export_edges_csv,
     export_nodes_csv,
     is_acyclic,
-    normalize_weights,
     reach_table,
     reachability_counts,
     remove_cycles,
@@ -58,23 +60,27 @@ def time_ordered_graph(seed, n=300, influencers=6, reversed_fraction=0.06):
         for i in rng.choice(f, size=min(f, influencers), replace=False).tolist():
             s, d = (f, i) if rng.random() < reversed_fraction else (i, f)
             rows.append(raw_row(s, years[s], d, years[d]))
-    return normalize_weights(build_graph(rows))
+    return build_graph(rows)
 
 
 class TestBuildGraph:
     def test_shared_influencer_counts(self):
         g = build_graph([raw_row(1, 1950, 2, 1970), raw_row(1, 1950, 3, 1980)])
         assert g.n_nodes == 3
-        assert len(g.edges) == 2
+        assert g.n_edges == 2
 
     def test_year_diff(self):
         g = build_graph([raw_row(1, 1960, 2, 1980)])
-        assert g.edges[(1, 2)].year_diff == 20
+        assert edges_of(g)[(1, 2)].year_diff == 20
 
     def test_self_loop_dropped(self):
-        g = build_graph([raw_row(1, 1950, 1, 1950)])
-        assert len(g.edges) == 0
+        g = build_graph([raw_row(1, 1950, 1, 1950), raw_row(1, 1950, 2, 1960)])
+        assert list(edges_of(g)) == [(1, 2)]
         assert g.self_loops_dropped == 1
+
+    def test_only_self_loops_errors(self):
+        with pytest.raises(GraphError, match="no edges remain"):
+            build_graph([raw_row(1, 1950, 1, 1950)])
 
 
 class TestNormalizeWeights:
@@ -83,27 +89,120 @@ class TestNormalizeWeights:
         return build_graph(rows)
 
     def test_max_maps_to_one(self):
-        g = normalize_weights(self.build([70, 20]))
-        assert g.edges[(0, 100)].weight == pytest.approx(1.0)
+        g = self.build([70, 20])
+        assert edges_of(g)[(0, 100)].weight == pytest.approx(1.0)
 
     def test_formula_midpoint(self):
-        g = normalize_weights(self.build([70, 20]))
-        assert g.edges[(1, 101)].weight == pytest.approx(0.5)
+        g = self.build([70, 20])
+        assert edges_of(g)[(1, 101)].weight == pytest.approx(0.5)
 
     def test_filter_bounds(self):
-        g = normalize_weights(self.build([-35, -30, 80, 95, 10]))
-        diffs = {e.year_diff for e in g.edges.values()}
+        g = self.build([-35, -30, 80, 95, 10])
+        assert g.year_window_dropped == 4
+        diffs = {e.year_diff for e in edges_of(g).values()}
         assert diffs == {10}
 
     def test_weights_in_unit_interval(self, rng):
-        g = normalize_weights(self.build(list(rng.integers(-29, 80, size=50))))
-        weights = [e.weight for e in g.edges.values()]
+        g = self.build(list(rng.integers(-29, 80, size=50)))
+        weights = [e.weight for e in edges_of(g).values()]
         assert min(weights) > 0.0
         assert max(weights) == pytest.approx(1.0)
 
     def test_empty_after_filter_errors(self):
         with pytest.raises(GraphError):
-            normalize_weights(self.build([-30, 80]))
+            self.build([-30, 80])
+
+
+def first_bad_edge(node_ids, pairs):
+    """What a loop over the edges in input order finds first: a self-loop,
+    an edge to an unknown node or a repeated edge; None if none."""
+    seen = set()
+    for s, d in pairs:
+        if s == d:
+            return f"self-loop edge {s}"
+        if s not in node_ids or d not in node_ids:
+            return f"edge ({s}, {d}) references unknown node"
+        if (s, d) in seen:
+            return f"duplicate edge ({s}, {d})"
+        seen.add((s, d))
+    return None
+
+
+class TestValidation:
+    nodes = [ArtistNode(i, f"a{i}", "g", 1950) for i in (1, 3, 5)]
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(1, 3), (5, 5)], "self-loop edge 5"),
+        ([(1, 3), (3, 4)], "edge (3, 4) references unknown node"),
+        ([(1, 3), (3, 5), (1, 3)], "duplicate edge (1, 3)"),
+        # the first offending edge in input order, whatever its kind
+        ([(3, 5), (3, 5), (0, 1), (1, 1)], "duplicate edge (3, 5)"),
+        ([(6, 1), (3, 5), (3, 5), (1, 1)], "edge (6, 1) references unknown node"),
+        ([(5, 3), (4, 3), (5, 3)], "edge (4, 3) references unknown node"),  # 4 sorts next to 5
+        ([(4, 3), (5, 3)], "edge (4, 3) references unknown node"),
+    ])
+    def test_names_the_first_offending_edge(self, pairs, message):
+        with pytest.raises(GraphError) as err:
+            InfluenceGraph(self.nodes, [InfluenceEdge(s, d, d - s, 0.5) for s, d in pairs])
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10))
+    def test_matches_a_loop_over_the_edges(self, pairs):
+        src, dst = (np.array([p[k] for p in pairs], np.int64) for k in (0, 1))
+        expected = first_bad_edge({1, 3, 5}, pairs)
+        try:
+            g = InfluenceGraph.from_arrays(self.nodes, src, dst, dst - src, np.full(len(pairs), 0.5))
+        except GraphError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert list(edges_of(g)) == sorted(pairs)
+
+
+def random_influence_rows(seed):
+    """A seeded influence table with self-influence rows, repeated pairs,
+    year differences past both ends of the window, and cycles."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    starts = rng.integers(1900, 2011, size=n).tolist()
+    names = [f'Artist "{i}", Jr.' if i % 4 == 0 else f"a{i}" for i in range(n)]
+    genres = ["Jazz", "Pop/Rock", "Folk, Country"]
+    rows = []
+    for _ in range(int(rng.integers(1, 4 * n))):
+        i, f = rng.integers(0, n, size=2).tolist()
+        f = i if rng.random() < 0.1 else f
+        rows.append(RawInfluenceRow(i + 10, names[i], genres[i % 3], starts[i],
+                                    f + 10, names[f], genres[f % 3], starts[f]))
+    return rows
+
+
+def test_graph_build_matches_the_record_pipeline(tmp_path):
+    """`artistnet graph build` writes the same bytes as the record-based
+    build, normalize and round-based decycling pipeline."""
+    seen = set()
+    for seed in range(60):
+        out, ref = tmp_path / f"out{seed}", tmp_path / f"ref{seed}"
+        out.mkdir()
+        ref.mkdir()
+        ingest.write_influence(out / "influence_clean.csv", random_influence_rows(seed))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"influence_csv": "-", "songs_csv": "-", "out_dir": str(out)}))
+        code = cli.main(["graph", "build", "--config", str(config)])
+        try:
+            reference_graph_build(ingest.load_influence(out / "influence_clean.csv"), ref)
+        except GraphError:
+            assert code == 3, seed
+            seen.add("no edges")
+            continue
+        assert code == 0, seed
+        for name in ("nodes.csv", "edges.csv", "removed_edges.csv", "graph.dot", "graph_summary.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (seed, name)
+        summary = json.loads((ref / "graph_summary.json").read_text())
+        seen |= {key for key in ("self_loops_dropped", "edges_dropped_year_window",
+                                 "edges_removed_in_decycle") if summary[key]}
+    assert seen == {"no edges", "self_loops_dropped", "edges_dropped_year_window",
+                    "edges_removed_in_decycle"}
 
 
 class TestRemoveCycles:
@@ -111,13 +210,13 @@ class TestRemoveCycles:
         g = make_graph(3, [(0, 1), (1, 2)])
         dag, removed = remove_cycles(g)
         assert removed == []
-        assert len(dag.edges) == 2
+        assert dag.n_edges == 2
 
     def test_two_cycle_drops_lighter_edge(self):
         g = make_graph(2, [(0, 1, 0.7), (1, 0, 0.3)])
         dag, removed = remove_cycles(g)
         assert [(e.src, e.dst) for e in removed] == [(1, 0)]
-        assert (0, 1) in dag.edges
+        assert (0, 1) in edges_of(dag)
 
     def test_equal_weight_tiebreak_by_ids(self):
         g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)])
@@ -149,7 +248,7 @@ class TestRemoveCycles:
         dag, removed = remove_cycles(g)
         kept, expected = reference_remove_cycles(g)
         assert removed == expected
-        assert dag.edges == kept
+        assert edges_of(dag) == kept
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_time_ordered_graph_matches_reference_decycler(self, seed):
@@ -157,7 +256,7 @@ class TestRemoveCycles:
         dag, removed = remove_cycles(g)
         kept, expected = reference_remove_cycles(g)
         assert removed == expected
-        assert dag.edges == kept
+        assert edges_of(dag) == kept
 
     # One graph per outcome of the two-sided search. Each graph is one SCC
     # whose lightest edge is (0, 1); `split_after_deleting` shows what the
@@ -175,7 +274,7 @@ class TestRemoveCycles:
         dag, removed = remove_cycles(g)
         kept, expected = reference_remove_cycles(g)
         assert removed == expected
-        assert dag.edges == kept
+        assert edges_of(dag) == kept
         assert is_acyclic(dag)
 
     def test_searches_meet(self):
@@ -212,7 +311,7 @@ class TestRemoveCycles:
         a = remove_cycles(make_graph(4, edges))
         b = remove_cycles(make_graph(4, edges))
         assert [(e.src, e.dst) for e in a[1]] == [(e.src, e.dst) for e in b[1]]
-        assert sorted(a[0].edges) == sorted(b[0].edges)
+        assert edges_of(a[0]) == edges_of(b[0])
 
 
 class TestReachability:
@@ -302,17 +401,16 @@ class TestCorrelation:
         return node_influence(g)
 
     def test_perfect_correlation(self):
-        from artistnet.graph import ArtistNode, InfluenceGraph
+        # Chain 0 -> 1 -> 2 -> 3 with year differences 1, 2, 3: the mean
+        # incident year_diff of nodes 0..3 is 1, 1.5, 2.5 and 3.
         edges = [InfluenceEdge(0, 1, 1, 0.5), InfluenceEdge(1, 2, 2, 0.5), InfluenceEdge(2, 3, 3, 0.5)]
         g = InfluenceGraph([ArtistNode(i, f"a{i}", "g", 1950) for i in range(4)], edges)
-        scores = [
-            CentralityScores(node_id=e.src, lc=float(e.year_diff), sc=float(e.year_diff),
-                             gc=float(e.year_diff), ni=float(e.year_diff))
-            for e in edges
-        ] + [CentralityScores(node_id=3, lc=0, sc=0, gc=0, ni=0)]
-        result = year_diff_centrality_correlation(g, scores, mode="per_edge")
-        assert result["lc"]["r"] == pytest.approx(1.0)
-        assert not result["lc"]["degenerate"]
+        means = {0: 1.0, 1: 1.5, 2: 2.5, 3: 3.0}
+        scores = [CentralityScores(node_id=i, lc=m, sc=2 * m, gc=m + 1, ni=-m) for i, m in means.items()]
+        result = year_diff_centrality_correlation(g, scores)
+        for col, r in (("lc", 1.0), ("sc", 1.0), ("gc", 1.0), ("ni", -1.0)):
+            assert result[col]["r"] == pytest.approx(r)
+            assert not result[col]["degenerate"]
 
     def test_degenerate_constant_columns(self):
         g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])

@@ -107,6 +107,31 @@ class TestLoadInfluence:
             load_influence(p)
 
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [
+            INFLUENCE_HEADER,
+            influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970),
+            "",
+            "x,x,Jazz,1950,2,y,Pop,1970",
+        ])
+        with pytest.raises(IngestError, match=r"inf\.csv:4: malformed row"):
+            load_influence(p)
+
+    @pytest.mark.parametrize("rows, error", [
+        ([influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970), influence_row(3, "Blues", 1940, 2, "Pop/Rock", 1975)],
+         "inf.csv:3: artist 2 active_start 1975 conflicts with 1970 given earlier"),
+        ([influence_row(4, "Jazz", 1950, 4, "Jazz", 1951)],  # one self-influence row
+         "inf.csv:2: artist 4 active_start 1951 conflicts with 1950 given earlier"),
+    ])
+    def test_conflicting_active_start_is_an_error(self, tmp_path, rows, error):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [INFLUENCE_HEADER, *rows])
+        with pytest.raises(IngestError) as err:
+            load_influence(p)
+        assert str(err.value) == f"{tmp_path}/{error}"
+
+
 class TestLoadSongs:
     def test_loudness_below_range_dropped(self, tmp_path):
         p = tmp_path / "songs.csv"
@@ -135,6 +160,13 @@ class TestLoadSongs:
         p = tmp_path / "songs.csv"
         write_lines(p, [SONG_HEADER, song_row(tempo="fast")])
         with pytest.raises(IngestError, match=":2"):
+            load_songs(p)
+
+    def test_line_number_counts_blank_and_continued_lines(self, tmp_path):
+        p = tmp_path / "songs.csv"
+        # the first song's quoted artist list spans lines 2-3; line 4 is blank
+        write_lines(p, [SONG_HEADER, song_row(artist_ids="[1,\n 2]"), "", song_row(tempo="fast")])
+        with pytest.raises(IngestError, match=r"songs\.csv:5: numeric field tempo='fast'"):
             load_songs(p)
 
     def test_extra_cell_is_an_error(self, tmp_path):
