@@ -1,18 +1,21 @@
 """Command-line pipeline. `STAGES` is the one declaration of the eight
 stages: each `Stage` names its command words, its function and the
-artifacts it writes. The argument parser, the dispatch, the manifest's
-stage keys and the missing-artifact message (which names the command of
-the stage that writes the file) all read it.
+artifacts it writes on every run. The argument parser, the dispatch, the
+manifest's stage keys and the missing-artifact message (which names the
+command of the stage that writes the file) all read it. `ingest` is the one
+stage that holds the cleaned songs, so it writes all that is read off them:
+the artist profiles and the genre-by-year feature means.
 
 A stage reads and writes only through its `Context`, which records each
 file as the stage opens or writes it; after the stage the manifest
 (config snapshot, seed, SHA-256 of every input and output) is updated from
 those records, so it lists exactly what the stage read and wrote. Every
-CSV artifact goes through `ingest.write_table`/`ingest.read_table`.
+CSV artifact goes through `ingest.write_table`/`ingest.read_numbered`, and
+every typed cell read back from one through `_cells`.
 
 Exit codes: 0 success, 2 config error (including a configured input file
-or directory that does not exist), 3 data error, 4 missing upstream
-artifact.
+or directory that does not exist, and an unknown config key), 3 data
+error (in an input or an artifact), 4 missing upstream artifact.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ DEFAULT_CONFIG = {
     "forest": {"trees": 200, "max_depth": 8, "split": [0.10, 0.05, 0.05]},
     "thresholds": {"genre_matrix_prune": 0.05, "periphery": 0.5},
     "cluster": {"linkage": "average", "cut": 5},
-    "trend": None,  # optional {"genre": ..., "feature": ...}
     "phrases_file": None,
     "bios_dir": None,
 }
@@ -146,10 +148,6 @@ def _validate_config(cfg: dict) -> None:
         "forest.split", "must be three fractions summing to <= 1",
     )
     _require(cfg["cluster"]["linkage"] in ("average", "ward"), "cluster.linkage", "must be average or ward")
-    trend = cfg["trend"]
-    _require(trend is None or isinstance(trend, dict) and all(
-        isinstance(trend.get(k), str) for k in ("genre", "feature")),
-        "trend", "must be null or an object with string genre and feature")
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +202,42 @@ class Context:
     def write_table(self, name: str, header: list[str], rows) -> None:
         ingest.write_table(self.write(name), header, rows)
 
-    def read_rows(self, name: str):
-        return ingest.read_table(self.read(name))
+    def read_cells(self, name: str, columns: dict[str, Callable]):
+        """The `_cells` of each row of artifact `name`."""
+        path = self.read(name)
+        return (_cells(path, line, row, columns) for line, row in ingest.read_numbered(path, columns))
 
     def load_graph(self) -> graph.InfluenceGraph:
-        nodes = [graph.ArtistNode(int(r["id"]), r["name"], r["genre"], int(r["active_start"]))
-                 for r in self.read_rows("nodes.csv")]
-        edges = np.fromiter(((int(r["from"]), int(r["to"]), int(r["year_diff"]), float(r["weight"] or "nan"))
-                             for r in self.read_rows("edges.csv")), graph.EDGE_COLUMNS)
+        nodes = [graph.ArtistNode(*r) for r in self.read_cells(
+            "nodes.csv", {"id": int, "name": str, "genre": str, "active_start": int})]
+        edges = np.fromiter(self.read_cells("edges.csv", {
+            "from": int, "to": int, "year_diff": int, "weight": lambda w: float(w or "nan")}),
+            graph.EDGE_COLUMNS)
         return graph.InfluenceGraph.from_arrays(nodes, *(edges[c] for c in graph.EDGE_COLUMNS.names))
 
     def load_profiles(self, name: str) -> dict[int, np.ndarray]:
-        return {int(r["artist_id"]): np.array([float(v) for k, v in r.items() if k != "artist_id"])
-                for r in self.read_rows(name)}
+        path = self.read(name)
+        rows = (_cells(path, line, r, dict.fromkeys(r, float) | {"artist_id": int})
+                for line, r in ingest.read_numbered(path, ["artist_id"]))
+        return {r[0]: np.array(r[1:]) for r in rows}
 
     def load_scores(self) -> list[centrality.CentralityScores]:
-        return [centrality.CentralityScores(
-                    int(r["node_id"]), float(r["lc"]), float(r["sc"]), float(r["gc"]),
-                    float(r["ni"]), int(r["rank_ni"]))
-                for r in self.read_rows("centrality.csv")]
+        return [centrality.CentralityScores(*r) for r in self.read_cells("centrality.csv", {
+            "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})]
+
+
+def _cells(path, line: int, row: dict, columns: dict[str, Callable]) -> tuple:
+    """The `columns` cells of `row`, each converted by its function; a cell
+    one rejects, or a short row lacks, is a data error naming path:line and
+    the column."""
+    try:
+        return tuple([convert(row[c]) for c, convert in columns.items()])
+    except (TypeError, ValueError):
+        for c, convert in columns.items():
+            try:
+                convert(row[c])
+            except (TypeError, ValueError):
+                raise ingest.IngestError(f"{path}:{line}: bad {c} cell {row[c]!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -256,14 +271,14 @@ def _profile_header(width: int) -> list[str]:
 def stage_ingest(ctx: Context) -> None:
     influence_path, songs_path = ctx.read("influence_csv"), ctx.read("songs_csv")
     rows = ingest.load_influence(influence_path)
-    known = {r.influencer_id for r in rows} | {r.follower_id for r in rows}
-    songs, report = ingest.load_songs(songs_path, known_artist_ids=known)
+    genres = {a: n.genre for a, n in graph.artist_nodes(rows).items()}  # as nodes.csv records them
+    songs, report = ingest.load_songs(songs_path, known_artist_ids=genres)
     profiles = ingest.build_artist_profiles(songs)
     ingest.write_influence(ctx.write("influence_clean.csv"), rows)
-    ingest.write_songs(ctx.write("songs_clean.csv"), songs)
     ctx.write_text("cleaning_report.json", report.to_json())
     ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
                     ([a, *p] for a, p in profiles.items()))
+    ctx.write_table("genre_year_means.csv", genre.YEAR_MEANS_COLUMNS, genre.genre_year_means(songs, genres))
 
 
 def stage_graph_build(ctx: Context) -> None:
@@ -344,15 +359,6 @@ def stage_genre(ctx: Context) -> None:
     cross, selfp = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])
     ctx.write_table("genre_influence_matrix.csv", ["from_genre", "to_genre", "weight", "self_pair"],
                     [[gm, gn, w, 0] for gm, gn, w in cross] + [[gm, gn, w, 1] for gm, gn, w in selfp])
-
-    if cfg["trend"]:
-        songs, _ = ingest.load_songs(ctx.read("songs_clean.csv"))
-        gseries, aseries = genre.genre_feature_trend(
-            songs, cfg["trend"]["genre"], cfg["trend"]["feature"], genres
-        )
-        ctx.write_table("genre_trend.csv", ["genre", "year", "value"],
-                        [[cfg["trend"]["genre"], y, v] for y, v in sorted(gseries.items())]
-                        + [["__all__", y, v] for y, v in sorted(aseries.items())])
 
 
 def stage_authenticity(ctx: Context) -> None:
@@ -455,14 +461,15 @@ REPORT_PIECES = {
     "authenticity_summary.json": "authenticity",
     "elastic_net.json": "elastic_net",
 }
+REVOLUTION_LABELS = ("major", "non_major", "unlabeled")
 
 
 def stage_report(ctx: Context) -> None:
     report = {key: json.loads(ctx.read(name).read_text()) for name, key in REPORT_PIECES.items()}
-    counts = {"major": 0, "non_major": 0, "unlabeled": 0}
-    for row in ctx.read_rows("revolution_labels.csv"):
-        counts[row["label"]] += 1
-    report["revolution_label_counts"] = counts
+    counts = [0] * len(REVOLUTION_LABELS)
+    for (k,) in ctx.read_cells("revolution_labels.csv", {"label": REVOLUTION_LABELS.index}):
+        counts[k] += 1
+    report["revolution_label_counts"] = dict(zip(REVOLUTION_LABELS, counts))
     forest = json.loads(ctx.read("forest_model.json").read_text())
     forest.pop("trees", None)  # summaries only in the bundle
     report["forest"] = forest
@@ -473,7 +480,7 @@ def stage_report(ctx: Context) -> None:
 class Stage:
     command: str  # the words after `artistnet`
     fn: Callable[[Context], None]
-    writes: tuple[str, ...]  # every artifact the stage may write
+    writes: tuple[str, ...]  # every artifact the stage writes, on every run
 
     @property
     def name(self) -> str:
@@ -483,7 +490,7 @@ class Stage:
 
 STAGES = (
     Stage("ingest", stage_ingest,
-          ("influence_clean.csv", "songs_clean.csv", "cleaning_report.json", "artist_profiles.csv")),
+          ("influence_clean.csv", "cleaning_report.json", "artist_profiles.csv", "genre_year_means.csv")),
     Stage("graph build", stage_graph_build,
           ("nodes.csv", "edges.csv", "removed_edges.csv", "graph.dot", "graph_summary.json")),
     Stage("centrality", stage_centrality, ("centrality.csv", "year_diff_correlation.json")),
@@ -492,7 +499,7 @@ STAGES = (
     Stage("genre", stage_genre,
           ("genre_similarity_sampling.json", "genre_influence_sampling.json", "dendrogram.json",
            "dendrogram.newick", "genre_clusters.csv", "debut_counts.csv",
-           "genre_influence_matrix.csv", "genre_trend.csv")),  # genre_trend.csv only with `trend`
+           "genre_influence_matrix.csv")),
     Stage("authenticity", stage_authenticity,
           ("authenticity.csv", "authenticity_summary.json", "elastic_net.json")),
     Stage("revolution", stage_revolution, ("revolution_labels.csv", "forest_model.json")),

@@ -1,18 +1,25 @@
 """Genre-level analyses: within/between-genre similarity and influence
-sampling, hierarchical genre clustering, and genre time series (debut
-counts read off the graph's nodes, feature trends off the song table)."""
+sampling, hierarchical genre clustering, and genre time series: debut
+counts read off the graph's nodes, yearly feature means off the songs."""
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from artistnet.graph import InfluenceGraph
-from artistnet.ingest import FEATURES, NUMERIC, SongTable
+from artistnet.ingest import FEATURES, SongTable
 from artistnet.simvec import tss_rows
+
+
+# The genre-by-year feature means table; ALL names the series of all genres.
+YEAR = FEATURES.index("year")
+YEAR_MEANS_COLUMNS = ["genre", "year", "n_songs"] + FEATURES[:YEAR] + FEATURES[YEAR + 1:]
+ALL = "__all__"
 
 
 class GenreError(Exception):
@@ -297,33 +304,26 @@ def debut_counts(g: InfluenceGraph) -> dict[tuple[str, int], int]:
     return dict(Counter((n.genre, n.active_start) for n in g.nodes.values()))
 
 
-def genre_feature_trend(songs: SongTable, genre: str, feature: str,
-                        artist_genres: dict[int, str]):
-    """Per-year mean of a raw feature for one genre vs all genres.
-
-    A song belongs to a genre when any of its artists has that main genre;
-    the global series covers every song with a known-genre artist.
-    Returns ({year: genre_mean}, {year: global_mean}).
-    """
-    if feature not in FEATURES:
-        raise GenreError(f"unknown feature {feature!r}")
-    known = {g for g in artist_genres.values()}
-    if genre not in known:
-        raise GenreError(f"unknown genre {genre!r}")
-    genre_acc: dict[int, list[float]] = {}
-    global_acc: dict[int, list[float]] = {}
-    years = map(int, songs.values[:, NUMERIC.index("year")].tolist())
-    values = songs.values[:, NUMERIC.index(feature)].tolist()
-    for artist_ids, year, value in zip(songs.artist_ids, years, values):
-        song_genres = {artist_genres[a] for a in artist_ids if a in artist_genres}
-        if not song_genres:
-            continue
-        global_acc.setdefault(year, []).append(value)
-        if genre in song_genres:
-            genre_acc.setdefault(year, []).append(value)
-    genre_series = {y: float(np.mean(v)) for y, v in sorted(genre_acc.items())}
-    global_series = {y: float(np.mean(v)) for y, v in sorted(global_acc.items())}
-    return genre_series, global_series
+def genre_year_means(songs: SongTable, artist_genres: dict[int, str]) -> list[list]:
+    """Rows [series, year, n_songs, *means] (YEAR_MEANS_COLUMNS), sorted, of
+    each series and year with a song. A song is in each distinct genre its
+    artists have in `artist_genres` and, if in one, in ALL (a genre named
+    ALL merges into it). A mean is the sum in song order, as np.bincount
+    adds it, divided by n_songs."""
+    bins: dict[tuple[str, int], int] = {}
+    song, key = array("q"), array("q")  # 8 bytes an entry, no int objects
+    years = map(int, songs.values[:, YEAR].tolist())
+    for r, (artist_ids, year) in enumerate(zip(songs.artist_ids, years)):
+        member = {artist_genres[a] for a in artist_ids if a in artist_genres}
+        if member:
+            for series in member | {ALL}:
+                song.append(r)
+                key.append(bins.setdefault((series, year), len(bins)))
+    song, key = np.frombuffer(song, np.int64), np.frombuffer(key, np.int64)
+    counts = np.bincount(key, minlength=len(bins))
+    means = np.column_stack([np.bincount(key, songs.values[song, k], len(bins))
+                             for k in range(len(FEATURES)) if k != YEAR]) / counts[:, None]
+    return [[*series_year, int(counts[b]), *means[b].tolist()] for series_year, b in sorted(bins.items())]
 
 
 def genre_influence_matrix(g: InfluenceGraph, threshold: float = 0.05):

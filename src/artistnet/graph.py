@@ -163,15 +163,9 @@ class InfluenceGraph:
                                 inside[self.src] & inside[self.indices])
 
 
-def build_graph(rows: list[RawInfluenceRow]) -> InfluenceGraph:
-    """One node per distinct artist id, with its first row's name, genre
-    and active start, and one edge per row, as `load_influence` returns
-    them (one row per (influencer, follower) pair). Self-influence rows and
-    rows whose year difference x lies outside (YEAR_DIFF_MIN, YEAR_DIFF_MAX)
-    are dropped and counted; the rest are weighted
-    z = (x - YEAR_DIFF_MIN) / (x_max - YEAR_DIFF_MIN), in (0, 1], with
-    x_max the largest kept difference.
-    """
+def artist_nodes(rows: list[RawInfluenceRow]) -> dict[int, ArtistNode]:
+    """One node per distinct artist id of the influence rows, with the name,
+    genre and active start of the first row that names it."""
     nodes: dict[int, ArtistNode] = {}
     for row in rows:
         for aid, name, genre, start in (
@@ -180,6 +174,18 @@ def build_graph(rows: list[RawInfluenceRow]) -> InfluenceGraph:
         ):
             if aid not in nodes:
                 nodes[aid] = ArtistNode(id=aid, name=name, genre=genre, active_start=start)
+    return nodes
+
+
+def build_graph(rows: list[RawInfluenceRow]) -> InfluenceGraph:
+    """The `artist_nodes` of the rows and one edge per row, as
+    `load_influence` returns them (one row per (influencer, follower) pair).
+    Self-influence rows and rows whose year difference x lies outside
+    (YEAR_DIFF_MIN, YEAR_DIFF_MAX) are dropped and counted; the rest are
+    weighted z = (x - YEAR_DIFF_MIN) / (x_max - YEAR_DIFF_MIN), in (0, 1],
+    with x_max the largest kept difference.
+    """
+    nodes = artist_nodes(rows)
     src = np.array([r.influencer_id for r in rows], np.int64)
     dst = np.array([r.follower_id for r in rows], np.int64)
     diff = np.array([r.follower_active_start - r.influencer_active_start for r in rows], np.int64)

@@ -1,6 +1,8 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
 one CSV codec (`write_table`/`read_table`) every artifact goes through.
-Cleaned songs are one `SongTable`; artist profiles map id to mean vector."""
+Cleaned songs are one `SongTable`, held in memory only: the `ingest` stage
+writes what is read off it (artist profiles, which map id to mean vector,
+and genre-by-year feature means), not the table itself."""
 
 from __future__ import annotations
 
@@ -74,7 +76,6 @@ class SongTable:
     and mode truncated toward zero as int() does."""
     artist_ids: list[tuple[int, ...]]
     values: np.ndarray  # (len, 15) float64
-    unlinked: np.ndarray  # (len,) bool: no artist is in the influence table
 
     def __len__(self) -> int:
         return len(self.artist_ids)
@@ -134,13 +135,14 @@ def read_numbered(path, columns=()):
 
 
 def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
-    # Serialized as a bracketed comma-separated list, e.g. "[101, 202]".
+    # Serialized as a bracketed comma-separated list, e.g. "[101, 202]"; an
+    # id listed twice is kept once, at its first place.
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
     parts = [p.strip() for p in inner.split(",") if p.strip()]
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(dict.fromkeys(int(p) for p in parts))
     except ValueError as exc:
         raise IngestError(f"{path}:{lineno}: bad artist_ids {text!r}") from exc
 
@@ -195,12 +197,11 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     cell are dropped and counted; `explicit` and `mode` are always marked
     dropped. A cell that does not parse as a finite number is an error
     naming its line and column. When `known_artist_ids` is given, songs
-    none of whose artists appear in it are flagged `unlinked` (kept).
+    none of whose artists appear in it are kept and counted as unlinked.
     """
     report = CleaningReport()
     ids: list[tuple[int, ...]] = []
     flat = array("d")
-    unlinked: list[bool] = []
     for lineno, raw in read_numbered(path, SONG_COLUMNS):
         report.rows_read += 1
         cells = [raw[c] for c in NUMERIC]
@@ -221,31 +222,14 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
         if not (-60.0 <= row[LOUDNESS] <= 0.0):
             report.rows_dropped_loudness += 1
             continue
-        linked = known_artist_ids is None or any(a in known_artist_ids for a in artist_ids)
-        report.rows_flagged_unlinked += not linked
+        report.rows_flagged_unlinked += known_artist_ids is not None and not any(
+            a in known_artist_ids for a in artist_ids)
         ids.append(artist_ids)
         flat.extend(row)
-        unlinked.append(not linked)
     values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
     # int() truncation; adding 0.0 turns trunc's -0.0 into int()'s 0.
     values[:, TRUNCATED] = np.trunc(values[:, TRUNCATED]) + 0.0
-    return SongTable(ids, values, np.array(unlinked, dtype=bool)), report
-
-
-def write_songs(path, songs: SongTable) -> None:
-    """Serialize cleaned songs back to CSV (inverse of load_songs modulo
-    cleaning; used for the idempotence check and stage persistence). The
-    table becomes Python values a block of rows at a time: as Python floats
-    in lists, all of it at once would take 4-5 times the array's memory."""
-    def rows(step=4096):
-        for start in range(0, len(songs), step):
-            block = songs.values[start:start + step].tolist()
-            for artist_ids, row in zip(songs.artist_ids[start:start + step], block):
-                for k in TRUNCATED:
-                    row[k] = int(row[k])
-                yield ["[" + ", ".join(map(str, artist_ids)) + "]", *row]
-
-    write_table(path, SONG_COLUMNS, rows())
+    return SongTable(ids, values), report
 
 
 def write_influence(path, rows: list[RawInfluenceRow]) -> None:
@@ -254,10 +238,10 @@ def write_influence(path, rows: list[RawInfluenceRow]) -> None:
 
 def build_artist_profiles(songs: SongTable) -> dict[int, np.ndarray]:
     """Per-artist mean of the 13 retained features over all songs listing
-    that artist; a song with k artists contributes to all k profiles (a
-    song listing an artist twice counts twice). Sums accumulate in song
-    order from -0.0, the additive identity, so a profile is bit for bit the
-    left-to-right sum of its songs divided by their count."""
+    that artist; a song with k artists contributes to all k profiles.
+    Sums accumulate in song order from -0.0, the additive identity, so a
+    profile is bit for bit the left-to-right sum of its songs divided by
+    their count."""
     slot_of: dict[int, int] = {}
     slot = np.array([slot_of.setdefault(a, len(slot_of)) for ids in songs.artist_ids for a in ids],
                     dtype=np.intp)

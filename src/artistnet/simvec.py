@@ -213,13 +213,13 @@ def _pairwise_metric(X: np.ndarray, metric: str) -> np.ndarray:
 
 def uniqueness(vectors, metric: str) -> float:
     """Percentage of distinct pairwise metric values at 7-decimal rounding:
-    100 * distinct / C(n, 2)."""
+    100 * distinct / C(n, 2), counted as np.unique does, without its
+    numpy.ma import: as the sorted values' unequal neighbours, plus one."""
     X = np.asarray(vectors, dtype=float)
     if X.shape[0] < 2:
         raise SimvecError("uniqueness needs >= 2 vectors")
-    values = _pairwise_metric(X, metric)
-    rounded = np.round(values, 7)
-    return 100.0 * len(np.unique(rounded)) / len(values)
+    r = np.sort(np.round(_pairwise_metric(X, metric), 7))
+    return 100.0 * (1 + np.count_nonzero(r[1:] != r[:-1])) / len(r)
 
 
 def most_similar(query: int, profiles: dict[int, np.ndarray]):

@@ -377,7 +377,6 @@ class SongRecord:
     year: int
     mode: int
     explicit: int
-    unlinked: bool = False
 
     def feature_vector(self) -> np.ndarray:
         from artistnet.ingest import FEATURES
@@ -388,9 +387,10 @@ class SongRecord:
 def reference_load_songs(path, known_artist_ids=None):
     """One frozen record per kept song, cleaned by the rules of
     `ingest.load_songs`, one dict of parsed cells at a time; a cell that is
-    not a finite number raises the same IngestError."""
+    not a finite number raises the same IngestError. An artist listed twice
+    in one song is kept once, at its first place."""
     from artistnet.ingest import (DROPPED_COLUMNS, FEATURES, SONG_COLUMNS, CleaningReport,
-                                  IngestError, _parse_artist_ids, read_table)
+                                  IngestError, read_table)
 
     report = CleaningReport()
     songs = []
@@ -409,24 +409,30 @@ def reference_load_songs(path, known_artist_ids=None):
             if not math.isfinite(values[col]):
                 raise IngestError(
                     f"{path}:{lineno}: numeric field {col}={raw[col]!r} is not a finite number")
-        artist_ids = _parse_artist_ids(raw["artist_ids"], path, lineno)
+        inner = raw["artist_ids"].strip()
+        if inner.startswith("[") and inner.endswith("]"):
+            inner = inner[1:-1]
+        try:
+            listed = [int(p) for p in inner.split(",") if p.strip()]
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: bad artist_ids {raw['artist_ids']!r}") from None
+        artist_ids = ()
+        for artist in listed:
+            if artist not in artist_ids:
+                artist_ids += (artist,)
         if not artist_ids:
             report.rows_dropped_missing_artist += 1
             continue
         if not (-60.0 <= values["loudness"] <= 0.0):
             report.rows_dropped_loudness += 1
             continue
-        unlinked = known_artist_ids is not None and not any(
-            a in known_artist_ids for a in artist_ids
-        )
-        if unlinked:
+        if known_artist_ids is not None and not any(a in known_artist_ids for a in artist_ids):
             report.rows_flagged_unlinked += 1
         songs.append(SongRecord(
             artist_ids=artist_ids,
             **{c: values[c] for c in FEATURES if c not in ("key", "year")},
             key=int(values["key"]), year=int(values["year"]),
             mode=int(values["mode"]), explicit=int(values["explicit"]),
-            unlinked=unlinked,
         ))
     return songs, report
 
@@ -445,3 +451,29 @@ def reference_build_artist_profiles(songs) -> dict:
                 sums[artist] = vec.copy()
                 counts[artist] = 1
     return {a: sums[a] / counts[a] for a in sorted(sums)}
+
+
+def reference_genre_feature_trend(songs, genre: str, feature: str, artist_genres: dict):
+    """Per-year mean of a raw feature for one genre vs all genres, one year's
+    values collected in a list and averaged by np.mean.
+
+    A song belongs to a genre when any of its artists has that main genre;
+    the global series covers every song with a known-genre artist.
+    Returns ({year: genre_mean}, {year: global_mean}).
+    """
+    from artistnet.ingest import NUMERIC
+
+    genre_acc: dict[int, list[float]] = {}
+    global_acc: dict[int, list[float]] = {}
+    years = map(int, songs.values[:, NUMERIC.index("year")].tolist())
+    values = songs.values[:, NUMERIC.index(feature)].tolist()
+    for artist_ids, year, value in zip(songs.artist_ids, years, values):
+        song_genres = {artist_genres[a] for a in artist_ids if a in artist_genres}
+        if not song_genres:
+            continue
+        global_acc.setdefault(year, []).append(value)
+        if genre in song_genres:
+            genre_acc.setdefault(year, []).append(value)
+    genre_series = {y: float(np.mean(v)) for y, v in sorted(genre_acc.items())}
+    global_series = {y: float(np.mean(v)) for y, v in sorted(global_acc.items())}
+    return genre_series, global_series

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import edges_of
+from oracles import edges_of, reference_genre_feature_trend
 
 from artistnet import centrality, genre, graph, ingest
 from artistnet import cli
@@ -123,8 +123,8 @@ class TestPipeline:
         run_all(cfg_path)
         out = tmp_path / "out"
         expected = [
-            "influence_clean.csv", "songs_clean.csv", "cleaning_report.json",
-            "artist_profiles.csv", "nodes.csv", "edges.csv", "removed_edges.csv",
+            "influence_clean.csv", "cleaning_report.json", "artist_profiles.csv",
+            "genre_year_means.csv", "nodes.csv", "edges.csv", "removed_edges.csv",
             "graph.dot", "graph_summary.json", "centrality.csv",
             "year_diff_correlation.json", "pca_model.json",
             "profiles_standardized.csv", "profiles_projected.csv",
@@ -209,9 +209,6 @@ def test_genre_csv_artifacts_round_trip_awkward_genres(tmp_path):
     awkward = ["Stage, Screen & Film", 'Comedy/"Spoken"', "Música Latina"]
     genres = {i: awkward[0] if i <= 10 else awkward[1] if i <= 15 else awkward[2] for i in GENRES}
     cfg_path = write_fixture(tmp_path, genres=genres)
-    data = json.loads(cfg_path.read_text())
-    data["trend"] = {"genre": awkward[2], "feature": "energy"}
-    cfg_path.write_text(json.dumps(data))
     for stage in STAGES[:5]:
         assert main(stage + ["--config", str(cfg_path)]) == 0, stage
     out = tmp_path / "out"
@@ -228,11 +225,9 @@ def test_genre_csv_artifacts_round_trip_awkward_genres(tmp_path):
     cross, selfp = genre.genre_influence_matrix(g, 0.05)
     assert [(a, b, float(w), int(f)) for a, b, w, f in read("genre_influence_matrix.csv")] == (
         [(a, b, w, 0) for a, b, w in cross] + [(a, b, w, 1) for a, b, w in selfp])
-    songs, _ = ingest.load_songs(out / "songs_clean.csv")
-    series, everything = genre.genre_feature_trend(
-        songs, awkward[2], "energy", {i: n.genre for i, n in g.nodes.items()})
-    assert [(gn, int(y), float(v)) for gn, y, v in read("genre_trend.csv")] == (
-        [(awkward[2], y, v) for y, v in series.items()] + [("__all__", y, v) for y, v in everything.items()])
+    songs, _ = ingest.load_songs(tmp_path / "songs.csv")
+    means = [[gn, int(y), int(n), *map(float, cells)] for gn, y, n, *cells in read("genre_year_means.csv")]
+    assert means == genre.genre_year_means(songs, {i: n.genre for i, n in g.nodes.items()})
 
 
 def test_graph_artifacts_round_trip_awkward_names(tmp_path):
@@ -264,11 +259,11 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
     genres = {i: ADVERSARIAL_GENRES[0] if i <= 10 else ADVERSARIAL_GENRES[1] if i <= 15
               else ADVERSARIAL_GENRES[2] for i in GENRES}
     cfg_path = write_fixture(tmp_path, ADVERSARIAL_NAMES, genres)
-    configure(cfg_path, trend={"genre": ADVERSARIAL_GENRES[2], "feature": "energy"}, **write_bios(tmp_path))
+    configure(cfg_path, **write_bios(tmp_path))
     run_all(cfg_path)
     out = tmp_path / "out"
     tables = {p.name: list(ingest.read_table(p)) for p in sorted(out.glob("*.csv"))}
-    assert len(tables) == 15
+    assert len(tables) == 14
     for name, rows in tables.items():
         assert rows, name
         for row in rows:  # no cell lost or split off
@@ -282,7 +277,7 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
     assert clean == ingest.load_influence(tmp_path / "influence.csv")
     assert {r["genre"] for r in tables["genre_clusters.csv"]} == set(ADVERSARIAL_GENRES)
     assert {r["genre"] for r in tables["debut_counts.csv"]} == set(ADVERSARIAL_GENRES)
-    assert {r["genre"] for r in tables["genre_trend.csv"]} == {ADVERSARIAL_GENRES[2], "__all__"}
+    assert {r["genre"] for r in tables["genre_year_means.csv"]} == {*ADVERSARIAL_GENRES, "__all__"}
 
 
 def test_empty_weight_round_trips_and_blocks_decycling(tmp_path):
@@ -369,6 +364,60 @@ def test_forest_trains_at_the_default_split(tmp_path):
     assert json.loads((out / "report.json").read_text())["forest"]["trained"] is True
 
 
+def test_genre_year_means_match_the_reference(tmp_path):
+    """genre_year_means.csv on a seeded corpus whose songs list one to three
+    artists, some of them missing from the influence table."""
+    cfg_path = write_random_fixture(tmp_path)
+    rng = np.random.default_rng(11)
+    ingest.write_table(tmp_path / "songs.csv", ingest.SONG_COLUMNS, (
+        [str(rng.choice(180, size=rng.integers(1, 4), replace=False).tolist()),
+         *rng.uniform(0, 1, 4).tolist(), -float(rng.uniform(1, 30)), int(rng.integers(12)),
+         *rng.uniform(0, 1, 6).tolist(), int(rng.integers(1900, 1912)), 0, 1] for _ in range(800)))
+    for stage in STAGES[:2]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    out = tmp_path / "out"
+    features = genre.YEAR_MEANS_COLUMNS[3:]
+    table = [[r["genre"], int(r["year"]), int(r["n_songs"]), *(float(r[f]) for f in features)]
+             for r in ingest.read_table(out / "genre_year_means.csv")]
+    genres = {i: n.genre for i, n in reader(out).load_graph().nodes.items()}
+    songs, _ = ingest.load_songs(tmp_path / "songs.csv")
+    for name in sorted(set(genres.values())):
+        for k, feature in enumerate(features):
+            series, everything = reference_genre_feature_trend(songs, name, feature, genres)
+            for label, expected in ((name, series), ("__all__", everything)):
+                got = {row[1]: row[3 + k] for row in table if row[0] == label}
+                assert list(got) == list(expected)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0), (label, feature)
+    # Exactly the plain left-to-right sum over the series' songs, divided by their count.
+    members: dict[tuple[str, int], list[list[float]]] = {}
+    for ids, row in zip(songs.artist_ids, songs.values.tolist()):
+        series = {genres[a] for a in ids if a in genres}
+        for label in series | {"__all__"} if series else ():
+            members.setdefault((label, int(row[ingest.FEATURES.index("year")])), []).append(row)
+    assert table == [[label, year, len(rows), *(sum(r[ingest.FEATURES.index(f)] for r in rows) / len(rows)
+                                                 for f in features)]
+                     for (label, year), rows in sorted(members.items())]
+
+
+@pytest.mark.parametrize("artifact, column, upstream, stage", [
+    ("edges.csv", "year_diff", 2, "centrality"),  # Context.load_graph
+    ("artist_profiles.csv", "c3", 1, "similarity"),  # Context.load_profiles
+    ("centrality.csv", "ni", 4, "revolution"),  # Context.load_scores
+    ("revolution_labels.csv", "label", 7, "report"),  # a label other than the three
+])
+def test_bad_artifact_cell_is_a_data_error(tmp_path, capsys, artifact, column, upstream, stage):
+    cfg_path = write_fixture(tmp_path)
+    for argv in STAGES[:upstream]:
+        assert main(argv + ["--config", str(cfg_path)]) == 0, argv
+    path = tmp_path / "out" / artifact
+    rows = list(ingest.read_table(path))
+    rows[0][column] = "x"  # line 2
+    ingest.write_table(path, list(rows[0]), (list(r.values()) for r in rows))
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}:2: bad {column} cell 'x'\n"
+
+
 @pytest.mark.parametrize("cells, column", [
     ({"key": "nan"}, "key"), ({"year": "inf"}, "year"), ({"danceability": "nan"}, "danceability")])
 def test_non_finite_song_cell_is_a_data_error(tmp_path, capsys, cells, column):
@@ -387,14 +436,15 @@ class TestManifest:
     def test_inputs_are_every_file_read(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
         bios = write_bios(tmp_path)
-        configure(cfg_path, trend={"genre": "jazz", "feature": "energy"}, **bios)
+        configure(cfg_path, **bios)
         run_all(cfg_path)
         out = tmp_path / "out"
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         artifacts = lambda *names: {str(out / n) for n in names}
+        assert set(stages["ingest"]["inputs"]) == {str(tmp_path / n) for n in ("influence.csv", "songs.csv")}
         assert set(stages["genre"]["inputs"]) == artifacts(
             "nodes.csv", "edges.csv", "profiles_projected.csv", "profiles_standardized.csv",
-            "centrality.csv", "songs_clean.csv")
+            "centrality.csv")
         assert set(stages["revolution"]["inputs"]) == artifacts(
             "nodes.csv", "edges.csv", "centrality.csv", "profiles_standardized.csv") | {
             bios["phrases_file"], str(Path(bios["bios_dir"]) / "1.txt"),
@@ -402,7 +452,6 @@ class TestManifest:
 
     def test_outputs_are_the_declared_writes(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
-        configure(cfg_path, trend={"genre": "jazz", "feature": "energy"})
         run_all(cfg_path)
         stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
         assert sorted(s.name for s in cli.STAGES) == sorted(stages)
@@ -509,7 +558,8 @@ class TestConfigErrors:
         assert f"config field '{field}':" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, field", [
-        ({"sede": 3}, "sede"), ({"forest": {"tress": 10}}, "forest.tress")])
+        ({"sede": 3}, "sede"), ({"forest": {"tress": 10}}, "forest.tress"),
+        ({"trend": {"genre": "jazz", "feature": "energy"}}, "trend")])
     def test_unknown_field_is_named(self, tmp_path, capsys, override, field):
         cfg_path = write_fixture(tmp_path)
         configure(cfg_path, **override)

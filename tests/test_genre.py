@@ -6,18 +6,19 @@ from oracles import reference_sample_similarity
 
 from artistnet.centrality import CentralityScores
 from artistnet.genre import (
+    YEAR_MEANS_COLUMNS,
     GenreError,
     SamplingConfig,
     cluster_genres,
     debut_counts,
-    genre_feature_trend,
     genre_influence_matrix,
+    genre_year_means,
     influence_proximity,
     sample_influence,
     sample_similarity,
 )
 from artistnet.graph import InfluenceGraph, build_graph
-from artistnet.ingest import NUMERIC, RawInfluenceRow, SongTable
+from artistnet.ingest import FEATURES, NUMERIC, RawInfluenceRow, SongTable
 from artistnet.simvec import tss
 
 
@@ -266,35 +267,45 @@ class TestDebutCounts:
 
 
 class TestFeatureTrend:
+    """Hand cases for `genre_year_means`, read for the energy column."""
+
     def make_songs(self, specs):
         values = np.full((len(specs), len(NUMERIC)), 0.5)
         for row, (_, year, energy) in zip(values, specs):
             row[NUMERIC.index("year")], row[NUMERIC.index("energy")] = year, energy
-        return SongTable([(artist,) for artist, _, _ in specs], values, np.zeros(len(specs), bool))
+        return SongTable([a if isinstance(a, tuple) else (a,) for a, _, _ in specs], values)
+
+    def energy(self, songs, genres):
+        """{(series, year): (n_songs, mean energy)} of the table."""
+        col = YEAR_MEANS_COLUMNS.index("energy")
+        return {(r[0], r[1]): (r[2], r[col]) for r in genre_year_means(songs, genres)}
 
     def test_all_songs_genre_coincides_with_global(self):
         songs = self.make_songs([(1, 1970, 0.2), (2, 1970, 0.4), (1, 1980, 0.9)])
-        gs, alls = genre_feature_trend(songs, "only", "energy", {1: "only", 2: "only"})
-        assert gs == alls
+        rows = genre_year_means(songs, {1: "only", 2: "only"})
+        assert [r[0] for r in rows] == ["__all__", "__all__", "only", "only"]
+        assert [r[1:] for r in rows[:2]] == [r[1:] for r in rows[2:]]
 
     def test_single_song_year(self):
         songs = self.make_songs([(1, 1970, 0.7)])
-        gs, _ = genre_feature_trend(songs, "g", "energy", {1: "g"})
-        assert gs == {1970: pytest.approx(0.7)}
+        means = [songs.values[0, FEATURES.index(f)] for f in YEAR_MEANS_COLUMNS[3:]]
+        assert genre_year_means(songs, {1: "g"}) == [["__all__", 1970, 1, *means], ["g", 1970, 1, *means]]
 
     def test_two_genre_hand_means(self):
         songs = self.make_songs([(1, 1970, 0.2), (2, 1970, 0.8), (1, 1980, 0.4)])
-        gs, alls = genre_feature_trend(songs, "a", "energy", {1: "a", 2: "b"})
-        assert gs[1970] == pytest.approx(0.2)
-        assert alls[1970] == pytest.approx(0.5)
-        assert gs[1980] == pytest.approx(0.4)
+        assert self.energy(songs, {1: "a", 2: "b"}) == {
+            ("__all__", 1970): (2, 0.5), ("__all__", 1980): (1, 0.4),
+            ("a", 1970): (1, 0.2), ("a", 1980): (1, 0.4), ("b", 1970): (1, 0.8)}
 
-    def test_unknown_genre_or_feature(self):
-        songs = self.make_songs([(1, 1970, 0.2)])
-        with pytest.raises(GenreError):
-            genre_feature_trend(songs, "missing", "energy", {1: "a"})
-        with pytest.raises(GenreError):
-            genre_feature_trend(songs, "a", "notafeature", {1: "a"})
+    def test_membership(self):
+        # A song counts once per distinct genre of its known artists and once
+        # in __all__; a song without a known artist belongs to no series.
+        songs = self.make_songs([((1, 2), 1970, 0.2), ((1, 3), 1970, 0.6), (9, 1970, 0.9)])
+        assert self.energy(songs, {1: "a", 2: "a", 3: "b"}) == {
+            ("__all__", 1970): (2, 0.4), ("a", 1970): (2, 0.4), ("b", 1970): (1, 0.6)}
+
+    def test_no_linked_song_gives_no_rows(self):
+        assert genre_year_means(self.make_songs([(9, 1970, 0.9)]), {1: "a"}) == []
 
 
 class TestGenreInfluenceMatrix:

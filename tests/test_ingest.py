@@ -16,7 +16,6 @@ from artistnet.ingest import (
     load_songs,
     read_table,
     write_influence,
-    write_songs,
     write_table,
 )
 
@@ -193,8 +192,7 @@ class TestLoadSongs:
         p = tmp_path / "songs.csv"
         write_lines(p, [SONG_HEADER, song_row(artist_ids="[1]"), song_row(artist_ids="[9]")])
         songs, report = load_songs(p, known_artist_ids={1})
-        flags = dict(zip(songs.artist_ids, songs.unlinked.tolist()))
-        assert flags == {(1,): False, (9,): True}
+        assert songs.artist_ids == [(1,), (9,)]  # both kept
         assert report.rows_flagged_unlinked == 1
 
     def test_report_counts_partition_drops(self, tmp_path):
@@ -212,22 +210,6 @@ class TestLoadSongs:
         assert report.rows_read == 4
         assert drops == 3 and len(songs) == 1
         assert report.rows_read >= drops
-
-    def test_load_serialize_load_idempotent(self, tmp_path):
-        p = tmp_path / "songs.csv"
-        write_lines(p, [
-            SONG_HEADER,
-            song_row(artist_ids="[1, 2]", danceability=0.123456789),
-            song_row(loudness=-59.999),
-        ])
-        songs1, _ = load_songs(p)
-        q = tmp_path / "roundtrip.csv"
-        write_songs(q, songs1)
-        songs2, report2 = load_songs(q)
-        assert songs1.artist_ids == songs2.artist_ids
-        assert songs1.values.tobytes() == songs2.values.tobytes()
-        assert songs1.unlinked.tolist() == songs2.unlinked.tolist()
-        assert report2.rows_read == len(songs1)
 
     def test_influence_roundtrip(self, tmp_path):
         p = tmp_path / "inf.csv"
@@ -278,6 +260,16 @@ class TestArtistProfiles:
         a = build_artist_profiles(self.make_songs(tmp_path, rows))
         b = build_artist_profiles(self.make_songs(tmp_path, rows[::-1]))
         np.testing.assert_allclose(a[3], b[3])
+
+    def test_artist_listed_twice_counts_once(self, tmp_path):
+        songs = self.make_songs(tmp_path, [
+            song_row(artist_ids="[1, 1]", danceability=0.2),
+            song_row(artist_ids="[2, 1, 2]", danceability=0.6),
+        ])
+        assert songs.artist_ids == [(1,), (2, 1)]
+        profiles = build_artist_profiles(songs)
+        assert profiles[1][FEATURES.index("danceability")] == (0.2 + 0.6) / 2
+        assert profiles[2][FEATURES.index("danceability")] == 0.6
 
     def test_artist_with_no_songs_absent(self, tmp_path):
         songs = self.make_songs(tmp_path, [song_row(artist_ids="[1]")])
@@ -337,7 +329,6 @@ class TestSongTableMatchesReference:
         assert report == expected_report
         assert len(table) == len(songs)
         assert table.artist_ids == [s.artist_ids for s in songs]
-        assert table.unlinked.tolist() == [s.unlinked for s in songs]
         reference = np.array([[float(getattr(s, c)) for c in ingest.NUMERIC] for s in songs])
         assert table.values.tobytes() == reference.reshape(-1, 15).tobytes()
         profiles = build_artist_profiles(table)
@@ -353,7 +344,6 @@ class TestSongTableMatchesReference:
 PROFILE = ["i"] + ["f"] * 13
 TABLE_LAYOUTS = {
     "influence_clean.csv": ["i", "s", "s", "i", "i", "s", "s", "i"],
-    "songs_clean.csv": ["s"] + ["i" if f in ("key", "year") else "f" for f in FEATURES] + ["i", "i"],
     "artist_profiles.csv": PROFILE,
     "profiles_standardized.csv": PROFILE,
     "profiles_projected.csv": PROFILE[:6],
@@ -364,7 +354,7 @@ TABLE_LAYOUTS = {
     "genre_clusters.csv": ["s", "i"],
     "debut_counts.csv": ["s", "i", "i"],
     "genre_influence_matrix.csv": ["s", "s", "f", "i"],
-    "genre_trend.csv": ["s", "i", "f"],
+    "genre_year_means.csv": ["s", "i", "i"] + ["f"] * (len(FEATURES) - 1),
     "authenticity.csv": ["i", "f", "i", "f"],
     "revolution_labels.csv": ["i", "s", "s"],
 }
