@@ -18,6 +18,7 @@ from artistnet.graph import GraphError, InfluenceGraph
 from artistnet.simvec import tss_rows
 
 DEFAULT_ALPHA = 0.8
+VAL_FRACTION = 0.2  # the share of rows, at the tail, that elastic_net_grid validates on
 
 
 class AuthRevError(Exception):
@@ -221,13 +222,12 @@ def elastic_net_fit(X, y, lam: float, alpha_mix: float = 0.5,
     )
 
 
-def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5,
-                     val_fraction: float = 0.2) -> ElasticNetFit:
+def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit:
     """Pick lambda from the grid by validation MSE on a tail split."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
-    cut = max(1, int(round(n * (1.0 - val_fraction))))
+    cut = max(1, int(round(n * (1.0 - VAL_FRACTION))))
     Xt, yt = X[:cut], y[:cut]
     Xv, yv = X[cut:], y[cut:]
     if len(yv) == 0:

@@ -10,12 +10,14 @@ A stage reads and writes only through its `Context`, which records each
 file as the stage opens or writes it; after the stage the manifest
 (config snapshot, seed, SHA-256 of every input and output) is updated from
 those records, so it lists exactly what the stage read and wrote. Every
-CSV artifact goes through `ingest.write_table`/`ingest.read_numbered`, and
-every typed cell read back from one through `_cells`.
+CSV artifact is written by `ingest.write_table` and read back, typed, by
+`ingest.read_typed`; text and JSON inputs are read by `Context.read_text`
+and `Context.read_json`.
 
 Exit codes: 0 success, 2 config error (including a configured input file
 or directory that does not exist, and an unknown config key), 3 data
-error (in an input or an artifact), 4 missing upstream artifact.
+error (in an input or an artifact: a bad or missing cell, text that is
+not UTF-8, JSON that does not parse), 4 missing upstream artifact.
 """
 
 from __future__ import annotations
@@ -202,10 +204,22 @@ class Context:
     def write_table(self, name: str, header: list[str], rows) -> None:
         ingest.write_table(self.write(name), header, rows)
 
-    def read_cells(self, name: str, columns: dict[str, Callable]):
-        """The `_cells` of each row of artifact `name`."""
+    def read_text(self, name: str | Path) -> str:
+        """The text of input `name` (see `read`), which must be UTF-8."""
+        return ingest.read_text(self.read(name))
+
+    def read_json(self, name: str):
+        """The JSON value of input `name`; bad JSON is a data error."""
         path = self.read(name)
-        return (_cells(path, line, row, columns) for line, row in ingest.read_numbered(path, columns))
+        try:
+            return json.loads(ingest.read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ingest.IngestError(f"{path}:{exc.lineno}: not JSON ({exc.msg})") from None
+
+    def read_cells(self, name: str, columns):
+        """The `ingest.read_typed` values of each row of artifact `name`."""
+        path = self.read(name)
+        return (cells for _, cells in ingest.read_typed(path, columns))
 
     def load_graph(self) -> graph.InfluenceGraph:
         nodes = [graph.ArtistNode(*r) for r in self.read_cells(
@@ -215,29 +229,14 @@ class Context:
             graph.EDGE_COLUMNS)
         return graph.InfluenceGraph.from_arrays(nodes, *(edges[c] for c in graph.EDGE_COLUMNS.names))
 
-    def load_profiles(self, name: str) -> dict[int, np.ndarray]:
-        path = self.read(name)
-        rows = (_cells(path, line, r, dict.fromkeys(r, float) | {"artist_id": int})
-                for line, r in ingest.read_numbered(path, ["artist_id"]))
+    def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
+        """Artist id -> vector of the first `width` columns of profile table `name`."""
+        rows = self.read_cells(name, {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
         return {r[0]: np.array(r[1:]) for r in rows}
 
     def load_scores(self) -> list[centrality.CentralityScores]:
         return [centrality.CentralityScores(*r) for r in self.read_cells("centrality.csv", {
             "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})]
-
-
-def _cells(path, line: int, row: dict, columns: dict[str, Callable]) -> tuple:
-    """The `columns` cells of `row`, each converted by its function; a cell
-    one rejects, or a short row lacks, is a data error naming path:line and
-    the column."""
-    try:
-        return tuple([convert(row[c]) for c, convert in columns.items()])
-    except (TypeError, ValueError):
-        for c, convert in columns.items():
-            try:
-                convert(row[c])
-            except (TypeError, ValueError):
-                raise ingest.IngestError(f"{path}:{line}: bad {c} cell {row[c]!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -306,7 +305,7 @@ def stage_centrality(ctx: Context) -> None:
 
 
 def stage_similarity(ctx: Context) -> None:
-    raw = ctx.load_profiles("artist_profiles.csv")
+    raw = ctx.load_profiles("artist_profiles.csv", len(ingest.FEATURES))
     ids = sorted(raw)
     X = np.array([raw[i] for i in ids])
     std = simvec.standardize(X)
@@ -330,8 +329,8 @@ def stage_similarity(ctx: Context) -> None:
 def stage_genre(ctx: Context) -> None:
     cfg = ctx.cfg
     g = ctx.load_graph()
-    projected = ctx.load_profiles("profiles_projected.csv")
-    standardized = ctx.load_profiles("profiles_standardized.csv")
+    projected = ctx.load_profiles("profiles_projected.csv", cfg["pca_k"])
+    standardized = ctx.load_profiles("profiles_standardized.csv", len(ingest.FEATURES))
     scores = ctx.load_scores()
     genres = {i: n.genre for i, n in g.nodes.items()}
 
@@ -364,8 +363,8 @@ def stage_genre(ctx: Context) -> None:
 def stage_authenticity(ctx: Context) -> None:
     cfg = ctx.cfg
     g = ctx.load_graph()
-    projected = ctx.load_profiles("profiles_projected.csv")
-    standardized = ctx.load_profiles("profiles_standardized.csv")
+    projected = ctx.load_profiles("profiles_projected.csv", cfg["pca_k"])
+    standardized = ctx.load_profiles("profiles_standardized.csv", len(ingest.FEATURES))
     scores = ctx.load_scores()
 
     auth_scores, summary = authrev.authenticity(
@@ -389,23 +388,19 @@ def stage_revolution(ctx: Context) -> None:
     cfg = ctx.cfg
     g = ctx.load_graph()
     scores = ctx.load_scores()
-    standardized = ctx.load_profiles("profiles_standardized.csv")
+    standardized = ctx.load_profiles("profiles_standardized.csv", len(ingest.FEATURES))
 
     periphery = {s.node_id: authrev.periphery_score(g, s.node_id) for s in scores}
     keyword_ids: set[int] = set()
     if cfg["phrases_file"] and cfg["bios_dir"]:
-        phrases = [
-            line.strip()
-            for line in ctx.read("phrases_file").read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        phrases = [line.strip() for line in ctx.read_text("phrases_file").splitlines() if line.strip()]
         bios = {}
         for path in sorted(ctx.read("bios_dir").glob("*.txt")):
             try:
                 artist = int(path.stem)
-                bios[artist] = ctx.read(path).read_text(encoding="utf-8")
             except ValueError:
                 continue
+            bios[artist] = ctx.read_text(path)
         keyword_ids, _missing = authrev.semantic_match(phrases, bios)
 
     labels = authrev.label_revolutionaries(
@@ -465,12 +460,12 @@ REVOLUTION_LABELS = ("major", "non_major", "unlabeled")
 
 
 def stage_report(ctx: Context) -> None:
-    report = {key: json.loads(ctx.read(name).read_text()) for name, key in REPORT_PIECES.items()}
+    report = {key: ctx.read_json(name) for name, key in REPORT_PIECES.items()}
     counts = [0] * len(REVOLUTION_LABELS)
     for (k,) in ctx.read_cells("revolution_labels.csv", {"label": REVOLUTION_LABELS.index}):
         counts[k] += 1
     report["revolution_label_counts"] = dict(zip(REVOLUTION_LABELS, counts))
-    forest = json.loads(ctx.read("forest_model.json").read_text())
+    forest = ctx.read_json("forest_model.json")
     forest.pop("trees", None)  # summaries only in the bundle
     report["forest"] = forest
     ctx.write_json("report.json", report)

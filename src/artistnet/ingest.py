@@ -1,8 +1,8 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
-one CSV codec (`write_table`/`read_table`) every artifact goes through.
-Cleaned songs are one `SongTable`, held in memory only: the `ingest` stage
-writes what is read off it (artist profiles, which map id to mean vector,
-and genre-by-year feature means), not the table itself."""
+one CSV codec (`write_table`/`read_numbered`/`read_typed`) every table goes
+through. Cleaned songs are one `SongTable`, held in memory only: the
+`ingest` stage writes what is read off it (artist profiles, which map id to
+mean vector, and genre-by-year feature means), not the table itself."""
 
 from __future__ import annotations
 
@@ -36,16 +36,16 @@ FEATURES = [
 
 DROPPED_COLUMNS = ["explicit", "mode"]
 
-INFLUENCE_COLUMNS = [
-    "influencer_id",
-    "influencer_name",
-    "influencer_main_genre",
-    "influencer_active_start",
-    "follower_id",
-    "follower_name",
-    "follower_main_genre",
-    "follower_active_start",
-]
+INFLUENCE_COLUMNS = {  # each column of the influence table, with the type of its cells
+    "influencer_id": int,
+    "influencer_name": str,
+    "influencer_main_genre": str,
+    "influencer_active_start": int,
+    "follower_id": int,
+    "follower_name": str,
+    "follower_main_genre": str,
+    "follower_active_start": int,
+}
 
 SONG_COLUMNS = ["artist_ids"] + FEATURES + DROPPED_COLUMNS
 NUMERIC = SONG_COLUMNS[1:]
@@ -109,29 +109,64 @@ def write_table(path, header, rows) -> None:
         w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def read_table(path, columns=()):
-    """The rows of `read_numbered`, without their line numbers."""
-    return (row for _, row in read_numbered(path, columns))
+def read_numbered(path, columns):
+    """(line, cells) for each row of a CSV file, read lazily: `cells` are
+    the row's string cells of `columns`, in that order, None where a short
+    row ends; `line` is the reader's line number. Blank lines are skipped,
+    and a name the header repeats reads its last position. Raises
+    IngestError when the header lacks one of `columns`, when a row has more
+    cells than the header, or when the file is not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            position = {c: k for k, c in enumerate(header)}
+            missing = [c for c in columns if c not in position]
+            if missing:
+                raise IngestError(f"{path}: missing column(s) {missing}")
+            picks, width = [position[c] for c in columns], len(header)
+            for row in reader:
+                if len(row) > width:
+                    raise IngestError(f"{path}:{reader.line_num}: {len(row)} cells, header has {width}")
+                if row:
+                    row += [None] * (width - len(row))
+                    yield reader.line_num, [row[k] for k in picks]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
-def read_numbered(path, columns=()):
-    """(line, row) for each row of a CSV file, read lazily: the row is a
-    dict keyed by the header and `line` is the reader's line number (the
-    last line of a row whose quoted cell spans lines). Blank lines are
-    skipped and every cell stays a string (an empty one, such as
-    write_table's None, reads as ""). Raises IngestError when the header
-    lacks one of `columns`, or when a row has more cells than the header
-    (DictReader files the extra cells under the key None)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise IngestError(f"{path}: missing column(s) {missing}")
-        for row in reader:
-            if None in row:
-                width = len(reader.fieldnames)
-                raise IngestError(f"{path}:{reader.line_num}: {width + len(row[None])} cells, header has {width}")
-            yield reader.line_num, row
+def read_typed(path, columns):
+    """(line, values) for each row of `read_numbered`: `columns` maps each
+    column to the function that types its cells, and `values` is the tuple
+    of typed cells. A short row is an IngestError naming path:line and its
+    first missing column; a cell a function rejects, one naming path:line,
+    the column and the text."""
+    names, converters = list(columns), list(columns.values())
+    for line, cells in read_numbered(path, names):
+        if None in cells:
+            raise IngestError(f"{path}:{line}: missing {names[cells.index(None)]} cell")
+        try:
+            values = tuple([convert(cell) for convert, cell in zip(converters, cells)])
+        except (TypeError, ValueError):
+            for column, convert, cell in zip(names, converters, cells):
+                try:
+                    convert(cell)
+                except (TypeError, ValueError):
+                    raise IngestError(f"{path}:{line}: bad {column} cell {cell!r}") from None
+        yield line, values
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; IngestError naming it when it is not."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> IngestError:
+    return IngestError(f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})")
 
 
 def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
@@ -161,20 +196,8 @@ def load_influence(path) -> list[RawInfluenceRow]:
     rows: list[RawInfluenceRow] = []
     seen: set[tuple[int, int]] = set()
     starts: dict[int, int] = {}
-    for lineno, raw in read_numbered(path, INFLUENCE_COLUMNS):
-        try:
-            row = RawInfluenceRow(
-                influencer_id=int(raw["influencer_id"]),
-                influencer_name=raw["influencer_name"],
-                influencer_main_genre=raw["influencer_main_genre"],
-                influencer_active_start=int(raw["influencer_active_start"]),
-                follower_id=int(raw["follower_id"]),
-                follower_name=raw["follower_name"],
-                follower_main_genre=raw["follower_main_genre"],
-                follower_active_start=int(raw["follower_active_start"]),
-            )
-        except (TypeError, ValueError, KeyError) as exc:
-            raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
+    for lineno, cells in read_typed(path, INFLUENCE_COLUMNS):
+        row = RawInfluenceRow(*cells)
         if row.influencer_id < 0 or row.follower_id < 0:
             raise IngestError(f"{path}:{lineno}: negative artist id")
         for aid, start in ((row.influencer_id, row.influencer_active_start),
@@ -202,9 +225,8 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     report = CleaningReport()
     ids: list[tuple[int, ...]] = []
     flat = array("d")
-    for lineno, raw in read_numbered(path, SONG_COLUMNS):
+    for lineno, (id_cell, *cells) in read_numbered(path, SONG_COLUMNS):
         report.rows_read += 1
-        cells = [raw[c] for c in NUMERIC]
         try:
             row = [float(c) for c in cells]
         except (TypeError, ValueError):  # a missing cell (blank, or None in a short row) fails too
@@ -215,7 +237,7 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
         if row is None or not all(map(math.isfinite, row)):
             col, cell = next((c, v) for c, v in zip(NUMERIC, cells) if not _is_finite(v))
             raise IngestError(f"{path}:{lineno}: numeric field {col}={cell!r} is not a finite number")
-        artist_ids = _parse_artist_ids(raw["artist_ids"], path, lineno)
+        artist_ids = _parse_artist_ids(id_cell, path, lineno)
         if not artist_ids:
             report.rows_dropped_missing_artist += 1
             continue

@@ -5,6 +5,7 @@ distances come from networkx, and every formula is evaluated directly
 with explicit loops.
 """
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -386,16 +387,17 @@ class SongRecord:
 
 def reference_load_songs(path, known_artist_ids=None):
     """One frozen record per kept song, cleaned by the rules of
-    `ingest.load_songs`, one dict of parsed cells at a time; a cell that is
+    `ingest.load_songs`, one csv.DictReader row at a time; a cell that is
     not a finite number raises the same IngestError. An artist listed twice
     in one song is kept once, at its first place."""
-    from artistnet.ingest import (DROPPED_COLUMNS, FEATURES, SONG_COLUMNS, CleaningReport,
-                                  IngestError, read_table)
+    from artistnet.ingest import DROPPED_COLUMNS, FEATURES, CleaningReport, IngestError
 
     report = CleaningReport()
     songs = []
     numeric = FEATURES + DROPPED_COLUMNS
-    for lineno, raw in enumerate(read_table(path, SONG_COLUMNS), start=2):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for lineno, raw in enumerate(rows, start=2):
         report.rows_read += 1
         if any((raw.get(c) or "").strip() == "" for c in numeric):
             report.rows_dropped_missing_value += 1

@@ -93,6 +93,12 @@ def reader(out: Path) -> cli.Context:
     return cli.Context({"out_dir": str(out)}, None)
 
 
+def read_rows(path: Path) -> list[dict]:
+    """The rows of a CSV file as csv.DictReader gives them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def run_all(cfg_path: Path, extra=()):
     for stage in STAGES:
         code = main(stage + ["--config", str(cfg_path)] + list(extra))
@@ -262,7 +268,7 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
     configure(cfg_path, **write_bios(tmp_path))
     run_all(cfg_path)
     out = tmp_path / "out"
-    tables = {p.name: list(ingest.read_table(p)) for p in sorted(out.glob("*.csv"))}
+    tables = {p.name: read_rows(p) for p in sorted(out.glob("*.csv"))}
     assert len(tables) == 14
     for name, rows in tables.items():
         assert rows, name
@@ -378,7 +384,7 @@ def test_genre_year_means_match_the_reference(tmp_path):
     out = tmp_path / "out"
     features = genre.YEAR_MEANS_COLUMNS[3:]
     table = [[r["genre"], int(r["year"]), int(r["n_songs"]), *(float(r[f]) for f in features)]
-             for r in ingest.read_table(out / "genre_year_means.csv")]
+             for r in read_rows(out / "genre_year_means.csv")]
     genres = {i: n.genre for i, n in reader(out).load_graph().nodes.items()}
     songs, _ = ingest.load_songs(tmp_path / "songs.csv")
     for name in sorted(set(genres.values())):
@@ -410,7 +416,7 @@ def test_bad_artifact_cell_is_a_data_error(tmp_path, capsys, artifact, column, u
     for argv in STAGES[:upstream]:
         assert main(argv + ["--config", str(cfg_path)]) == 0, argv
     path = tmp_path / "out" / artifact
-    rows = list(ingest.read_table(path))
+    rows = read_rows(path)
     rows[0][column] = "x"  # line 2
     ingest.write_table(path, list(rows[0]), (list(r.values()) for r in rows))
     capsys.readouterr()
@@ -423,13 +429,66 @@ def test_bad_artifact_cell_is_a_data_error(tmp_path, capsys, artifact, column, u
 def test_non_finite_song_cell_is_a_data_error(tmp_path, capsys, cells, column):
     cfg_path = write_fixture(tmp_path)
     songs = tmp_path / "songs.csv"
-    rows = list(ingest.read_table(songs))
+    rows = read_rows(songs)
     rows[3].update(cells)  # line 5 of the file
     ingest.write_table(songs, ingest.SONG_COLUMNS, ([r[c] for c in ingest.SONG_COLUMNS] for r in rows))
     assert main(["ingest", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert f"{songs}:5: numeric field {column}=" in err
     assert err.count("\n") == 1
+
+
+def test_missing_artifact_cell_is_a_data_error(tmp_path, capsys):
+    cfg_path = write_fixture(tmp_path)
+    for stage in STAGES[:2]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    nodes = tmp_path / "out" / "nodes.csv"
+    lines = nodes.read_text(encoding="utf-8").splitlines()
+    nodes.write_text("\n".join([lines[0], lines[1].split(",")[0], *lines[2:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["centrality", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {nodes}:2: missing name cell\n"
+
+
+def corrupt_utf8(path: Path) -> None:
+    """Put a 0xff byte, which UTF-8 never uses, into the last line of `path`."""
+    data = path.read_bytes()
+    path.write_bytes(data[:-3] + b"\xff" + data[-3:])
+
+
+@pytest.mark.parametrize("name", ["songs.csv", "influence.csv"])
+def test_non_utf8_input_table_is_a_data_error(tmp_path, capsys, name):
+    cfg_path = write_fixture(tmp_path)
+    corrupt_utf8(tmp_path / name)
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / name}: not UTF-8 text (invalid start byte: b'\\xff')\n")
+
+
+@pytest.mark.parametrize("name", ["phrases.txt", "bios/12.txt"])
+def test_non_utf8_text_input_is_a_data_error(tmp_path, capsys, name):
+    cfg_path = write_fixture(tmp_path)
+    configure(cfg_path, **write_bios(tmp_path))
+    for stage in STAGES[:6]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    corrupt_utf8(tmp_path / name)
+    capsys.readouterr()
+    assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / name}: not UTF-8 text (invalid start byte: b'\\xff')\n")
+
+
+def test_truncated_json_artifact_is_a_data_error(tmp_path, capsys):
+    cfg_path = write_fixture(tmp_path)
+    run_all(cfg_path)
+    summary = tmp_path / "out" / "graph_summary.json"
+    text = summary.read_text(encoding="utf-8")
+    summary.write_text(text[:text.index(",") + 1], encoding="utf-8")  # '{\n  "edges": 25,'
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {summary}:2: not JSON (Expecting property name enclosed in double quotes)\n")
 
 
 class TestManifest:

@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from artistnet.ingest import (
     build_artist_profiles,
     load_influence,
     load_songs,
-    read_table,
+    read_numbered,
+    read_typed,
     write_influence,
     write_table,
 )
@@ -114,7 +116,7 @@ class TestLoadInfluence:
             "",
             "x,x,Jazz,1950,2,y,Pop,1970",
         ])
-        with pytest.raises(IngestError, match=r"inf\.csv:4: malformed row"):
+        with pytest.raises(IngestError, match=r"inf\.csv:4: bad influencer_id cell 'x'$"):
             load_influence(p)
 
     @pytest.mark.parametrize("rows, error", [
@@ -382,9 +384,10 @@ class TestTableCodec:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / artifact
             write_table(path, header, rows)
-            back = list(read_table(path, header))
-        assert [list(r) for r in back] == [header] * len(rows)
-        got = [tuple(PARSE[k](r[c]) for k, c in zip(kinds, header)) for r in back]
+            with open(path, newline="", encoding="utf-8") as fh:
+                written_header = next(csv.reader(fh))
+            got = [values for _, values in read_typed(path, {c: PARSE[k] for c, k in zip(header, kinds)})]
+        assert written_header == header
         # floats are compared by repr, so bit for bit, -0.0 and nan included
         exact = lambda row: tuple(repr(v) if isinstance(v, float) else v for v in row)
         assert [exact(row) for row in got] == [exact(row) for row in rows]
@@ -398,4 +401,49 @@ class TestTableCodec:
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [])
         with pytest.raises(IngestError, match="'b'"):
-            list(read_table(path, ["a", "b"]))
+            list(read_numbered(path, ["a", "b"]))
+
+    def test_missing_cell_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b", "c"], [[1, 2, 3], [4]])
+        with pytest.raises(IngestError, match=r"t\.csv:3: missing c cell$"):
+            list(read_typed(path, {"a": int, "c": int, "b": int}))
+
+    def test_rejected_cell_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [[1, 2], [3, "x"]])
+        with pytest.raises(IngestError, match=r"t\.csv:3: bad b cell 'x'$"):
+            list(read_typed(path, {"a": int, "b": int}))
+
+
+HEADER_NAMES = st.sampled_from(["a", "b", "c", "a b", "Año", 'say "x"'])
+READ_CELLS = st.text(st.sampled_from(list(',"\r\n ')) | st.characters(exclude_categories=["Cs"]), max_size=5)
+
+
+class TestReadNumberedMatchesDictReader:
+    """read_numbered against csv.DictReader on tables write_table writes:
+    awkward text, empty cells, blank lines (an empty row), short rows,
+    rows longer than the header and a header that repeats a name."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(HEADER_NAMES, min_size=1, max_size=4),
+           rows=st.lists(st.lists(READ_CELLS, max_size=5), max_size=8), data=st.data())
+    def test_same_cells_and_lines(self, header, rows, data):
+        columns = data.draw(st.permutations(sorted(set(header))).flatmap(
+            lambda names: st.integers(0, len(names)).map(lambda k: names[:k])))
+        expected, got = [], []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_table(path, header, rows)
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                for row in reader:
+                    if None in row:  # DictReader files the cells past the header under None
+                        expected.append(("error", reader.line_num))
+                        break
+                    expected.append((reader.line_num, [row[c] for c in columns]))
+            try:
+                got.extend(read_numbered(path, columns))
+            except IngestError as exc:
+                got.append(("error", int(str(exc).rsplit(":", 2)[1])))
+        assert got == expected
