@@ -14,10 +14,11 @@ CSV artifact is written by `ingest.write_table` and read back, typed, by
 `ingest.read_typed`; text and JSON inputs are read by `Context.read_text`
 and `Context.read_json`.
 
-Exit codes: 0 success, 2 config error (including a configured input file
-or directory that does not exist, and an unknown config key), 3 data
-error (in an input or an artifact: a bad or missing cell, text that is
-not UTF-8, JSON that does not parse), 4 missing upstream artifact.
+Exit codes: 0 success, 2 config error (including a config file that is
+not UTF-8 JSON, a configured input file or directory that does not exist,
+and an unknown config key), 3 data error (in an input, an artifact or the
+manifest: a bad or missing cell, text that is not UTF-8, JSON that does not
+parse), 4 missing upstream artifact.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("<file>", f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"config file is not UTF-8 text: {path} ({exc.reason})")
     if not isinstance(user, dict):
         raise ConfigError("<file>", "config root must be an object")
     cfg = _merge(DEFAULT_CONFIG, user)
@@ -209,12 +212,8 @@ class Context:
         return ingest.read_text(self.read(name))
 
     def read_json(self, name: str):
-        """The JSON value of input `name`; bad JSON is a data error."""
-        path = self.read(name)
-        try:
-            return json.loads(ingest.read_text(path))
-        except json.JSONDecodeError as exc:
-            raise ingest.IngestError(f"{path}:{exc.lineno}: not JSON ({exc.msg})") from None
+        """The JSON value of input `name` (see `_read_json`)."""
+        return _read_json(self.read(name))
 
     def read_cells(self, name: str, columns):
         """The `ingest.read_typed` values of each row of artifact `name`."""
@@ -239,15 +238,29 @@ class Context:
             "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})]
 
 
+def _read_json(path: Path):
+    """The JSON value of a UTF-8 file; bad JSON is a data error naming it."""
+    try:
+        return json.loads(ingest.read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ingest.IngestError(f"{path}:{exc.lineno}: not JSON ({exc.msg})") from None
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _update_manifest(ctx: Context) -> None:
-    manifest_path = ctx.out / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+def _read_manifest(path: Path) -> dict:
+    """The manifest at `path`, empty if there is none yet; one that does not
+    parse as a JSON object is a data error naming it."""
+    manifest = _read_json(path) if path.exists() else {}
+    if not isinstance(manifest, dict):
+        raise ingest.IngestError(f"{path}: not a JSON object")
+    return manifest
+
+
+def _update_manifest(ctx: Context, manifest: dict) -> None:
+    """Record the stage's run in `manifest` and write it to out_dir."""
     manifest.setdefault("stages", {})
     manifest["config_snapshot"] = ctx.cfg
     manifest["stages"][ctx.stage.name] = {
@@ -256,7 +269,8 @@ def _update_manifest(ctx: Context) -> None:
         "inputs": {str(p): _sha256(p) for p in sorted(ctx.inputs)},
         "outputs": {p.name: _sha256(p) for p in sorted(ctx.outputs)},
     }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (ctx.out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +559,9 @@ def main(argv=None) -> int:
             raise ConfigError("threads", "must be >= 1")
         ctx = Context(cfg, args.stage)
         ctx.out.mkdir(parents=True, exist_ok=True)
+        manifest = _read_manifest(ctx.out / "manifest.json")
         args.stage.fn(ctx)
+        _update_manifest(ctx, manifest)
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except DependencyError as exc:
@@ -553,7 +569,6 @@ def main(argv=None) -> int:
     except (ingest.IngestError, graph.GraphError, simvec.SimvecError,
             genre.GenreError, authrev.AuthRevError) as exc:
         return _fail(exc, EXIT_DATA)
-    _update_manifest(ctx)
     return 0
 
 

@@ -67,55 +67,49 @@ def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
                       cfg: SamplingConfig) -> GenreSamplingReport:
     """Monte-Carlo TSS sums for same-genre and cross-genre artist pairs.
 
-    Each run (seeded with cfg.seed + run index) draws samples_per_run pairs
-    with replacement for the within side, then for the between side, one
-    scalar `rng.integers` call per index: within pairs are distinct
-    same-genre artists (p is redrawn until p != q), between pairs span two
-    genres. Each side's TSS values come from one tss_rows call and are
-    summed left to right, as a running `+=` would. Lower TSS means more
-    similar, so the within-stronger verdict is mean(SWG) < mean(SBG).
+    The artists are laid out in (genre, id) order: genre g is the block of
+    size[g] positions from start[g], N in all. Each run, seeded with
+    cfg.seed + run index, draws n = samples_per_run pairs in four batch
+    `integers` calls, in this order:
+    1. within q = integers(len(within_pool), size=n), over the positions
+       whose genre has 2 or more artists;
+    2. within mate k = integers(0, size[g] - 1), g the genre of q, and
+       p = start[g] + k + (k >= q - start[g]): uniform over g without q;
+    3. between q = integers(N, size=n);
+    4. between partner k = integers(0, N - size[g]), and
+       p = k + size[g] * (k >= start[g]): uniform over the other genres.
+    Each side is scored by one tss_rows call and summed left to right, as a
+    running `+=` would. Lower TSS means more similar, so the within-stronger
+    verdict is mean(SWG) < mean(SBG).
     """
     members = _genre_members(profiles.keys(), genres)
     if len(members) < 2:
         raise GenreError("sampling needs at least 2 genres")
     excluded = sorted(g for g, m in members.items() if len(m) < 2)
-    within_pool = sorted(
-        i for g, m in members.items() if len(m) >= 2 for i in m
-    )
-    if not within_pool:
+    blocks = [members[g] for g in sorted(members)]
+    size = np.array([len(m) for m in blocks], np.int64)
+    start = np.cumsum(size) - size
+    genre_of = np.repeat(np.arange(len(blocks)), size)  # block of each position
+    within_pool = np.flatnonzero(size[genre_of] >= 2)
+    if not len(within_pool):
         raise GenreError("no genre has 2 or more artists")
-    others = {
-        g: sorted(i for h, m in members.items() if h != g for i in m)
-        for g in members
-    }
-    between_pool = sorted(i for i in profiles if others[genres[i]])
-    row = {i: r for r, i in enumerate(sorted(profiles))}
-    P = np.array([profiles[i] for i in row], dtype=float)
+    P = np.array([profiles[i] for m in blocks for i in m], dtype=float)
 
-    def total_tss(qs: list[int], ps: list[int]) -> float:
+    def total_tss(qs: np.ndarray, ps: np.ndarray) -> float:
         t, s, _ = tss_rows(P[qs], P[ps])
         return float(np.add.accumulate(t * s)[-1])
 
     within_totals, between_totals = [], []
     for run in range(cfg.runs):
         draw = np.random.default_rng(cfg.seed + run).integers
-        qs, ps = [], []
-        for _ in range(cfg.samples_per_run):
-            q = within_pool[draw(len(within_pool))]
-            mates = members[genres[q]]
-            p = q
-            while p == q:
-                p = mates[draw(len(mates))]
-            qs.append(row[q])
-            ps.append(row[p])
-        within_totals.append(total_tss(qs, ps))
-        qs, ps = [], []
-        for _ in range(cfg.samples_per_run):
-            q = between_pool[draw(len(between_pool))]
-            pool = others[genres[q]]
-            qs.append(row[q])
-            ps.append(row[pool[draw(len(pool))]])
-        between_totals.append(total_tss(qs, ps))
+        q = within_pool[draw(len(within_pool), size=cfg.samples_per_run)]
+        g = genre_of[q]
+        k = draw(0, size[g] - 1)
+        within_totals.append(total_tss(q, start[g] + k + (k >= q - start[g])))
+        q = draw(len(P), size=cfg.samples_per_run)
+        g = genre_of[q]
+        k = draw(0, len(P) - size[g])
+        between_totals.append(total_tss(q, k + size[g] * (k >= start[g])))
 
     w_mean = float(np.mean(within_totals))
     b_mean = float(np.mean(between_totals))
@@ -135,37 +129,41 @@ def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
 
 
 def influence_proximity(rank_q: int, rank_p: int) -> float:
-    """Rank-proximity influence: 1 / (1 + |rank_q - rank_p|), in (0, 1]."""
+    """Rank-proximity influence 1 / (1 + |rank_q - rank_p|), in (0, 1]; elementwise on arrays."""
     return 1.0 / (1.0 + abs(rank_q - rank_p))
 
 
 def sample_influence(g: InfluenceGraph, scores, genres: dict[int, str],
                      cfg: SamplingConfig) -> GenreSamplingReport:
     """Like sample_similarity but accumulating rank-proximity (IP) rather
-    than TSS over artist pairs joined by an edge.
+    than TSS over the edges, one `integers` call per side and run.
 
     Runs where a side has no eligible pairs report 0 for that side and
     are flagged. Higher IP means stronger influence, so the verdict is
     mean(WIP) > mean(TIP).
     """
     rank = {s.node_id: s.rank_ni for s in scores}
-    pairs = [(s, d) for s, d, _, _ in g.edge_rows() if s in rank and d in rank]
-    within_pairs = [(s, d) for s, d in pairs if genres.get(s) == genres.get(d)]
-    between_pairs = [(s, d) for s, d in pairs if genres.get(s) != genres.get(d)]
+    code: dict[str | None, int] = {}  # each genre's number
+    scored, rank_of, genre_of = np.array([(i in rank, rank.get(i, 0), code.setdefault(genres.get(i), len(code)))
+                                          for i in g.node_ids()], np.int64).reshape(-1, 3).T
+    keep = (scored[g.src] & scored[g.indices]).astype(bool)
+    s, d = g.src[keep], g.indices[keep]  # dense ends of the edges, ascending by (src, dst)
+    ips = influence_proximity(rank_of[s], rank_of[d])
+    within = genre_of[s] == genre_of[d]
+    within_ips, between_ips = ips[within], ips[~within]
 
-    def total_ip(rng, pairs) -> float:
-        if not pairs:
+    def total_ip(rng, ips: np.ndarray) -> float:
+        if not len(ips):
             return 0.0
-        picks = rng.integers(len(pairs), size=cfg.samples_per_run).tolist()
-        ips = [influence_proximity(rank[s], rank[d]) for s, d in (pairs[k] for k in picks)]
-        return float(np.add.accumulate(ips)[-1])
+        picks = rng.integers(len(ips), size=cfg.samples_per_run)
+        return float(np.add.accumulate(ips[picks])[-1])
 
     within_totals, between_totals, flagged = [], [], []
     for run in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + run)
-        within_totals.append(total_ip(rng, within_pairs))
-        between_totals.append(total_ip(rng, between_pairs))
-        if not within_pairs or not between_pairs:
+        within_totals.append(total_ip(rng, within_ips))
+        between_totals.append(total_ip(rng, between_ips))
+        if not len(within_ips) or not len(between_ips):
             flagged.append(run)
 
     w_mean = float(np.mean(within_totals))

@@ -216,11 +216,12 @@ def load_influence(path) -> list[RawInfluenceRow]:
 def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     """Load the song table, applying the cleaning rules.
 
-    Rows with loudness outside [-60, 0], no artist or a missing numeric
-    cell are dropped and counted; `explicit` and `mode` are always marked
-    dropped. A cell that does not parse as a finite number is an error
-    naming its line and column. When `known_artist_ids` is given, songs
-    none of whose artists appear in it are kept and counted as unlinked.
+    Rows with loudness outside [-60, 0], no artist (an empty or missing
+    artist_ids cell) or a missing numeric cell are dropped and counted;
+    `explicit` and `mode` are always marked dropped. A cell that does not
+    parse as a finite number is an error naming its line and column. When
+    `known_artist_ids` is given, songs none of whose artists appear in it
+    are kept and counted as unlinked.
     """
     report = CleaningReport()
     ids: list[tuple[int, ...]] = []
@@ -237,7 +238,7 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
         if row is None or not all(map(math.isfinite, row)):
             col, cell = next((c, v) for c, v in zip(NUMERIC, cells) if not _is_finite(v))
             raise IngestError(f"{path}:{lineno}: numeric field {col}={cell!r} is not a finite number")
-        artist_ids = _parse_artist_ids(id_cell, path, lineno)
+        artist_ids = _parse_artist_ids(id_cell or "", path, lineno)  # None where a short row ends
         if not artist_ids:
             report.rows_dropped_missing_artist += 1
             continue

@@ -212,14 +212,16 @@ def reference_tss(a, b):
 
 
 def reference_sample_similarity(profiles, genres, samples_per_run, runs, seed):
-    """Within- and between-genre TSS totals per run, drawn and summed one
-    pair at a time in the documented order. Returns (within, between)."""
+    """Within- and between-genre TSS totals per run, in the documented draw
+    order: the four index arrays come from the same `integers` calls, each
+    partner is picked from a Python list (q's genre without q, or the other
+    genres' artists in (genre, id) order), and each pair is scored by the
+    scalar formula and added with a running `+=`. Returns (within, between)."""
     members = {}
-    for i in sorted(profiles):
+    for i in sorted(profiles, key=lambda i: (genres[i], i)):
         members.setdefault(genres[i], []).append(i)
-    within_pool = sorted(i for m in members.values() if len(m) >= 2 for i in m)
-    others = {g: sorted(i for h, m in members.items() if h != g for i in m) for g in members}
-    between_pool = sorted(i for i in profiles if others[genres[i]])
+    order = [i for m in members.values() for i in m]
+    within_pool = [i for i in order if len(members[genres[i]]) >= 2]
 
     def tss(q, p):
         t, s, _ = reference_tss(profiles[q], profiles[p])
@@ -228,19 +230,16 @@ def reference_sample_similarity(profiles, genres, samples_per_run, runs, seed):
     within, between = [], []
     for run in range(runs):
         rng = np.random.default_rng(seed + run)
+        qs = [within_pool[j] for j in rng.integers(len(within_pool), size=samples_per_run)]
+        ks = rng.integers(0, np.array([len(members[genres[q]]) - 1 for q in qs]))
         swg = 0.0
-        for _ in range(samples_per_run):
-            q = within_pool[rng.integers(len(within_pool))]
-            mates = members[genres[q]]
-            p = q
-            while p == q:
-                p = mates[rng.integers(len(mates))]
-            swg += tss(q, p)
+        for q, k in zip(qs, ks):
+            swg += tss(q, [i for i in members[genres[q]] if i != q][k])
+        qs = [order[j] for j in rng.integers(len(order), size=samples_per_run)]
+        ks = rng.integers(0, np.array([len(order) - len(members[genres[q]]) for q in qs]))
         sbg = 0.0
-        for _ in range(samples_per_run):
-            q = between_pool[rng.integers(len(between_pool))]
-            pool = others[genres[q]]
-            sbg += tss(q, pool[rng.integers(len(pool))])
+        for q, k in zip(qs, ks):
+            sbg += tss(q, [i for i in order if genres[i] != genres[q]][k])
         within.append(swg)
         between.append(sbg)
     return within, between
@@ -411,7 +410,7 @@ def reference_load_songs(path, known_artist_ids=None):
             if not math.isfinite(values[col]):
                 raise IngestError(
                     f"{path}:{lineno}: numeric field {col}={raw[col]!r} is not a finite number")
-        inner = raw["artist_ids"].strip()
+        inner = (raw["artist_ids"] or "").strip()
         if inner.startswith("[") and inner.endswith("]"):
             inner = inner[1:-1]
         try:

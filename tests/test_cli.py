@@ -491,6 +491,17 @@ def test_truncated_json_artifact_is_a_data_error(tmp_path, capsys):
         f"error: {summary}:2: not JSON (Expecting property name enclosed in double quotes)\n")
 
 
+def test_truncated_manifest_is_a_data_error(tmp_path, capsys):
+    cfg_path = write_fixture(tmp_path)
+    assert main(["ingest", "--config", str(cfg_path)]) == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8")[:10], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["graph", "build", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {manifest}:")
+    assert not (tmp_path / "out" / "nodes.csv").exists()  # refused before the stage's work
+
+
 class TestManifest:
     def test_inputs_are_every_file_read(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
@@ -587,6 +598,13 @@ class TestConfigErrors:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["ingest", "--config", str(cfg)]) == 2
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"influence_csv": "a\xff"}')
+        assert main(["ingest", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config field '<file>': config file is not UTF-8 text: {cfg} (invalid start byte)\n")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import make_graph
 from oracles import reference_sample_similarity
 
+from artistnet import genre as genre_module
 from artistnet.centrality import CentralityScores
 from artistnet.genre import (
     YEAR_MEANS_COLUMNS,
@@ -19,7 +22,7 @@ from artistnet.genre import (
 )
 from artistnet.graph import InfluenceGraph, build_graph
 from artistnet.ingest import FEATURES, NUMERIC, RawInfluenceRow, SongTable
-from artistnet.simvec import tss
+from artistnet.simvec import tss, tss_rows
 
 
 def clustered_profiles(rng, genres=("a", "b"), per_genre=5, spread=1.0, gap=50.0):
@@ -89,6 +92,38 @@ class TestSampleSimilarity:
         assert report.within_totals == within
         assert report.between_totals == between
         assert report.excluded_genres == ["solo"]
+
+    def test_pairs_are_uniform_over_the_valid_pairs(self, monkeypatch):
+        # Genre sizes 2, 3, 1 and 4. Artist i's profile starts with i, so
+        # the rows tss_rows is given name the pairs drawn.
+        sizes = {"duo": 2, "trio": 3, "solo": 1, "quad": 4}
+        genres = {}
+        for g, n in sizes.items():
+            genres.update({len(genres) + k: g for k in range(n)})
+        profiles = {i: np.array([float(i), 1.0]) for i in genres}
+        scored = []
+
+        def recording_tss_rows(a, b):
+            scored.append(Counter(zip(a[:, 0].astype(int).tolist(), b[:, 0].astype(int).tolist())))
+            return tss_rows(a, b)
+
+        monkeypatch.setattr(genre_module, "tss_rows", recording_tss_rows)
+        n = 40_000
+        sample_similarity(profiles, genres, SamplingConfig(n, 1, seed=29))
+        within, between = scored
+        size = {i: sizes[genres[i]] for i in genres}
+        # P(q, p): q uniform over its pool, p uniform over q's partners.
+        expected_within = {(q, p): 1 / 9 / (size[q] - 1) for q in genres for p in genres
+                           if q != p and genres[q] == genres[p]}
+        expected_between = {(q, p): 1 / 10 / (10 - size[q]) for q in genres for p in genres
+                            if genres[q] != genres[p]}
+        # chi-square 0.999 quantiles for 19 and 69 degrees of freedom
+        for counts, expected, bound in ((within, expected_within, 43.82),
+                                        (between, expected_between, 111.06)):
+            assert set(counts) == set(expected)
+            assert sum(counts.values()) == n
+            chi2 = sum((counts[pair] - n * pr) ** 2 / (n * pr) for pair, pr in expected.items())
+            assert chi2 < bound
 
     def test_needs_two_genres(self, rng):
         profiles = {0: np.zeros(2), 1: np.ones(2)}

@@ -1,0 +1,78 @@
+"""Golden digests: byte-reproducibility across commits.
+
+Each of the four benchmark workloads is generated at its smoke scale
+(bench/gen.py, seed 5, the workload's config) and run through the eight
+stages by `cli.main`; the sha256 of every out_dir file except
+manifest.json must equal the one recorded in tests/golden_digests.json.
+Those bytes depend on numpy's BLAS dots and `eigh`, so the file records
+the Python and numpy versions it was made with, and a mismatch fails.
+
+A change that alters artifact bytes on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists each changed artifact in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import run as bench  # noqa: E402
+from gen import generate  # noqa: E402
+
+from artistnet.cli import main  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+SEED = 5
+WORKLOADS = ("paper", "cyclic", "sampling", "names")
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def out_digests(name: str, work: Path) -> dict:
+    """sha256 of each out_dir file but the manifest, after the eight stages
+    ran on workload `name` at smoke scale in directory `work`."""
+    workload = bench.smoke(bench.WORKLOADS[name])
+    generate(workload.corpus, SEED, work)
+    (work / "config.json").write_text(json.dumps(bench.config_for(workload)), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(work)  # the config's paths are relative, as in the benchmark
+    try:
+        for stage, argv in bench.STAGES:
+            assert main(argv + ["--config", "config.json"]) == 0, f"{name}: stage {stage} failed"
+    finally:
+        os.chdir(cwd)
+    out = work / "out"
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_artifacts_match_the_golden_digests(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    recorded = {k: golden[k] for k in versions()}
+    if recorded != versions():
+        pytest.fail(f"golden digests were made with Python {recorded['python']} and numpy "
+                    f"{recorded['numpy']}; this is Python {platform.python_version()} and numpy "
+                    f"{np.__version__}; regenerate them as this module's docstring says")
+    assert out_digests(name, tmp_path) == golden["workloads"][name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: out_digests(name, Path(tmp) / name) for name in WORKLOADS}
+    GOLDEN.write_text(json.dumps({**versions(), "seed": SEED, "workloads": digests},
+                                 indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -190,6 +190,18 @@ class TestLoadSongs:
         assert len(songs) == 1
         assert report.rows_dropped_missing_artist == 1
 
+    def test_missing_artist_ids_cell_dropped(self, tmp_path):
+        # artist_ids last, and a row that stops before it
+        p = tmp_path / "songs.csv"
+        cells = full_row(loudness="-1")[1:]
+        write_table(p, ingest.NUMERIC + ["artist_ids"], [cells, cells + ["[4]"]])
+        songs, report = load_songs(p)
+        assert songs.artist_ids == [(4,)]
+        assert report.rows_dropped_missing_artist == 1
+        records, expected = reference_load_songs(p)
+        assert [s.artist_ids for s in records] == [(4,)]
+        assert report == expected
+
     def test_unlinked_flagging(self, tmp_path):
         p = tmp_path / "songs.csv"
         write_lines(p, [SONG_HEADER, song_row(artist_ids="[1]"), song_row(artist_ids="[9]")])
