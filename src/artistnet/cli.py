@@ -2,9 +2,12 @@
 stages: each `Stage` names its command words, its function and the
 artifacts it writes on every run. The argument parser, the dispatch, the
 manifest's stage keys and the missing-artifact message (which names the
-command of the stage that writes the file) all read it. `ingest` is the one
-stage that holds the cleaned songs, so it writes all that is read off them:
-the artist profiles and the genre-by-year feature means.
+command of the stage that writes the file) all read it. The first two
+stages read only the input tables, so neither needs the other: `ingest`
+holds the cleaned songs and writes all that is read off them (the artist
+profiles and the genre-by-year feature means, each artist's genre taken
+from the influence table), and `graph build` builds the influence graph
+from the influence table itself.
 
 A stage reads and writes only through its `Context`, which records each
 file as the stage opens or writes it; after the stage the manifest
@@ -283,11 +286,10 @@ def _profile_header(width: int) -> list[str]:
 
 def stage_ingest(ctx: Context) -> None:
     influence_path, songs_path = ctx.read("influence_csv"), ctx.read("songs_csv")
-    rows = ingest.load_influence(influence_path)
-    genres = {a: n.genre for a, n in graph.artist_nodes(rows).items()}  # as nodes.csv records them
+    artists, _, _ = ingest.load_influence(influence_path)
+    genres = {a: genre for a, (_, genre, _) in artists.items()}  # as nodes.csv records them
     songs, report = ingest.load_songs(songs_path, known_artist_ids=genres)
     profiles = ingest.build_artist_profiles(songs)
-    ingest.write_influence(ctx.write("influence_clean.csv"), rows)
     ctx.write_text("cleaning_report.json", report.to_json())
     ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
                     ([a, *p] for a, p in profiles.items()))
@@ -295,7 +297,7 @@ def stage_ingest(ctx: Context) -> None:
 
 
 def stage_graph_build(ctx: Context) -> None:
-    g = graph.build_graph(ingest.load_influence(ctx.read("influence_clean.csv")))
+    g = graph.build_graph(*ingest.load_influence(ctx.read("influence_csv")))
     dag, removed = graph.remove_cycles(g)
     graph.export_nodes_csv(ctx.write("nodes.csv"), dag)
     graph.export_edges_csv(ctx.write("edges.csv"), dag)
@@ -499,7 +501,7 @@ class Stage:
 
 STAGES = (
     Stage("ingest", stage_ingest,
-          ("influence_clean.csv", "cleaning_report.json", "artist_profiles.csv", "genre_year_means.csv")),
+          ("cleaning_report.json", "artist_profiles.csv", "genre_year_means.csv")),
     Stage("graph build", stage_graph_build,
           ("nodes.csv", "edges.csv", "removed_edges.csv", "graph.dot", "graph_summary.json")),
     Stage("centrality", stage_centrality, ("centrality.csv", "year_diff_correlation.json")),

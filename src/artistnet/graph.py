@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from artistnet.ingest import RawInfluenceRow, write_table
+from artistnet.ingest import write_table
 
 # Year differences outside this window are discarded before normalization;
 # the lower bound also anchors the max-min transform so weights stay > 0.
@@ -163,40 +163,30 @@ class InfluenceGraph:
                                 inside[self.src] & inside[self.indices])
 
 
-def artist_nodes(rows: list[RawInfluenceRow]) -> dict[int, ArtistNode]:
-    """One node per distinct artist id of the influence rows, with the name,
-    genre and active start of the first row that names it."""
-    nodes: dict[int, ArtistNode] = {}
-    for row in rows:
-        for aid, name, genre, start in (
-            (row.influencer_id, row.influencer_name, row.influencer_main_genre, row.influencer_active_start),
-            (row.follower_id, row.follower_name, row.follower_main_genre, row.follower_active_start),
-        ):
-            if aid not in nodes:
-                nodes[aid] = ArtistNode(id=aid, name=name, genre=genre, active_start=start)
-    return nodes
-
-
-def build_graph(rows: list[RawInfluenceRow]) -> InfluenceGraph:
-    """The `artist_nodes` of the rows and one edge per row, as
-    `load_influence` returns them (one row per (influencer, follower) pair).
-    Self-influence rows and rows whose year difference x lies outside
+def build_graph(artists: dict[int, tuple[str, str, int]], src: np.ndarray,
+                dst: np.ndarray) -> InfluenceGraph:
+    """One node per artist of `artists` (id -> (name, main genre, active
+    start)) and one edge per (influencer `src[j]`, follower `dst[j]`) pair of
+    their ids in the int64 arrays, as `load_influence` returns them: each
+    pair once. Its year difference x is the follower's active start minus
+    the influencer's. Self-influence pairs and pairs whose x lies outside
     (YEAR_DIFF_MIN, YEAR_DIFF_MAX) are dropped and counted; the rest are
     weighted z = (x - YEAR_DIFF_MIN) / (x_max - YEAR_DIFF_MIN), in (0, 1],
     with x_max the largest kept difference.
     """
-    nodes = artist_nodes(rows)
-    src = np.array([r.influencer_id for r in rows], np.int64)
-    dst = np.array([r.follower_id for r in rows], np.int64)
-    diff = np.array([r.follower_active_start - r.influencer_active_start for r in rows], np.int64)
+    ids = np.fromiter(artists, np.int64, len(artists))
+    order = np.argsort(ids)
+    start = np.array([s for _, _, s in artists.values()], np.int64)[order]
+    diff = start[np.searchsorted(ids, dst, sorter=order)] - start[np.searchsorted(ids, src, sorter=order)]
     loop = src == dst
     keep = ~loop & (YEAR_DIFF_MIN < diff) & (diff < YEAR_DIFF_MAX)
     if not keep.any():
         raise GraphError("no edges remain after year-difference filtering")
     diff = diff[keep]
     weight = (diff - YEAR_DIFF_MIN) / (diff.max() - YEAR_DIFF_MIN)
-    return InfluenceGraph.from_arrays(nodes.values(), src[keep], dst[keep], diff, weight,
-                                      int(loop.sum()), int(len(rows) - loop.sum() - keep.sum()))
+    nodes = [ArtistNode(a, *fields) for a, fields in artists.items()]
+    return InfluenceGraph.from_arrays(nodes, src[keep], dst[keep], diff, weight,
+                                      int(loop.sum()), int(len(src) - loop.sum() - keep.sum()))
 
 
 def _tarjan_scc(roots, succ: list) -> list[list[int]]:

@@ -36,15 +36,25 @@ FEATURES = [
 
 DROPPED_COLUMNS = ["explicit", "mode"]
 
+
+def _int62(cell: str) -> int:
+    """int(cell), rejected outside [-2**62, 2**62): ids and active starts
+    go into int64 arrays, and so do differences of two starts."""
+    value = int(cell)
+    if not -2**62 <= value < 2**62:
+        raise ValueError(cell)
+    return value
+
+
 INFLUENCE_COLUMNS = {  # each column of the influence table, with the type of its cells
-    "influencer_id": int,
+    "influencer_id": _int62,
     "influencer_name": str,
     "influencer_main_genre": str,
-    "influencer_active_start": int,
-    "follower_id": int,
+    "influencer_active_start": _int62,
+    "follower_id": _int62,
     "follower_name": str,
     "follower_main_genre": str,
-    "follower_active_start": int,
+    "follower_active_start": _int62,
 }
 
 SONG_COLUMNS = ["artist_ids"] + FEATURES + DROPPED_COLUMNS
@@ -55,18 +65,6 @@ TRUNCATED = [NUMERIC.index(c) for c in ("key", "year", "explicit", "mode")]
 
 class IngestError(Exception):
     """Malformed input data (bad row, missing column, unreadable file)."""
-
-
-@dataclass(frozen=True)
-class RawInfluenceRow:
-    influencer_id: int
-    influencer_name: str
-    influencer_main_genre: str
-    influencer_active_start: int
-    follower_id: int
-    follower_name: str
-    follower_main_genre: str
-    follower_active_start: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +110,13 @@ def write_table(path, header, rows) -> None:
 def read_numbered(path, columns):
     """(line, cells) for each row of a CSV file, read lazily: `cells` are
     the row's string cells of `columns`, in that order, None where a short
-    row ends; `line` is the reader's line number. Blank lines are skipped,
-    and a name the header repeats reads its last position. Raises
-    IngestError when the header lacks one of `columns`, when a row has more
-    cells than the header, or when the file is not UTF-8."""
+    row ends; `line` is the reader's line number. A leading byte-order mark
+    and blank lines are skipped, and a name the header repeats reads its
+    last position. Raises IngestError when the header lacks one of
+    `columns`, when a row has more cells than the header, or when the file
+    is not UTF-8."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             position = {c: k for k, c in enumerate(header)}
@@ -157,9 +156,10 @@ def read_typed(path, columns):
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; IngestError naming it when it is not."""
+    """The text of a UTF-8 file, without a leading byte-order mark;
+    IngestError naming it when it is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
@@ -189,28 +189,27 @@ def _is_finite(cell: str) -> bool:
         return False
 
 
-def load_influence(path) -> list[RawInfluenceRow]:
-    """Load and type the influence table, deduplicating (influencer, follower)
-    pairs keeping the first occurrence. An artist id given two different
-    active_start values is an error naming the line and both values."""
-    rows: list[RawInfluenceRow] = []
-    seen: set[tuple[int, int]] = set()
-    starts: dict[int, int] = {}
-    for lineno, cells in read_typed(path, INFLUENCE_COLUMNS):
-        row = RawInfluenceRow(*cells)
-        if row.influencer_id < 0 or row.follower_id < 0:
+def load_influence(path) -> tuple[dict[int, tuple[str, str, int]], np.ndarray, np.ndarray]:
+    """(artists, src, dst) of the influence table: `artists` maps each
+    artist id, in order of first mention, to its (name, main genre, active
+    start) as first given; `src` and `dst` are int64 arrays of the
+    (influencer, follower) pairs, each pair once, at its first occurrence,
+    in file order. A negative id is an error naming the line, and so is an
+    artist id given two different active_start values, naming both."""
+    artists: dict[int, tuple[str, str, int]] = {}
+    pairs: dict[tuple[int, int], None] = {}  # keeps first occurrences, in order
+    for lineno, (a, a_name, a_genre, a_start, b, b_name, b_genre, b_start) in read_typed(
+            path, INFLUENCE_COLUMNS):
+        if a < 0 or b < 0:
             raise IngestError(f"{path}:{lineno}: negative artist id")
-        for aid, start in ((row.influencer_id, row.influencer_active_start),
-                           (row.follower_id, row.follower_active_start)):
-            if starts.setdefault(aid, start) != start:
-                raise IngestError(f"{path}:{lineno}: artist {aid} active_start {start} "
-                                  f"conflicts with {starts[aid]} given earlier")
-        key = (row.influencer_id, row.follower_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(row)
-    return rows
+        for aid, artist in ((a, (a_name, a_genre, a_start)), (b, (b_name, b_genre, b_start))):
+            start = artists.setdefault(aid, artist)[2]
+            if start != artist[2]:
+                raise IngestError(f"{path}:{lineno}: artist {aid} active_start {artist[2]} "
+                                  f"conflicts with {start} given earlier")
+        pairs[a, b] = None
+    src, dst = np.array(list(pairs), np.int64).reshape(-1, 2).T
+    return artists, src, dst
 
 
 def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
@@ -253,10 +252,6 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     # int() truncation; adding 0.0 turns trunc's -0.0 into int()'s 0.
     values[:, TRUNCATED] = np.trunc(values[:, TRUNCATED]) + 0.0
     return SongTable(ids, values), report
-
-
-def write_influence(path, rows: list[RawInfluenceRow]) -> None:
-    write_table(path, INFLUENCE_COLUMNS, ([getattr(r, c) for c in INFLUENCE_COLUMNS] for r in rows))
 
 
 def build_artist_profiles(songs: SongTable) -> dict[int, np.ndarray]:

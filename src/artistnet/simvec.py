@@ -72,16 +72,6 @@ class PcaModel:
             indent=2,
         ) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "PcaModel":
-        d = json.loads(text)
-        return cls(
-            means=np.array(d["means"]),
-            stdevs=np.array(d["stdevs"]),
-            components=np.array(d["components"]),
-            explained_variance=np.array(d["explained_variance"]),
-        )
-
 
 def fit_pca(vectors, k: int, means=None, stdevs=None) -> PcaModel:
     """Top-k eigendecomposition of the population covariance matrix.
@@ -220,15 +210,3 @@ def uniqueness(vectors, metric: str) -> float:
         raise SimvecError("uniqueness needs >= 2 vectors")
     r = np.sort(np.round(_pairwise_metric(X, metric), 7))
     return 100.0 * (1 + np.count_nonzero(r[1:] != r[:-1])) / len(r)
-
-
-def most_similar(query: int, profiles: dict[int, np.ndarray]):
-    """All other profiles ranked by ascending TSS to the query (ties by
-    ascending id). Returns a list of (id, tss)."""
-    if query not in profiles:
-        raise SimvecError(f"unknown profile id {query}")
-    others = [i for i in sorted(profiles) if i != query]
-    if not others:
-        return []
-    t, s, _ = tss_rows([profiles[query]] * len(others), [profiles[i] for i in others])
-    return sorted(zip(others, (t * s).tolist()), key=lambda r: (r[1], r[0]))

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from artistnet.graph import ArtistNode, InfluenceEdge, InfluenceGraph
+from artistnet.graph import ArtistNode, InfluenceEdge, InfluenceGraph, build_graph
 
 
 def make_graph(n, edges, genres=None):
@@ -24,6 +24,18 @@ def make_graph(n, edges, genres=None):
         w = e[2] if len(e) > 2 else 0.5
         built.append(InfluenceEdge(src=s, dst=d, year_diff=d - s, weight=w))
     return InfluenceGraph(nodes, built)
+
+
+def graph_from_rows(rows):
+    """`build_graph` over influence rows, tuples in the influence table's
+    column order holding each (influencer, follower) pair once; an artist
+    takes the name, genre and active start of the first row naming it."""
+    artists = {}
+    for row in rows:
+        artists.setdefault(row[0], row[1:4])
+        artists.setdefault(row[4], row[5:8])
+    return build_graph(artists, np.array([r[0] for r in rows], np.int64),
+                       np.array([r[4] for r in rows], np.int64))
 
 
 def random_digraph(rng, max_nodes=12):

@@ -8,7 +8,7 @@ with explicit loops.
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import networkx as nx
 import numpy as np
@@ -130,6 +130,33 @@ def _decycle(node_ids, edges: dict):
             )
             del edges[(victim.src, victim.dst)]
             removed.append(victim)
+
+
+@dataclass(frozen=True)
+class InfluenceRow:
+    """One typed row of the influence table."""
+    influencer_id: int
+    influencer_name: str
+    influencer_main_genre: str
+    influencer_active_start: int
+    follower_id: int
+    follower_name: str
+    follower_main_genre: str
+    follower_active_start: int
+
+
+def reference_load_influence(path) -> list[InfluenceRow]:
+    """The influence table's rows as csv.DictReader reads them, typed, each
+    (influencer, follower) pair at its first occurrence."""
+    rows, seen, columns = [], set(), [f.name for f in fields(InfluenceRow)]
+    with open(path, newline="", encoding="utf-8") as fh:
+        for record in csv.DictReader(fh):
+            row = InfluenceRow(*(int(record[c]) if c.endswith(("_id", "_start")) else record[c]
+                                 for c in columns))
+            if (row.influencer_id, row.follower_id) not in seen:
+                seen.add((row.influencer_id, row.follower_id))
+                rows.append(row)
+    return rows
 
 
 def reference_build_graph(rows):

@@ -129,7 +129,7 @@ class TestPipeline:
         run_all(cfg_path)
         out = tmp_path / "out"
         expected = [
-            "influence_clean.csv", "cleaning_report.json", "artist_profiles.csv",
+            "cleaning_report.json", "artist_profiles.csv",
             "genre_year_means.csv", "nodes.csv", "edges.csv", "removed_edges.csv",
             "graph.dot", "graph_summary.json", "centrality.csv",
             "year_diff_correlation.json", "pca_model.json",
@@ -269,7 +269,7 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
     run_all(cfg_path)
     out = tmp_path / "out"
     tables = {p.name: read_rows(p) for p in sorted(out.glob("*.csv"))}
-    assert len(tables) == 14
+    assert len(tables) == 13
     for name, rows in tables.items():
         assert rows, name
         for row in rows:  # no cell lost or split off
@@ -279,8 +279,9 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
         i: (names[i], genres[i]) for i in GENRES}
     assert {int(r["node_id"]): (r["name"], r["genre"]) for r in tables["centrality.csv"]} == {
         i: (names[i], genres[i]) for i in GENRES}
-    clean = ingest.load_influence(out / "influence_clean.csv")
-    assert clean == ingest.load_influence(tmp_path / "influence.csv")
+    artists, _, _ = ingest.load_influence(tmp_path / "influence.csv")
+    assert {i: (name, genre) for i, (name, genre, _) in artists.items()} == {
+        i: (names[i], genres[i]) for i in GENRES}
     assert {r["genre"] for r in tables["genre_clusters.csv"]} == set(ADVERSARIAL_GENRES)
     assert {r["genre"] for r in tables["debut_counts.csv"]} == set(ADVERSARIAL_GENRES)
     assert {r["genre"] for r in tables["genre_year_means.csv"]} == {*ADVERSARIAL_GENRES, "__all__"}
@@ -479,6 +480,30 @@ def test_non_utf8_text_input_is_a_data_error(tmp_path, capsys, name):
         f"error: {tmp_path / name}: not UTF-8 text (invalid start byte: b'\\xff')\n")
 
 
+def add_byte_order_mark(path: Path) -> None:
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+@pytest.mark.parametrize("name", ["influence.csv", "songs.csv"])
+def test_input_table_with_a_byte_order_mark_reads_as_without(tmp_path, name):
+    cfg_path = write_fixture(tmp_path)
+    run_all(cfg_path, extra=["--out", str(tmp_path / "plain")])
+    add_byte_order_mark(tmp_path / name)
+    run_all(cfg_path, extra=["--out", str(tmp_path / "marked")])
+    for path in sorted((tmp_path / "plain").iterdir()):
+        if path.name != "manifest.json":
+            assert path.read_bytes() == (tmp_path / "marked" / path.name).read_bytes(), path.name
+
+
+def test_phrases_file_with_a_byte_order_mark_keeps_its_first_phrase(tmp_path):
+    cfg_path = write_fixture(tmp_path)
+    configure(cfg_path, **write_bios(tmp_path))
+    add_byte_order_mark(tmp_path / "phrases.txt")  # its one phrase, "revolutionary", is in 1.txt
+    run_all(cfg_path)
+    labels = {r["node_id"]: r["evidence"] for r in read_rows(tmp_path / "out" / "revolution_labels.csv")}
+    assert labels["1"] == "periphery|keyword"
+
+
 def test_truncated_json_artifact_is_a_data_error(tmp_path, capsys):
     cfg_path = write_fixture(tmp_path)
     run_all(cfg_path)
@@ -512,6 +537,7 @@ class TestManifest:
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         artifacts = lambda *names: {str(out / n) for n in names}
         assert set(stages["ingest"]["inputs"]) == {str(tmp_path / n) for n in ("influence.csv", "songs.csv")}
+        assert set(stages["graph"]["inputs"]) == {str(tmp_path / "influence.csv")}
         assert set(stages["genre"]["inputs"]) == artifacts(
             "nodes.csv", "edges.csv", "profiles_projected.csv", "profiles_standardized.csv",
             "centrality.csv")
@@ -537,8 +563,8 @@ class TestManifest:
 
 class TestDependencies:
     @pytest.mark.parametrize("command, upstream", [
-        (s.command, u) for s, u in zip(cli.STAGES[1:], [
-            "ingest", "graph build", "ingest", "graph build", "graph build", "graph build", "ingest"])
+        (s.command, u) for s, u in zip(cli.STAGES[2:], [
+            "graph build", "ingest", "graph build", "graph build", "graph build", "ingest"])
     ])
     def test_stage_run_alone_names_upstream_command(self, tmp_path, capsys, command, upstream):
         cfg_path = write_fixture(tmp_path)
@@ -553,11 +579,19 @@ class TestDependencies:
         assert code == 4
         assert "artistnet graph build" in capsys.readouterr().err
 
-    def test_graph_before_ingest(self, tmp_path, capsys):
+    def test_graph_before_ingest(self, tmp_path):
+        """`graph build` reads the influence table itself: on a fresh
+        out_dir it runs alone and writes what it writes after `ingest`."""
         cfg_path = write_fixture(tmp_path)
-        code = main(["graph", "build", "--config", str(cfg_path)])
-        assert code == 4
-        assert "artistnet ingest" in capsys.readouterr().err
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        assert main(["graph", "build", "--config", str(cfg_path), "--out", str(alone)]) == 0
+        for stage in STAGES[:2]:
+            assert main(stage + ["--config", str(cfg_path), "--out", str(after)]) == 0, stage
+        for name in cli.STAGES[1].writes:
+            assert (alone / name).read_bytes() == (after / name).read_bytes(), name
+        stages = json.loads((alone / "manifest.json").read_text())["stages"]
+        assert list(stages) == ["graph"]
+        assert list(stages["graph"]["inputs"]) == [str(tmp_path / "influence.csv")]
 
     def test_report_names_missing_stage(self, tmp_path, capsys):
         cfg_path = write_fixture(tmp_path)
@@ -658,13 +692,13 @@ class TestOverrides:
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("ARTISTNET_OUT_DIR", str(env_out))
         assert main(["ingest", "--config", str(cfg_path)]) == 0
-        assert (env_out / "influence_clean.csv").exists()
+        assert (env_out / "cleaning_report.json").exists()
 
     def test_out_flag_wins(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
         flag_out = tmp_path / "flag_out"
         assert main(["ingest", "--config", str(cfg_path), "--out", str(flag_out)]) == 0
-        assert (flag_out / "influence_clean.csv").exists()
+        assert (flag_out / "cleaning_report.json").exists()
         assert not (tmp_path / "out").exists()
 
     def test_seed_changes_sampling(self, tmp_path):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import graph_from_rows, make_graph
 from oracles import reference_sample_similarity
 
 from artistnet import genre as genre_module
@@ -20,8 +20,8 @@ from artistnet.genre import (
     sample_influence,
     sample_similarity,
 )
-from artistnet.graph import InfluenceGraph, build_graph
-from artistnet.ingest import FEATURES, NUMERIC, RawInfluenceRow, SongTable
+from artistnet.graph import InfluenceGraph
+from artistnet.ingest import FEATURES, NUMERIC, SongTable
 from artistnet.simvec import tss, tss_rows
 
 
@@ -267,21 +267,19 @@ class TestClusterGenres:
             cluster_genres({0: np.zeros(2)}, {0: "a"})
 
 
-def influence_row(i, ig, iy, f, fg, fy):
-    return RawInfluenceRow(
-        influencer_id=i, influencer_name=f"n{i}", influencer_main_genre=ig,
-        influencer_active_start=iy, follower_id=f, follower_name=f"n{f}",
-        follower_main_genre=fg, follower_active_start=fy,
-    )
+def raw_row(i, ig, iy, f, fg, fy):
+    """An influence row: influencer i of genre ig, active from iy, and
+    follower f of genre fg, from fy."""
+    return (i, f"n{i}", ig, iy, f, f"n{f}", fg, fy)
 
 
 class TestDebutCounts:
     def test_artist_counted_once(self):
         rows = [
-            influence_row(1, "Jazz", 1950, 2, "Pop", 1970),
-            influence_row(2, "Pop", 1970, 3, "Pop", 1980),
+            raw_row(1, "Jazz", 1950, 2, "Pop", 1970),
+            raw_row(2, "Pop", 1970, 3, "Pop", 1980),
         ]
-        counts = debut_counts(build_graph(rows))
+        counts = debut_counts(graph_from_rows(rows))
         assert counts[("Pop", 1970)] == 1
 
     def test_empty(self):
@@ -289,11 +287,11 @@ class TestDebutCounts:
 
     def test_hand_counted_fixture(self):
         rows = [
-            influence_row(1, "Jazz", 1950, 2, "Pop", 1970),
-            influence_row(1, "Jazz", 1950, 3, "Pop", 1970),
-            influence_row(4, "Jazz", 1950, 5, "Blues", 1960),
+            raw_row(1, "Jazz", 1950, 2, "Pop", 1970),
+            raw_row(1, "Jazz", 1950, 3, "Pop", 1970),
+            raw_row(4, "Jazz", 1950, 5, "Blues", 1960),
         ]
-        counts = debut_counts(build_graph(rows))
+        counts = debut_counts(graph_from_rows(rows))
         assert counts == {
             ("Jazz", 1950): 2,
             ("Pop", 1970): 2,

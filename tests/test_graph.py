@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, random_digraph
+from conftest import graph_from_rows, make_graph, random_digraph
 from oracles import (brute_reachable, edges_of, reference_bfs_distances, reference_graph_build,
-                     reference_remove_cycles, to_nx)
+                     reference_load_influence, reference_remove_cycles, to_nx)
 
 from artistnet import cli, graph, ingest
 from artistnet.centrality import CentralityScores, node_influence
@@ -16,7 +16,6 @@ from artistnet.graph import (
     GraphError,
     InfluenceEdge,
     InfluenceGraph,
-    build_graph,
     export_dot,
     export_edges_csv,
     export_nodes_csv,
@@ -26,15 +25,11 @@ from artistnet.graph import (
     remove_cycles,
     year_diff_centrality_correlation,
 )
-from artistnet.ingest import RawInfluenceRow
 
 
 def raw_row(i, iy, f, fy, genre="Pop/Rock"):
-    return RawInfluenceRow(
-        influencer_id=i, influencer_name=f"n{i}", influencer_main_genre=genre,
-        influencer_active_start=iy, follower_id=f, follower_name=f"n{f}",
-        follower_main_genre=genre, follower_active_start=fy,
-    )
+    """An influence row: influencer i, active from iy, and follower f, from fy."""
+    return (i, f"n{i}", genre, iy, f, f"n{f}", genre, fy)
 
 
 @st.composite
@@ -60,33 +55,33 @@ def time_ordered_graph(seed, n=300, influencers=6, reversed_fraction=0.06):
         for i in rng.choice(f, size=min(f, influencers), replace=False).tolist():
             s, d = (f, i) if rng.random() < reversed_fraction else (i, f)
             rows.append(raw_row(s, years[s], d, years[d]))
-    return build_graph(rows)
+    return graph_from_rows(rows)
 
 
 class TestBuildGraph:
     def test_shared_influencer_counts(self):
-        g = build_graph([raw_row(1, 1950, 2, 1970), raw_row(1, 1950, 3, 1980)])
+        g = graph_from_rows([raw_row(1, 1950, 2, 1970), raw_row(1, 1950, 3, 1980)])
         assert g.n_nodes == 3
         assert g.n_edges == 2
 
     def test_year_diff(self):
-        g = build_graph([raw_row(1, 1960, 2, 1980)])
+        g = graph_from_rows([raw_row(1, 1960, 2, 1980)])
         assert edges_of(g)[(1, 2)].year_diff == 20
 
     def test_self_loop_dropped(self):
-        g = build_graph([raw_row(1, 1950, 1, 1950), raw_row(1, 1950, 2, 1960)])
+        g = graph_from_rows([raw_row(1, 1950, 1, 1950), raw_row(1, 1950, 2, 1960)])
         assert list(edges_of(g)) == [(1, 2)]
         assert g.self_loops_dropped == 1
 
     def test_only_self_loops_errors(self):
         with pytest.raises(GraphError, match="no edges remain"):
-            build_graph([raw_row(1, 1950, 1, 1950)])
+            graph_from_rows([raw_row(1, 1950, 1, 1950)])
 
 
 class TestNormalizeWeights:
     def build(self, year_diffs):
         rows = [raw_row(i, 1950, 100 + i, 1950 + yd) for i, yd in enumerate(year_diffs)]
-        return build_graph(rows)
+        return graph_from_rows(rows)
 
     def test_max_maps_to_one(self):
         g = self.build([70, 20])
@@ -162,7 +157,8 @@ class TestValidation:
 
 def random_influence_rows(seed):
     """A seeded influence table with self-influence rows, repeated pairs,
-    year differences past both ends of the window, and cycles."""
+    names holding commas and quotes, year differences past both ends of the
+    window, and cycles."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 30))
     starts = rng.integers(1900, 2011, size=n).tolist()
@@ -172,25 +168,24 @@ def random_influence_rows(seed):
     for _ in range(int(rng.integers(1, 4 * n))):
         i, f = rng.integers(0, n, size=2).tolist()
         f = i if rng.random() < 0.1 else f
-        rows.append(RawInfluenceRow(i + 10, names[i], genres[i % 3], starts[i],
-                                    f + 10, names[f], genres[f % 3], starts[f]))
+        rows.append([i + 10, names[i], genres[i % 3], starts[i], f + 10, names[f], genres[f % 3], starts[f]])
     return rows
 
 
 def test_graph_build_matches_the_record_pipeline(tmp_path):
-    """`artistnet graph build` writes the same bytes as the record-based
-    build, normalize and round-based decycling pipeline."""
+    """`artistnet graph build` on a raw influence table writes the same
+    bytes as the record-based load, build, normalize and round-based
+    decycling pipeline."""
     seen = set()
     for seed in range(60):
-        out, ref = tmp_path / f"out{seed}", tmp_path / f"ref{seed}"
-        out.mkdir()
+        table, out, ref = tmp_path / f"influence{seed}.csv", tmp_path / f"out{seed}", tmp_path / f"ref{seed}"
         ref.mkdir()
-        ingest.write_influence(out / "influence_clean.csv", random_influence_rows(seed))
+        ingest.write_table(table, ingest.INFLUENCE_COLUMNS, random_influence_rows(seed))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"influence_csv": "-", "songs_csv": "-", "out_dir": str(out)}))
+        config.write_text(json.dumps({"influence_csv": str(table), "songs_csv": "-", "out_dir": str(out)}))
         code = cli.main(["graph", "build", "--config", str(config)])
         try:
-            reference_graph_build(ingest.load_influence(out / "influence_clean.csv"), ref)
+            reference_graph_build(reference_load_influence(table), ref)
         except GraphError:
             assert code == 3, seed
             seen.add("no edges")

@@ -17,7 +17,6 @@ from artistnet.ingest import (
     load_songs,
     read_numbered,
     read_typed,
-    write_influence,
     write_table,
 )
 
@@ -65,20 +64,60 @@ class TestLoadInfluence:
             influence_row(1, "Jazz", 1950, 3, "Blues", 1965),
             influence_row(2, "Pop/Rock", 1970, 3, "Blues", 1965),
         ])
-        rows = load_influence(p)
-        assert len(rows) == 3
-        assert rows[0].influencer_id == 1 and rows[0].follower_id == 2
+        artists, src, dst = load_influence(p)
+        assert list(artists.items()) == [
+            (1, ("name1", "Jazz", 1950)), (2, ("name2", "Pop/Rock", 1970)), (3, ("name3", "Blues", 1965))]
+        assert src.dtype == dst.dtype == np.int64
+        assert (src.tolist(), dst.tolist()) == ([1, 1, 2], [2, 3, 3])
 
     def test_duplicate_pair_deduplicated(self, tmp_path):
         p = tmp_path / "inf.csv"
         write_lines(p, [
             INFLUENCE_HEADER,
             influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970),
+            influence_row(3, "Blues", 1940, 1, "Jazz", 1950),
             influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970),
+            influence_row(2, "Pop/Rock", 1970, 1, "Jazz", 1950),
         ])
-        rows = load_influence(p)
-        assert {(r.influencer_id, r.follower_id) for r in rows} == {(1, 2)}
-        assert len(rows) == 1
+        artists, src, dst = load_influence(p)
+        assert (src.tolist(), dst.tolist()) == ([1, 3, 2], [2, 1, 1])  # first occurrences, in file order
+        assert list(artists) == [1, 2, 3]
+
+    def test_artist_keeps_its_first_name_and_genre(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [
+            INFLUENCE_HEADER,
+            influence_row(1, "Jazz", 1950, 1, "Jazz", 1950),  # self-influence names artist 1
+            "2,later,Blues,1940,1,renamed,Pop,1950",
+        ])
+        artists, src, dst = load_influence(p)
+        assert artists == {1: ("name1", "Jazz", 1950), 2: ("later", "Blues", 1940)}
+        assert (src.tolist(), dst.tolist()) == ([1, 2], [1, 1])
+
+    def test_empty_table(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [INFLUENCE_HEADER])
+        artists, src, dst = load_influence(p)
+        assert artists == {} and src.shape == dst.shape == (0,) and src.dtype == np.int64
+
+    @pytest.mark.parametrize("row, column, cell", [
+        (f"{2**62},a,Jazz,1950,2,b,Pop,1970", "influencer_id", str(2**62)),
+        (f"1,a,Jazz,1950,2,b,Pop,{-2**62 - 1}", "follower_active_start", str(-2**62 - 1)),
+    ])
+    def test_value_the_arrays_cannot_hold_is_an_error(self, tmp_path, row, column, cell):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [INFLUENCE_HEADER, f"{2**62 - 1},a,Jazz,{-2**62},2,b,Pop,{2**62 - 1}", row])
+        with pytest.raises(IngestError) as err:
+            load_influence(p)
+        assert str(err.value) == f"{p}:3: bad {column} cell '{cell}'"
+
+    @pytest.mark.parametrize("row", ["-1,a,Jazz,1950,2,b,Pop,1970", "1,a,Jazz,1950,-2,b,Pop,1970"])
+    def test_negative_id_is_an_error(self, tmp_path, row):
+        p = tmp_path / "inf.csv"
+        write_lines(p, [INFLUENCE_HEADER, influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970), row])
+        with pytest.raises(IngestError) as err:
+            load_influence(p)
+        assert str(err.value) == f"{p}:3: negative artist id"
 
     def test_missing_column_is_schema_error(self, tmp_path):
         p = tmp_path / "inf.csv"
@@ -225,17 +264,6 @@ class TestLoadSongs:
         assert drops == 3 and len(songs) == 1
         assert report.rows_read >= drops
 
-    def test_influence_roundtrip(self, tmp_path):
-        p = tmp_path / "inf.csv"
-        write_lines(p, [
-            INFLUENCE_HEADER,
-            influence_row(1, "Jazz", 1950, 2, "Pop/Rock", 1970),
-        ])
-        rows1 = load_influence(p)
-        q = tmp_path / "rt.csv"
-        write_influence(q, rows1)
-        assert load_influence(q) == rows1
-
 
 class TestArtistProfiles:
     def make_songs(self, tmp_path, rows):
@@ -357,7 +385,6 @@ class TestSongTableMatchesReference:
 # integer, "f" float, "f?" float or None.
 PROFILE = ["i"] + ["f"] * 13
 TABLE_LAYOUTS = {
-    "influence_clean.csv": ["i", "s", "s", "i", "i", "s", "s", "i"],
     "artist_profiles.csv": PROFILE,
     "profiles_standardized.csv": PROFILE,
     "profiles_projected.csv": PROFILE[:6],
