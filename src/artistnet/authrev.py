@@ -59,12 +59,17 @@ def average_extreme_distance(values, mode: str = "pair_mean") -> float:
     coefficient (n >= 3 only), which exceeds 1 for polarized inputs and
     so flags them more aggressively at a fixed threshold.
     """
-    vals = np.asarray(list(values), dtype=float)
-    n = len(vals)
+    return float(_ad_rows(np.asarray(list(values), dtype=float)[None, :], mode)[0])
+
+
+def _ad_rows(X: np.ndarray, mode: str) -> np.ndarray:
+    """`average_extreme_distance` of each row of the (m, n) array X: gaps of
+    the pairs i < j, in row-major order, summed left to right along the row."""
+    n = X.shape[1]
     if n < 2:
         raise AuthRevError("need at least 2 similarity values")
-    upper = np.arange(n)[:, None] < np.arange(n)  # pairs i < j, read in row-major order
-    total = float(np.add.accumulate(np.abs(vals[:, None] - vals)[upper])[-1])  # left to right
+    i, j = np.triu_indices(n, 1)
+    total = np.add.accumulate(np.abs(X[:, i] - X[:, j]), axis=1)[:, -1]
     if mode == "pair_mean":
         return 2.0 * total / (n * (n - 1))
     if mode == "unbounded":
@@ -74,50 +79,47 @@ def average_extreme_distance(values, mode: str = "pair_mean") -> float:
     raise AuthRevError(f"unknown mode {mode!r}")
 
 
-def _minmax(values: list[float]) -> list[float]:
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [0.0] * len(values)
-    return [(v - lo) / (hi - lo) for v in values]
-
-
 def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
                  alpha: float = DEFAULT_ALPHA, mode: str = "pair_mean"):
     """Extreme-distribution score per follower with >= 2 profiled
-    influencers; returns (scores, summary)."""
-    scores: list[AuthenticityScore] = []
-    excluded = 0
-    for node in g.node_ids():
-        if node not in profiles:
-            continue
-        influencers = [i for i in g.in_neighbors(node) if i in profiles]
-        if len(influencers) < 2:
-            if len(g.in_neighbors(node)) >= 1:
-                excluded += 1
-            continue
-        t, s, _ = tss_rows([profiles[node]] * len(influencers), [profiles[i] for i in influencers])
-        mapped = _minmax((t * s).tolist())
-        ad = average_extreme_distance(mapped, mode=mode)
-        scores.append(
-            AuthenticityScore(
-                node_id=node,
-                in_similarities=mapped,
-                ad=ad,
-                extreme=ad >= alpha,
-                stdev=float(np.std(mapped)),
-            )
-        )
-    fraction = (
-        sum(s.extreme for s in scores) / len(scores) if scores else 0.0
-    )
-    summary = AuthenticitySummary(
-        eligible=len(scores),
-        excluded_few_inputs=excluded,
-        fraction_extreme=fraction,
-        alpha=alpha,
-        mode=mode,
-    )
-    return scores, summary
+    influencers; returns (scores, summary). One `tss_rows` call scores every
+    (follower, influencer) pair, ascending by follower, then influencer id;
+    each follower's values are min-max mapped over its own influencers (all
+    0 when they tie); AD and stdev are taken for a block of followers with
+    the same influencer count at a time."""
+    ids = g.node_ids()
+    profiled = np.array([i in profiles for i in ids], dtype=bool)
+    order = np.lexsort((g.src, g.indices))  # in-edges, ascending by (follower, influencer)
+    follower, source = g.indices[order], g.src[order]
+    count = np.bincount(follower[profiled[source]], minlength=len(ids))  # profiled influencers
+    eligible = profiled & (count >= 2)
+    excluded = int(np.sum(profiled & ~eligible & (np.bincount(follower, minlength=len(ids)) > 0)))
+    pair = profiled[source] & eligible[follower]
+    follower, source = follower[pair], source[pair]
+    nodes = np.flatnonzero(eligible)
+    n_in = count[nodes]
+    start = np.cumsum(n_in) - n_in  # of each follower's run of pairs
+    ad, stdev, mapped = np.empty(len(nodes)), np.empty(len(nodes)), np.empty(0)
+    if len(nodes):
+        vectors = np.array([profiles[ids[k]] for k in np.flatnonzero(profiled)], dtype=float)
+        row = np.cumsum(profiled) - 1  # dense index -> row of `vectors`
+        t, s, _ = tss_rows(vectors[row[follower]], vectors[row[source]])
+        v = t * s
+        lo = np.repeat(np.minimum.reduceat(v, start), n_in)
+        span = np.repeat(np.maximum.reduceat(v, start), n_in) - lo
+        mapped = (v - lo) / np.where(span == 0.0, 1.0, span)  # tied values map to 0
+    for n in np.unique(n_in).tolist():
+        members = np.flatnonzero(n_in == n)
+        step = max(1, 2**16 // (n * (n - 1) // 2))  # followers a block: at most 2**16 pairs
+        for b in range(0, len(members), step):
+            rows = members[b:b + step]
+            X = mapped[start[rows, None] + np.arange(n)]
+            ad[rows], stdev[rows] = _ad_rows(X, mode), np.std(X, axis=1)
+    flat, bounds = mapped.tolist(), start.tolist() + [len(mapped)]
+    scores = [AuthenticityScore(ids[k], flat[bounds[r]:bounds[r + 1]], a, a >= alpha, sd)
+              for r, (k, a, sd) in enumerate(zip(nodes.tolist(), ad.tolist(), stdev.tolist()))]
+    fraction = sum(s.extreme for s in scores) / len(scores) if scores else 0.0
+    return scores, AuthenticitySummary(len(scores), excluded, fraction, alpha, mode)
 
 
 # ---------------------------------------------------------------------------

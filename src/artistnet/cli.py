@@ -13,9 +13,9 @@ A stage reads and writes only through its `Context`, which records each
 file as the stage opens or writes it; after the stage the manifest
 (config snapshot, seed, SHA-256 of every input and output) is updated from
 those records, so it lists exactly what the stage read and wrote. Every
-CSV artifact is written by `ingest.write_table` and read back, typed, by
-`ingest.read_typed`; text and JSON inputs are read by `Context.read_text`
-and `Context.read_json`.
+CSV artifact is written by `ingest.write_table` and read back, as typed
+columns, by `ingest.read_columns`; text and JSON inputs are read by
+`Context.read_text` and `Context.read_json`.
 
 Exit codes: 0 success, 2 config error (including a config file that is
 not UTF-8 JSON, a configured input file or directory that does not exist,
@@ -92,7 +92,7 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             user = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {path}")
@@ -218,27 +218,24 @@ class Context:
         """The JSON value of input `name` (see `_read_json`)."""
         return _read_json(self.read(name))
 
-    def read_cells(self, name: str, columns):
-        """The `ingest.read_typed` values of each row of artifact `name`."""
-        path = self.read(name)
-        return (cells for _, cells in ingest.read_typed(path, columns))
-
     def load_graph(self) -> graph.InfluenceGraph:
-        nodes = [graph.ArtistNode(*r) for r in self.read_cells(
-            "nodes.csv", {"id": int, "name": str, "genre": str, "active_start": int})]
-        edges = np.fromiter(self.read_cells("edges.csv", {
-            "from": int, "to": int, "year_diff": int, "weight": lambda w: float(w or "nan")}),
-            graph.EDGE_COLUMNS)
-        return graph.InfluenceGraph.from_arrays(nodes, *(edges[c] for c in graph.EDGE_COLUMNS.names))
+        _, nodes = ingest.read_columns(self.read("nodes.csv"), {
+            "id": int, "name": str, "genre": str, "active_start": int})
+        _, edges = ingest.read_columns(self.read("edges.csv"), {
+            "from": int, "to": int, "year_diff": int, "weight": lambda w: float(w or "nan")})
+        return graph.InfluenceGraph.from_arrays(list(map(graph.ArtistNode, *nodes)), *edges)
 
     def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
-        """Artist id -> vector of the first `width` columns of profile table `name`."""
-        rows = self.read_cells(name, {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
-        return {r[0]: np.array(r[1:]) for r in rows}
+        """Artist id -> vector of the first `width` columns of profile table
+        `name`; the vectors are the rows of one matrix."""
+        _, (ids, *values) = ingest.read_columns(
+            self.read(name), {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
+        return dict(zip(ids, np.array(values, dtype=np.float64).T.copy()))
 
     def load_scores(self) -> list[centrality.CentralityScores]:
-        return [centrality.CentralityScores(*r) for r in self.read_cells("centrality.csv", {
-            "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})]
+        _, cols = ingest.read_columns(self.read("centrality.csv"), {
+            "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
+        return list(map(centrality.CentralityScores, *cols))
 
 
 def _read_json(path: Path):
@@ -350,11 +347,7 @@ def stage_genre(ctx: Context) -> None:
     scores = ctx.load_scores()
     genres = {i: n.genre for i, n in g.nodes.items()}
 
-    sample_cfg = genre.SamplingConfig(
-        samples_per_run=cfg["sampling"]["samples_per_run"],
-        runs=cfg["sampling"]["runs"],
-        seed=cfg["seed"],
-    )
+    sample_cfg = genre.SamplingConfig(**cfg["sampling"], seed=cfg["seed"])
     sim_profiles = {i: v for i, v in projected.items() if i in genres}
     sim_report = genre.sample_similarity(sim_profiles, genres, sample_cfg)
     ctx.write_text("genre_similarity_sampling.json", sim_report.to_json())
@@ -383,9 +376,7 @@ def stage_authenticity(ctx: Context) -> None:
     standardized = ctx.load_profiles("profiles_standardized.csv", len(ingest.FEATURES))
     scores = ctx.load_scores()
 
-    auth_scores, summary = authrev.authenticity(
-        g, projected, alpha=cfg["authenticity"]["alpha"], mode=cfg["authenticity"]["mode"]
-    )
+    auth_scores, summary = authrev.authenticity(g, projected, **cfg["authenticity"])
     ctx.write_table("authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
                     ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores))
     ctx.write_text("authenticity_summary.json", summary.to_json())
@@ -394,10 +385,7 @@ def stage_authenticity(ctx: Context) -> None:
     ids = sorted(i for i in standardized if i in ni)
     X = np.array([standardized[i] for i in ids])
     y = np.array([ni[i] for i in ids])
-    fit = authrev.elastic_net_grid(
-        X, y, cfg["elastic_net"]["lambda_grid"], cfg["elastic_net"]["alpha_mix"]
-    )
-    ctx.write_text("elastic_net.json", fit.to_json())
+    ctx.write_text("elastic_net.json", authrev.elastic_net_grid(X, y, **cfg["elastic_net"]).to_json())
 
 
 def stage_revolution(ctx: Context) -> None:
@@ -419,9 +407,7 @@ def stage_revolution(ctx: Context) -> None:
             bios[artist] = ctx.read_text(path)
         keyword_ids, _missing = authrev.semantic_match(phrases, bios)
 
-    labels = authrev.label_revolutionaries(
-        scores, periphery, keyword_ids, cfg["thresholds"]["periphery"]
-    )
+    labels = authrev.label_revolutionaries(scores, periphery, keyword_ids, cfg["thresholds"]["periphery"])
     ctx.write_table("revolution_labels.csv", ["node_id", "label", "evidence"],
                     ([l.node_id, l.label, "|".join(l.evidence)]
                      for l in sorted(labels, key=lambda l: l.node_id)))
@@ -437,13 +423,7 @@ def stage_revolution(ctx: Context) -> None:
     try:
         X = np.array([standardized[l.node_id] for l in rows])
         y = np.array([l.label for l in rows])
-        model = authrev.forest_train(
-            X, y,
-            trees=cfg["forest"]["trees"],
-            max_depth=cfg["forest"]["max_depth"],
-            seed=cfg["seed"],
-            split=tuple(cfg["forest"]["split"]),
-        )
+        model = authrev.forest_train(X, y, **cfg["forest"], seed=cfg["seed"])
         ctx.write_text("forest_model.json", model.to_json())
     except authrev.AuthRevError as exc:
         ctx.write_json("forest_model.json", {"trained": False, "reason": str(exc)})
@@ -477,10 +457,8 @@ REVOLUTION_LABELS = ("major", "non_major", "unlabeled")
 
 def stage_report(ctx: Context) -> None:
     report = {key: ctx.read_json(name) for name, key in REPORT_PIECES.items()}
-    counts = [0] * len(REVOLUTION_LABELS)
-    for (k,) in ctx.read_cells("revolution_labels.csv", {"label": REVOLUTION_LABELS.index}):
-        counts[k] += 1
-    report["revolution_label_counts"] = dict(zip(REVOLUTION_LABELS, counts))
+    _, (labels,) = ingest.read_columns(ctx.read("revolution_labels.csv"), {"label": REVOLUTION_LABELS.index})
+    report["revolution_label_counts"] = {l: labels.count(k) for k, l in enumerate(REVOLUTION_LABELS)}
     forest = ctx.read_json("forest_model.json")
     forest.pop("trees", None)  # summaries only in the bundle
     report["forest"] = forest

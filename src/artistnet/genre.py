@@ -229,19 +229,13 @@ class Dendrogram:
         ) + "\n"
 
 
-def genre_mean_vectors(profiles: dict[int, np.ndarray], genres: dict[int, str]) -> dict[str, np.ndarray]:
-    members = _genre_members(profiles.keys(), genres)
-    return {
-        g: np.mean([profiles[i] for i in m], axis=0) for g, m in sorted(members.items())
-    }
-
-
 def cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],
                    linkage: str = "average") -> Dendrogram:
     """Agglomerative clustering of genre-mean vectors (Euclidean distance,
     average linkage by default, Ward behind the flag). Ties are broken by
     lexicographic genre-pair order for determinism."""
-    means = genre_mean_vectors(profiles, genres)
+    members = _genre_members(profiles.keys(), genres)
+    means = {g: np.mean([profiles[i] for i in m], axis=0) for g, m in members.items()}
     names = sorted(means)
     if len(names) < 2:
         raise GenreError("clustering needs at least 2 genres")

@@ -20,8 +20,6 @@ YEAR_DIFF_MAX = 80
 # Sources per pass of `reach_table`'s bit-parallel BFS: 16 uint64 words a
 # node, so one level gathers at most E * 128 bytes.
 BFS_CHUNK = 1024
-# One edge as a row of columns: ids, year difference, weight (NaN for none).
-EDGE_COLUMNS = np.dtype([("src", "i8"), ("dst", "i8"), ("year_diff", "i8"), ("weight", "f8")])
 
 
 class GraphError(Exception):
@@ -70,9 +68,9 @@ class InfluenceGraph:
     """
 
     def __init__(self, nodes, edges):
-        table = np.fromiter(((e.src, e.dst, e.year_diff, math.nan if e.weight is None else e.weight)
-                             for e in edges), EDGE_COLUMNS)
-        self._build(nodes, *(table[c] for c in EDGE_COLUMNS.names), 0, 0)
+        edges = list(edges)
+        self._build(nodes, [e.src for e in edges], [e.dst for e in edges], [e.year_diff for e in edges],
+                    [math.nan if e.weight is None else e.weight for e in edges], 0, 0)
 
     @classmethod
     def from_arrays(cls, nodes, src, dst, year_diff, weight, self_loops_dropped: int = 0,
@@ -131,9 +129,6 @@ class InfluenceGraph:
 
     def out_neighbors(self, i: int) -> list[int]:
         return [self._ids[k] for k in self._succ[self._index(i)]]
-
-    def in_neighbors(self, i: int) -> list[int]:
-        return [self._ids[k] for k in self._in_csr[2][self._index(i)]]
 
     def _index(self, i: int) -> int:
         """Dense index of node id `i`."""

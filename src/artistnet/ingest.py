@@ -1,8 +1,8 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
-one CSV codec (`write_table`/`read_numbered`/`read_typed`) every table goes
-through. Cleaned songs are one `SongTable`, held in memory only: the
-`ingest` stage writes what is read off it (artist profiles, which map id to
-mean vector, and genre-by-year feature means), not the table itself."""
+one CSV codec (`write_table`, `read_numbered` and `read_columns`) every
+table goes through. Cleaned songs are one `SongTable`, held in memory
+only: the `ingest` stage writes what is read off it (artist profiles, which
+map id to mean vector, and genre-by-year feature means), not the table."""
 
 from __future__ import annotations
 
@@ -35,6 +35,8 @@ FEATURES = [
 ]
 
 DROPPED_COLUMNS = ["explicit", "mode"]
+
+ROWS_PER_BLOCK = 256  # rows `read_columns` holds as strings at a time
 
 
 def _int62(cell: str) -> int:
@@ -124,35 +126,65 @@ def read_numbered(path, columns):
             if missing:
                 raise IngestError(f"{path}: missing column(s) {missing}")
             picks, width = [position[c] for c in columns], len(header)
+            whole = picks == list(range(width))  # every column, in header order: no copy
             for row in reader:
                 if len(row) > width:
                     raise IngestError(f"{path}:{reader.line_num}: {len(row)} cells, header has {width}")
                 if row:
                     row += [None] * (width - len(row))
-                    yield reader.line_num, [row[k] for k in picks]
+                    yield reader.line_num, row if whole else [row[k] for k in picks]
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
 
 
-def read_typed(path, columns):
-    """(line, values) for each row of `read_numbered`: `columns` maps each
-    column to the function that types its cells, and `values` is the tuple
-    of typed cells. A short row is an IngestError naming path:line and its
-    first missing column; a cell a function rejects, one naming path:line,
-    the column and the text."""
+def read_columns(path, columns):
+    """(lines, cols) of the rows of `read_numbered`: each row's line number,
+    and one list of typed cells per column, `columns` mapping each column
+    to the function that types its cells. The first bad row is named: a
+    short row by path:line and its first missing column, a cell a function
+    rejects by path:line, the column and the text."""
+    lines, cols = [], [[] for _ in columns]
+    for block_lines, block_cols in _read_blocks(path, columns):
+        lines += block_lines
+        for col, part in zip(cols, block_cols):
+            col += part
+    return lines, cols
+
+
+def _read_blocks(path, columns):
+    """(lines, cols), as `read_columns` gives them, of each block of
+    ROWS_PER_BLOCK rows in turn; only one block's cells are held at a time."""
     names, converters = list(columns), list(columns.values())
-    for line, cells in read_numbered(path, names):
-        if None in cells:
-            raise IngestError(f"{path}:{line}: missing {names[cells.index(None)]} cell")
+    rows = read_numbered(path, names)
+    while True:
+        block, cols, error = [], [], None
         try:
-            values = tuple([convert(cell) for convert, cell in zip(converters, cells)])
+            for row in rows:
+                block.append(row)
+                if len(block) == ROWS_PER_BLOCK:
+                    break
+        except IngestError as exc:  # raised after the bad cells of the rows before it
+            error = exc
+        try:
+            for convert, cells in zip(converters, zip(*(cells for _, cells in block))):
+                if None in cells:
+                    raise TypeError
+                cols.append(list(map(convert, cells)))
         except (TypeError, ValueError):
-            for column, convert, cell in zip(names, converters, cells):
-                try:
-                    convert(cell)
-                except (TypeError, ValueError):
-                    raise IngestError(f"{path}:{line}: bad {column} cell {cell!r}") from None
-        yield line, values
+            for line, cells in block:
+                if None in cells:
+                    raise IngestError(f"{path}:{line}: missing {names[cells.index(None)]} cell") from None
+                for column, convert, cell in zip(names, converters, cells):
+                    try:
+                        convert(cell)
+                    except (TypeError, ValueError):
+                        raise IngestError(f"{path}:{line}: bad {column} cell {cell!r}") from None
+        if block:
+            yield [line for line, _ in block], cols
+        if error:
+            raise error
+        if len(block) < ROWS_PER_BLOCK:
+            return
 
 
 def read_text(path) -> str:
@@ -175,9 +207,8 @@ def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    parts = [p.strip() for p in inner.split(",") if p.strip()]
-    try:
-        return tuple(dict.fromkeys(int(p) for p in parts))
+    try:  # int() ignores the whitespace around a part
+        return tuple(dict.fromkeys(map(int, filter(str.strip, inner.split(",")))))
     except ValueError as exc:
         raise IngestError(f"{path}:{lineno}: bad artist_ids {text!r}") from exc
 
@@ -198,8 +229,8 @@ def load_influence(path) -> tuple[dict[int, tuple[str, str, int]], np.ndarray, n
     artist id given two different active_start values, naming both."""
     artists: dict[int, tuple[str, str, int]] = {}
     pairs: dict[tuple[int, int], None] = {}  # keeps first occurrences, in order
-    for lineno, (a, a_name, a_genre, a_start, b, b_name, b_genre, b_start) in read_typed(
-            path, INFLUENCE_COLUMNS):
+    rows = (row for lines, cols in _read_blocks(path, INFLUENCE_COLUMNS) for row in zip(lines, *cols))
+    for lineno, a, a_name, a_genre, a_start, b, b_name, b_genre, b_start in rows:
         if a < 0 or b < 0:
             raise IngestError(f"{path}:{lineno}: negative artist id")
         for aid, artist in ((a, (a_name, a_genre, a_start)), (b, (b_name, b_genre, b_start))):

@@ -13,8 +13,10 @@ from dataclasses import dataclass, fields
 import networkx as nx
 import numpy as np
 
+from artistnet.authrev import AuthenticityScore, AuthenticitySummary, AuthRevError
 from artistnet.graph import YEAR_DIFF_MAX, YEAR_DIFF_MIN, ArtistNode, GraphError, InfluenceEdge
 from artistnet.ingest import write_table
+from artistnet.simvec import tss_rows
 
 
 def edges_of(g) -> dict:
@@ -282,6 +284,60 @@ def reference_average_extreme_distance(values, mode="pair_mean"):
         for j in range(i + 1, n):
             total += abs(vals[i] - vals[j])
     return 2.0 * total / (n * (n - 1) if mode == "pair_mean" else n * (n - 2))
+
+
+def _minmax(values: list[float]) -> list[float]:
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return [0.0] * len(values)
+    return [(v - lo) / (hi - lo) for v in values]
+
+
+def reference_authenticity(g, profiles, alpha=0.8, mode="pair_mean"):
+    """Authenticity follower by follower: one tss_rows call over each
+    follower's profiled influencers (networkx predecessors, ascending),
+    min-max mapped in Python, AD by the running total of
+    reference_average_extreme_distance (with the library's errors for an
+    unknown mode and for unbounded n = 2)."""
+    dg = to_nx(g)
+    scores: list[AuthenticityScore] = []
+    excluded = 0
+    for node in g.node_ids():
+        if node not in profiles:
+            continue
+        influencers = [i for i in sorted(dg.predecessors(node)) if i in profiles]
+        if len(influencers) < 2:
+            if dg.in_degree(node) >= 1:
+                excluded += 1
+            continue
+        t, s, _ = tss_rows([profiles[node]] * len(influencers), [profiles[i] for i in influencers])
+        mapped = _minmax((t * s).tolist())
+        if mode not in ("pair_mean", "unbounded"):
+            raise AuthRevError(f"unknown mode {mode!r}")
+        if mode == "unbounded" and len(mapped) < 3:
+            raise AuthRevError("unbounded mode needs n >= 3")
+        ad = reference_average_extreme_distance(mapped, mode=mode)
+        scores.append(
+            AuthenticityScore(
+                node_id=node,
+                in_similarities=mapped,
+                ad=ad,
+                extreme=ad >= alpha,
+                stdev=float(np.std(mapped)),
+            )
+        )
+    fraction = (
+        sum(s.extreme for s in scores) / len(scores) if scores else 0.0
+    )
+    summary = AuthenticitySummary(
+        eligible=len(scores),
+        excluded_few_inputs=excluded,
+        fraction_extreme=fraction,
+        alpha=alpha,
+        mode=mode,
+    )
+    return scores, summary
+
 
 def _reference_gini(counts):
     total = counts.sum()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from oracles import reference_average_extreme_distance, reference_forest_train
+from oracles import reference_authenticity, reference_average_extreme_distance, reference_forest_train
 
 from artistnet.authrev import (
     AuthRevError,
@@ -110,6 +110,59 @@ class TestAuthenticity:
         assert lenient[0].ad == strict[0].ad
         assert lenient[0].extreme == (lenient[0].ad >= 0.5)
         assert strict[0].extreme == (strict[0].ad >= 1.0)
+
+    def test_unbounded_mode_with_a_two_influencer_follower_raises(self):
+        g = make_graph(5, [(0, 2), (1, 2), (0, 4), (1, 4), (3, 4)])
+        profiles = {i: np.array([1.0, i]) for i in range(5)}
+        with pytest.raises(AuthRevError, match="^unbounded mode needs n >= 3$"):
+            authenticity(g, profiles, mode="unbounded")
+
+
+# Profiles drawn from a small pool make tied similarities and zero vectors common.
+PROFILE_POOL = [np.zeros(3), np.array([1.0, 2.0, 0.5]), np.array([2.0, 4.0, 1.0]),
+                np.array([-1.0, 0.3, 2.0])]
+
+
+@st.composite
+def authenticity_cases(draw):
+    """(graph, profiles): a small random graph whose node 0 may also have
+    2, 160 or 200 extra influencers (most of them profiled, so more than
+    128, numpy's pairwise-sum block); each node is unprofiled, takes a pool
+    profile or a random one."""
+    n = draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, unique=True, max_size=3 * n))
+    hub = draw(st.sampled_from([0, 2, 160, 200]))
+    edges += [(k, 0) for k in range(n, n + hub)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.integers(-1, len(PROFILE_POOL)), min_size=n, max_size=n))
+    kinds += rng.integers(-1, len(PROFILE_POOL) + 1, size=hub).tolist()
+    profiles = {i: PROFILE_POOL[k] if k < len(PROFILE_POOL) else rng.normal(size=3)
+                for i, k in enumerate(kinds) if k >= 0}
+    return make_graph(n + hub, edges), profiles
+
+
+def outcome(fn, *args):
+    """What `fn` returns, with every float as its bytes, or the AuthRevError
+    message it raises."""
+    try:
+        scores, summary = fn(*args)
+    except AuthRevError as exc:
+        return str(exc)
+    bits = lambda v: (type(v), np.float64(v).tobytes())
+    return ([(s.node_id, bits(s.ad), bits(s.stdev), s.extreme, [bits(v) for v in s.in_similarities])
+             for s in scores],
+            {k: bits(v) if isinstance(v, float) else v for k, v in summary.__dict__.items()})
+
+
+class TestAuthenticityMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=authenticity_cases(), alpha=st.sampled_from([0.3, 0.8, 1.5]),
+           mode=st.sampled_from(["pair_mean", "unbounded"]))
+    def test_bitwise(self, case, alpha, mode):
+        g, profiles = case
+        assert outcome(authenticity, g, profiles, alpha, mode) == outcome(
+            reference_authenticity, g, profiles, alpha, mode)
 
 
 class TestElasticNet:

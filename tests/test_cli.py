@@ -495,6 +495,16 @@ def test_input_table_with_a_byte_order_mark_reads_as_without(tmp_path, name):
             assert path.read_bytes() == (tmp_path / "marked" / path.name).read_bytes(), path.name
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path):
+    cfg_path = write_fixture(tmp_path)
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(tmp_path / "plain")]) == 0
+    add_byte_order_mark(cfg_path)
+    assert main(["ingest", "--config", str(cfg_path), "--out", str(tmp_path / "marked")]) == 0
+    for path in sorted((tmp_path / "plain").iterdir()):
+        if path.name != "manifest.json":
+            assert path.read_bytes() == (tmp_path / "marked" / path.name).read_bytes(), path.name
+
+
 def test_phrases_file_with_a_byte_order_mark_keeps_its_first_phrase(tmp_path):
     cfg_path = write_fixture(tmp_path)
     configure(cfg_path, **write_bios(tmp_path))

@@ -15,8 +15,8 @@ from artistnet.ingest import (
     build_artist_profiles,
     load_influence,
     load_songs,
+    read_columns,
     read_numbered,
-    read_typed,
     write_table,
 )
 
@@ -425,7 +425,8 @@ class TestTableCodec:
             write_table(path, header, rows)
             with open(path, newline="", encoding="utf-8") as fh:
                 written_header = next(csv.reader(fh))
-            got = [values for _, values in read_typed(path, {c: PARSE[k] for c, k in zip(header, kinds)})]
+            _, cols = read_columns(path, {c: PARSE[k] for c, k in zip(header, kinds)})
+            got = list(zip(*cols))
         assert written_header == header
         # floats are compared by repr, so bit for bit, -0.0 and nan included
         exact = lambda row: tuple(repr(v) if isinstance(v, float) else v for v in row)
@@ -446,13 +447,62 @@ class TestTableCodec:
         path = tmp_path / "t.csv"
         write_table(path, ["a", "b", "c"], [[1, 2, 3], [4]])
         with pytest.raises(IngestError, match=r"t\.csv:3: missing c cell$"):
-            list(read_typed(path, {"a": int, "c": int, "b": int}))
+            read_columns(path, {"a": int, "c": int, "b": int})
 
     def test_rejected_cell_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["a", "b"], [[1, 2], [3, "x"]])
         with pytest.raises(IngestError, match=r"t\.csv:3: bad b cell 'x'$"):
-            list(read_typed(path, {"a": int, "b": int}))
+            read_columns(path, {"a": int, "b": int})
+
+
+class TestReadColumns:
+    """read_columns types a block of rows at a time; ROWS_PER_BLOCK is 3
+    here, so a table of a few rows spans several blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "ROWS_PER_BLOCK", 3)
+
+    def test_columns_and_lines_span_blocks(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + "".join(f"{k},x{k}\n\n" for k in range(7)), encoding="utf-8")
+        lines, cols = read_columns(path, {"b": str, "a": int})
+        assert cols == [[f"x{k}" for k in range(7)], list(range(7))]
+        assert lines == [2 + 2 * k for k in range(7)]
+
+    def test_bad_cell_past_a_block_boundary_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [[k, k] for k in range(4)] + [[4, "x"], [5, 5]])
+        with pytest.raises(IngestError, match=r"t\.csv:6: bad b cell 'x'$"):
+            read_columns(path, {"a": int, "b": int})
+
+    def test_short_row_past_a_block_boundary_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [[k, k] for k in range(6)] + [[6]])
+        with pytest.raises(IngestError, match=r"t\.csv:8: missing b cell$"):
+            read_columns(path, {"a": int, "b": int})
+
+    @pytest.mark.parametrize("first, second", [(4, 5), (2, 5), (5, 4)])
+    def test_first_of_two_bad_rows_is_named(self, tmp_path, first, second):
+        rows = [[k, k] for k in range(7)]
+        rows[first], rows[second] = [first, "x"], [second]
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], rows)
+        message = "bad b cell 'x'" if first < second else "missing b cell"
+        with pytest.raises(IngestError, match=rf"t\.csv:{min(first, second) + 2}: {message}$"):
+            read_columns(path, {"a": int, "b": int})
+
+    def test_bad_cell_is_named_before_a_later_long_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [[0, 0], [1, 1], [2, 2], [3, "x"], [4, 4, 4]])
+        with pytest.raises(IngestError, match=r"t\.csv:5: bad b cell 'x'$"):
+            read_columns(path, {"a": int, "b": int})
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [])
+        assert read_columns(path, {"a": int, "b": float}) == ([], [[], []])
 
 
 HEADER_NAMES = st.sampled_from(["a", "b", "c", "a b", "Año", 'say "x"'])
