@@ -13,8 +13,9 @@ A stage reads and writes only through its `Context`, which records each
 file as the stage opens or writes it; after the stage the manifest
 (config snapshot, seed, SHA-256 of every input and output) is updated from
 those records, so it lists exactly what the stage read and wrote. Every
-CSV artifact is written by `ingest.write_table` and read back, as typed
-columns, by `ingest.read_columns`; text and JSON inputs are read by
+CSV artifact is written by `ingest.write_table` from Python scalars and
+read back by `ingest.read_columns` as numpy arrays (`.tolist()` where a
+record, key or JSON needs Python values); text and JSON inputs are read by
 `Context.read_text` and `Context.read_json`.
 
 Exit codes: 0 success, 2 config error (including a config file that is
@@ -219,23 +220,23 @@ class Context:
         return _read_json(self.read(name))
 
     def load_graph(self) -> graph.InfluenceGraph:
-        _, nodes = ingest.read_columns(self.read("nodes.csv"), {
+        ids, names, genres, starts = ingest.read_columns(self.read("nodes.csv"), {
             "id": int, "name": str, "genre": str, "active_start": int})
-        _, edges = ingest.read_columns(self.read("edges.csv"), {
-            "from": int, "to": int, "year_diff": int, "weight": lambda w: float(w or "nan")})
-        return graph.InfluenceGraph.from_arrays(list(map(graph.ArtistNode, *nodes)), *edges)
+        nodes = list(map(graph.ArtistNode, ids.tolist(), names, genres, starts.tolist()))
+        return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(self.read("edges.csv"), {
+            "from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}))
 
     def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
         """Artist id -> vector of the first `width` columns of profile table
         `name`; the vectors are the rows of one matrix."""
-        _, (ids, *values) = ingest.read_columns(
+        ids, *values = ingest.read_columns(
             self.read(name), {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
-        return dict(zip(ids, np.array(values, dtype=np.float64).T.copy()))
+        return dict(zip(ids.tolist(), np.column_stack(values)))
 
     def load_scores(self) -> list[centrality.CentralityScores]:
-        _, cols = ingest.read_columns(self.read("centrality.csv"), {
+        cols = ingest.read_columns(self.read("centrality.csv"), {
             "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
-        return list(map(centrality.CentralityScores, *cols))
+        return list(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
 
 
 def _read_json(path: Path):
@@ -289,7 +290,7 @@ def stage_ingest(ctx: Context) -> None:
     profiles = ingest.build_artist_profiles(songs)
     ctx.write_text("cleaning_report.json", report.to_json())
     ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
-                    ([a, *p] for a, p in profiles.items()))
+                    ([a, *p.tolist()] for a, p in profiles.items()))
     ctx.write_table("genre_year_means.csv", genre.YEAR_MEANS_COLUMNS, genre.genre_year_means(songs, genres))
 
 
@@ -326,9 +327,9 @@ def stage_similarity(ctx: Context) -> None:
     projected = simvec.project(model, std.vectors)
     ctx.write_text("pca_model.json", model.to_json())
     ctx.write_table("profiles_standardized.csv", _profile_header(X.shape[1]),
-                    ([i, *v] for i, v in zip(ids, std.vectors)))
+                    ([i, *v] for i, v in zip(ids, std.vectors.tolist())))
     ctx.write_table("profiles_projected.csv", _profile_header(ctx.cfg["pca_k"]),
-                    ([i, *v] for i, v in zip(ids, projected)))
+                    ([i, *v] for i, v in zip(ids, projected.tolist())))
     cap = min(ctx.cfg["uniqueness_cap"], len(ids))
     sample = projected[:cap]
     uniq = {
@@ -457,7 +458,7 @@ REVOLUTION_LABELS = ("major", "non_major", "unlabeled")
 
 def stage_report(ctx: Context) -> None:
     report = {key: ctx.read_json(name) for name, key in REPORT_PIECES.items()}
-    _, (labels,) = ingest.read_columns(ctx.read("revolution_labels.csv"), {"label": REVOLUTION_LABELS.index})
+    labels, = ingest.read_columns(ctx.read("revolution_labels.csv"), {"label": REVOLUTION_LABELS.index})
     report["revolution_label_counts"] = {l: labels.count(k) for k, l in enumerate(REVOLUTION_LABELS)}
     forest = ctx.read_json("forest_model.json")
     forest.pop("trees", None)  # summaries only in the bundle

@@ -1,14 +1,16 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
-one CSV codec (`write_table`, `read_numbered` and `read_columns`) every
-table goes through. Cleaned songs are one `SongTable`, held in memory
-only: the `ingest` stage writes what is read off it (artist profiles, which
-map id to mean vector, and genre-by-year feature means), not the table."""
+one CSV codec every table goes through: `write_table`, and `read_columns`,
+which types a table with numpy's text reader a block at a time, reading a
+table numpy rejects with the csv module (`read_numbered`). Cleaned songs
+are one `SongTable`, held in memory only: the `ingest` stage writes what is
+read off it (artist profiles and genre-by-year feature means)."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field, asdict
 from types import SimpleNamespace
@@ -36,7 +38,7 @@ FEATURES = [
 
 DROPPED_COLUMNS = ["explicit", "mode"]
 
-ROWS_PER_BLOCK = 256  # rows `read_columns` holds as strings at a time
+ROWS_PER_BLOCK = 256  # rows numpy types at a time
 
 
 def _int62(cell: str) -> int:
@@ -97,8 +99,8 @@ class CleaningReport:
 def write_table(path, header, rows) -> None:
     """Write `header` and `rows` as CSV in the dialect of every artifact:
     UTF-8, LF line ends, csv.writer quoting (a field holding a comma, quote,
-    CR or LF is quoted), floats as repr (so they read back exactly) and None
-    as an empty cell."""
+    CR or LF is quoted) and None as an empty cell. Cells are Python str,
+    int, float or None: csv writes a float as its repr, which reads back."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # csv quotes a field that holds a character of the line terminator,
         # so records are made with "\r\n" (quoting "\r" as well as "\n")
@@ -106,85 +108,98 @@ def write_table(path, header, rows) -> None:
         sink = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
         w = csv.writer(sink, lineterminator="\r\n")
         w.writerow(header)
-        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        w.writerows(rows)
+
+
+def _picks(path, header: list[str], columns) -> list[int]:
+    """Header position of each of `columns` (a repeated name's last)."""
+    position = {c: k for k, c in enumerate(header)}
+    missing = [c for c in columns if c not in position]
+    if missing:
+        raise IngestError(f"{path}: missing column(s) {missing}")
+    return [position[c] for c in columns]
 
 
 def read_numbered(path, columns):
-    """(line, cells) for each row of a CSV file, read lazily: `cells` are
-    the row's string cells of `columns`, in that order, None where a short
-    row ends; `line` is the reader's line number. A leading byte-order mark
-    and blank lines are skipped, and a name the header repeats reads its
-    last position. Raises IngestError when the header lacks one of
-    `columns`, when a row has more cells than the header, or when the file
-    is not UTF-8."""
+    """(line, cells) for each row of a CSV file, read lazily by the csv
+    module: `cells` are the row's string cells of `columns`, in that order,
+    None where a short row ends; `line` is the reader's line number. A
+    leading byte-order mark and blank lines are skipped. Raises IngestError
+    when the header lacks one of `columns`, when a row has more cells than
+    the header, or when the file is not UTF-8."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            position = {c: k for k, c in enumerate(header)}
-            missing = [c for c in columns if c not in position]
-            if missing:
-                raise IngestError(f"{path}: missing column(s) {missing}")
-            picks, width = [position[c] for c in columns], len(header)
-            whole = picks == list(range(width))  # every column, in header order: no copy
+            picks, width = _picks(path, header, columns), len(header)
             for row in reader:
                 if len(row) > width:
                     raise IngestError(f"{path}:{reader.line_num}: {len(row)} cells, header has {width}")
                 if row:
                     row += [None] * (width - len(row))
-                    yield reader.line_num, row if whole else [row[k] for k in picks]
+                    yield reader.line_num, [row[k] for k in picks]
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
 
 
-def read_columns(path, columns):
-    """(lines, cols) of the rows of `read_numbered`: each row's line number,
-    and one list of typed cells per column, `columns` mapping each column
-    to the function that types its cells. The first bad row is named: a
-    short row by path:line and its first missing column, a cell a function
-    rejects by path:line, the column and the text."""
-    lines, cols = [], [[] for _ in columns]
-    for block_lines, block_cols in _read_blocks(path, columns):
-        lines += block_lines
-        for col, part in zip(cols, block_cols):
-            col += part
-    return lines, cols
+def _typed_blocks(path, kinds: dict):
+    """The columns of `kinds` (name: dtype) of each ROWS_PER_BLOCK rows of a
+    CSV file, typed by numpy (the last block short or empty); ValueError where it fails."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # numpy given a path turns CR into LF
+        header = next(csv.reader(fh), [])
+        kind_at = dict(zip(_picks(path, header, kinds), kinds.values()))  # by header position
+        # a field for every cell (others as text), so a row of the wrong length is rejected
+        dtype = np.dtype([(f"c{k}", kind_at.get(k, object)) for k in range(len(header))])
+        while True:
+            with warnings.catch_warnings():  # numpy warns of the empty block after the last row
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"',
+                                   ndmin=1, max_rows=ROWS_PER_BLOCK)  # by default "#" cuts a row
+            yield [block[f"c{k}"].copy() for k in kind_at]  # views would keep every cell's text
+            if len(block) < ROWS_PER_BLOCK:
+                return
 
 
-def _read_blocks(path, columns):
-    """(lines, cols), as `read_columns` gives them, of each block of
-    ROWS_PER_BLOCK rows in turn; only one block's cells are held at a time."""
+def optional_float(cell: str) -> float:
+    return float(cell or "nan")
+
+
+# The array read_columns gives a column of each cell type; a list for others.
+_ARRAYS = {int: np.int64, _int62: np.int64, float: np.float64, optional_float: np.float64, str: object}
+
+
+def read_columns(path, columns) -> list:
+    """The columns of a CSV file, `columns` mapping each to the function
+    that types its cells (see _ARRAYS), typed by numpy a block at a time.
+    A table numpy rejects (a bad or missing cell, a long row, number syntax
+    only Python reads) is read by `read_numbered`, giving the same columns
+    or naming the first bad row's path:line and its first missing column,
+    or a cell its function rejects (or an int outside int64) and its text."""
+    try:
+        blocks = _typed_blocks(path, {c: _ARRAYS.get(f, object) for c, f in columns.items()})
+        cols = [np.concatenate(parts) for parts in zip(*blocks)]
+        if any(f is _int62 and ((c < -2**62) | (c >= 2**62)).any() for f, c in zip(columns.values(), cols)):
+            raise ValueError("a cell _int62 rejects")
+        return [c if f in _ARRAYS else list(map(f, c.tolist())) for f, c in zip(columns.values(), cols)]
+    except (TypeError, ValueError):
+        return _read_rows(path, columns)
+
+
+def _read_rows(path, columns) -> list:
+    """read_columns by `read_numbered`, a cell at a time."""
     names, converters = list(columns), list(columns.values())
-    rows = read_numbered(path, names)
-    while True:
-        block, cols, error = [], [], None
-        try:
-            for row in rows:
-                block.append(row)
-                if len(block) == ROWS_PER_BLOCK:
-                    break
-        except IngestError as exc:  # raised after the bad cells of the rows before it
-            error = exc
-        try:
-            for convert, cells in zip(converters, zip(*(cells for _, cells in block))):
-                if None in cells:
-                    raise TypeError
-                cols.append(list(map(convert, cells)))
-        except (TypeError, ValueError):
-            for line, cells in block:
-                if None in cells:
-                    raise IngestError(f"{path}:{line}: missing {names[cells.index(None)]} cell") from None
-                for column, convert, cell in zip(names, converters, cells):
-                    try:
-                        convert(cell)
-                    except (TypeError, ValueError):
-                        raise IngestError(f"{path}:{line}: bad {column} cell {cell!r}") from None
-        if block:
-            yield [line for line, _ in block], cols
-        if error:
-            raise error
-        if len(block) < ROWS_PER_BLOCK:
-            return
+    cols = [[] for _ in names]
+    for line, cells in read_numbered(path, names):
+        if None in cells:
+            raise IngestError(f"{path}:{line}: missing {names[cells.index(None)]} cell")
+        for col, column, convert, cell in zip(cols, names, converters, cells):
+            try:
+                col.append(convert(cell))
+                if _ARRAYS.get(convert) is np.int64 and not -2**63 <= col[-1] < 2**63:
+                    raise ValueError(cell)
+            except (TypeError, ValueError):
+                raise IngestError(f"{path}:{line}: bad {column} cell {cell!r}") from None
+    return [np.array(c, _ARRAYS[f]) if f in _ARRAYS else c for c, f in zip(cols, converters)]
 
 
 def read_text(path) -> str:
@@ -201,16 +216,14 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> IngestError:
     return IngestError(f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})")
 
 
-def _parse_artist_ids(text: str, path, lineno) -> tuple[int, ...]:
+def _parse_artist_ids(text: str) -> tuple[int, ...]:
     # Serialized as a bracketed comma-separated list, e.g. "[101, 202]"; an
-    # id listed twice is kept once, at its first place.
+    # id listed twice is kept once, at its first place. ValueError for a
+    # part that is not an int (int() ignores the whitespace around a part).
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    try:  # int() ignores the whitespace around a part
-        return tuple(dict.fromkeys(map(int, filter(str.strip, inner.split(",")))))
-    except ValueError as exc:
-        raise IngestError(f"{path}:{lineno}: bad artist_ids {text!r}") from exc
+    return tuple(dict.fromkeys(map(int, filter(str.strip, inner.split(",")))))
 
 
 def _is_finite(cell: str) -> bool:
@@ -226,21 +239,31 @@ def load_influence(path) -> tuple[dict[int, tuple[str, str, int]], np.ndarray, n
     start) as first given; `src` and `dst` are int64 arrays of the
     (influencer, follower) pairs, each pair once, at its first occurrence,
     in file order. A negative id is an error naming the line, and so is an
-    artist id given two different active_start values, naming both."""
-    artists: dict[int, tuple[str, str, int]] = {}
-    pairs: dict[tuple[int, int], None] = {}  # keeps first occurrences, in order
-    rows = (row for lines, cols in _read_blocks(path, INFLUENCE_COLUMNS) for row in zip(lines, *cols))
-    for lineno, a, a_name, a_genre, a_start, b, b_name, b_genre, b_start in rows:
-        if a < 0 or b < 0:
-            raise IngestError(f"{path}:{lineno}: negative artist id")
-        for aid, artist in ((a, (a_name, a_genre, a_start)), (b, (b_name, b_genre, b_start))):
-            start = artists.setdefault(aid, artist)[2]
-            if start != artist[2]:
-                raise IngestError(f"{path}:{lineno}: artist {aid} active_start {artist[2]} "
-                                  f"conflicts with {start} given earlier")
-        pairs[a, b] = None
-    src, dst = np.array(list(pairs), np.int64).reshape(-1, 2).T
-    return artists, src, dst
+    artist id given two different active_start values, naming both (in a
+    row, a negative id first, then the influencer, then the follower)."""
+    a, a_start, b, b_start = read_columns(path, {c: f for c, f in INFLUENCE_COLUMNS.items() if f is _int62})
+    ends = np.column_stack([a, b]).ravel()  # each row's influencer, then its follower
+    starts = np.column_stack([a_start, b_start]).ravel()
+    _, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    conflict = np.flatnonzero(starts != starts[first][inverse])
+    negative = np.flatnonzero((a < 0) | (b < 0))
+    if len(negative) or len(conflict):
+        row = min(negative[:1].tolist() + (conflict[:1] // 2).tolist())
+        where = f"{path}:" + next(str(n) for k, (n, _) in enumerate(read_numbered(path, [])) if k == row)
+        if negative[:1].tolist() == [row]:
+            raise IngestError(f"{where}: negative artist id")
+        p = conflict[0]
+        raise IngestError(f"{where}: artist {ends[p]} active_start {starts[p]} "
+                          f"conflicts with {starts[first[inverse[p]]]} given earlier")
+    mention, text, row = np.sort(first), [], 0
+    # (name, genre) at each first mention, read a block at a time: the text is never all held
+    for block in _typed_blocks(path, {c: object for c, f in INFLUENCE_COLUMNS.items() if f is str}):
+        lo, hi = np.searchsorted(mention, [2 * row, 2 * (row + len(block[0]))])
+        text += np.column_stack(block).reshape(-1, 2)[mention[lo:hi] - 2 * row].tolist()
+        row += len(block[0])
+    artists = {i: (n, g, s) for i, (n, g), s in zip(ends[mention].tolist(), text, starts[mention].tolist())}
+    pairs = np.sort(np.unique(np.column_stack([a, b]), axis=0, return_index=True)[1])
+    return artists, a[pairs], b[pairs]
 
 
 def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
@@ -251,34 +274,50 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     `explicit` and `mode` are always marked dropped. A cell that does not
     parse as a finite number is an error naming its line and column. When
     `known_artist_ids` is given, songs none of whose artists appear in it
-    are kept and counted as unlinked.
+    are kept and counted as unlinked. The rules apply as masks to each
+    block numpy types. A table numpy rejects (a blank cell, say) or with a
+    bad cell is read a row at a time, which drops or names that row.
     """
-    report = CleaningReport()
-    ids: list[tuple[int, ...]] = []
-    flat = array("d")
+    blocks = ((list(map(_parse_artist_ids, ids.tolist())), np.column_stack(cols))
+              for *cols, ids in _typed_blocks(path, dict.fromkeys(NUMERIC, float) | {"artist_ids": object}))
+    try:
+        return _clean_songs(blocks, CleaningReport(), known_artist_ids)
+    except ValueError:
+        pass  # read a row at a time
+    report, ids, flat = CleaningReport(), [], array("d")
     for lineno, (id_cell, *cells) in read_numbered(path, SONG_COLUMNS):
-        report.rows_read += 1
+        if any((c or "").strip() == "" for c in cells):  # blank, or None where a short row ends
+            report.rows_read += 1
+            report.rows_dropped_missing_value += 1
+            continue
+        for col, cell in zip(NUMERIC, cells):
+            if not _is_finite(cell):
+                raise IngestError(f"{path}:{lineno}: numeric field {col}={cell!r} is not a finite number")
         try:
-            row = [float(c) for c in cells]
-        except (TypeError, ValueError):  # a missing cell (blank, or None in a short row) fails too
-            row = None
-            if any((c or "").strip() == "" for c in cells):
-                report.rows_dropped_missing_value += 1
-                continue
-        if row is None or not all(map(math.isfinite, row)):
-            col, cell = next((c, v) for c, v in zip(NUMERIC, cells) if not _is_finite(v))
-            raise IngestError(f"{path}:{lineno}: numeric field {col}={cell!r} is not a finite number")
-        artist_ids = _parse_artist_ids(id_cell or "", path, lineno)  # None where a short row ends
-        if not artist_ids:
-            report.rows_dropped_missing_artist += 1
-            continue
-        if not (-60.0 <= row[LOUDNESS] <= 0.0):
-            report.rows_dropped_loudness += 1
-            continue
-        report.rows_flagged_unlinked += known_artist_ids is not None and not any(
-            a in known_artist_ids for a in artist_ids)
-        ids.append(artist_ids)
-        flat.extend(row)
+            ids.append(_parse_artist_ids(id_cell or ""))
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: bad artist_ids {id_cell!r}") from None
+        flat.extend(map(float, cells))
+    values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
+    return _clean_songs([(ids, values)], report, known_artist_ids)
+
+
+def _clean_songs(blocks, report: CleaningReport, known_artist_ids) -> tuple[SongTable, CleaningReport]:
+    """SongTable of the rows of (artist ids, values) `blocks` that pass."""
+    ids, flat = [], array("d")  # grown in place: no second copy of the table
+    for artist_ids, values in blocks:
+        if not np.isfinite(values).all():
+            raise ValueError("a cell that is not a finite number")
+        has_artist = np.array(list(map(bool, artist_ids)), bool)
+        keep = has_artist & (-60.0 <= values[:, LOUDNESS]) & (values[:, LOUDNESS] <= 0.0)
+        report.rows_read += len(values)
+        report.rows_dropped_missing_artist += int((~has_artist).sum())
+        report.rows_dropped_loudness += int((has_artist & ~keep).sum())
+        kept = [t for t, k in zip(artist_ids, keep.tolist()) if k]
+        report.rows_flagged_unlinked += known_artist_ids is not None and sum(
+            not any(a in known_artist_ids for a in t) for t in kept)
+        ids += kept
+        flat.frombytes(values[keep].tobytes())
     values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
     # int() truncation; adding 0.0 turns trunc's -0.0 into int()'s 0.
     values[:, TRUNCATED] = np.trunc(values[:, TRUNCATED]) + 0.0

@@ -7,6 +7,11 @@ manifest.json must equal the one recorded in tests/golden_digests.json.
 Those bytes depend on numpy's BLAS dots and `eigh`, so the file records
 the Python and numpy versions it was made with, and a mismatch fails.
 
+The same runs check two properties of the CSV codec: numpy's reader
+types every table (the csv module's path, kept for tables numpy rejects,
+is made to fail), and the writers hand `write_table` only Python str, int,
+float and None cells.
+
 A change that alters artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -29,7 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import run as bench  # noqa: E402
 from gen import generate  # noqa: E402
 
-from artistnet.cli import main  # noqa: E402
+from artistnet import centrality, graph, ingest  # noqa: E402
+from artistnet.cli import STAGES, main  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 5
@@ -58,15 +64,43 @@ def out_digests(name: str, work: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_artifacts_match_the_golden_digests(name, tmp_path):
+def golden_digests(name: str) -> dict:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     recorded = {k: golden[k] for k in versions()}
     if recorded != versions():
         pytest.fail(f"golden digests were made with Python {recorded['python']} and numpy "
                     f"{recorded['numpy']}; this is Python {platform.python_version()} and numpy "
                     f"{np.__version__}; regenerate them as this module's docstring says")
-    assert out_digests(name, tmp_path) == golden["workloads"][name]
+    return golden["workloads"][name]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_artifacts_match_the_golden_digests(name, tmp_path):
+    assert out_digests(name, tmp_path) == golden_digests(name)
+
+
+@pytest.mark.parametrize("name", ["paper", "names"])
+def test_numpy_reads_every_table(name, tmp_path, monkeypatch):
+    def csv_path(path, *args):
+        raise AssertionError(f"numpy rejected {path}")
+    monkeypatch.setattr(ingest, "read_numbered", csv_path)  # every row-at-a-time read
+    assert out_digests(name, tmp_path) == golden_digests(name)
+
+
+def test_writers_hand_csv_python_scalars(tmp_path, monkeypatch):
+    cells = {}
+    write_table = ingest.write_table
+
+    def recording(path, header, rows):
+        rows = [list(row) for row in rows]
+        cells[Path(path).name] = {type(v).__name__ for row in rows for v in row}
+        write_table(path, header, rows)
+    for module in (ingest, graph, centrality):
+        monkeypatch.setattr(module, "write_table", recording)
+    out_digests("paper", tmp_path)
+    assert set(cells) == {name for stage in STAGES for name in stage.writes if name.endswith(".csv")}
+    assert {name: kinds - {"str", "int", "float", "NoneType"} for name, kinds in cells.items()} == (
+        dict.fromkeys(cells, set()))
 
 
 if __name__ == "__main__":

@@ -405,7 +405,7 @@ TABLE_LAYOUTS = {
 # they cannot be encoded as UTF-8, so no input file can hold them.
 CELLS = {
     "s": st.text(st.sampled_from(list(',"\r\n ')) | st.characters(exclude_categories=["Cs"])),
-    "i": st.integers(-2**63, 2**63),
+    "i": st.integers(-2**63, 2**63 - 1),  # int columns read as int64 (2**63 is a bad cell)
     "f": st.floats(),
     "f?": st.none() | st.floats(),
 }
@@ -425,8 +425,8 @@ class TestTableCodec:
             write_table(path, header, rows)
             with open(path, newline="", encoding="utf-8") as fh:
                 written_header = next(csv.reader(fh))
-            _, cols = read_columns(path, {c: PARSE[k] for c, k in zip(header, kinds)})
-            got = list(zip(*cols))
+            cols = read_columns(path, {c: PARSE[k] for c, k in zip(header, kinds)})
+            got = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
         assert written_header == header
         # floats are compared by repr, so bit for bit, -0.0 and nan included
         exact = lambda row: tuple(repr(v) if isinstance(v, float) else v for v in row)
@@ -449,6 +449,13 @@ class TestTableCodec:
         with pytest.raises(IngestError, match=r"t\.csv:3: missing c cell$"):
             read_columns(path, {"a": int, "c": int, "b": int})
 
+    @pytest.mark.parametrize("cell", [str(2**63), str(-2**63 - 1)])
+    def test_int_outside_int64_is_named(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], [[1, 2], [3, int(cell)]])
+        with pytest.raises(IngestError, match=rf"t\.csv:3: bad b cell '{cell}'$"):
+            read_columns(path, {"a": int, "b": int})
+
     def test_rejected_cell_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["a", "b"], [[1, 2], [3, "x"]])
@@ -456,20 +463,24 @@ class TestTableCodec:
             read_columns(path, {"a": int, "b": int})
 
 
+def numpy_rejects(path, kinds):
+    raise ValueError("rejected")
+
+
 class TestReadColumns:
-    """read_columns types a block of rows at a time; ROWS_PER_BLOCK is 3
-    here, so a table of a few rows spans several blocks."""
+    """numpy types a block of rows at a time; ROWS_PER_BLOCK is 3 here, so
+    a table of a few rows spans several blocks."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(ingest, "ROWS_PER_BLOCK", 3)
 
-    def test_columns_and_lines_span_blocks(self, tmp_path):
+    def test_columns_span_blocks(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n" + "".join(f"{k},x{k}\n\n" for k in range(7)), encoding="utf-8")
-        lines, cols = read_columns(path, {"b": str, "a": int})
-        assert cols == [[f"x{k}" for k in range(7)], list(range(7))]
-        assert lines == [2 + 2 * k for k in range(7)]
+        b, a = read_columns(path, {"b": str, "a": int})
+        assert b.tolist() == [f"x{k}" for k in range(7)]
+        assert a.dtype == np.int64 and a.tolist() == list(range(7))
 
     def test_bad_cell_past_a_block_boundary_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -502,7 +513,75 @@ class TestReadColumns:
     def test_header_only_gives_empty_columns(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["a", "b"], [])
-        assert read_columns(path, {"a": int, "b": float}) == ([], [[], []])
+        a, b = read_columns(path, {"a": int, "b": float})
+        assert (a.dtype, a.shape, b.dtype, b.shape) == (np.int64, (0,), np.float64, (0,))
+
+
+class TestReadColumnsByCsv(TestReadColumns):
+    """The same tests on the csv module's path, which read_columns takes
+    for a table numpy rejects."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "ROWS_PER_BLOCK", 3)
+        monkeypatch.setattr(ingest, "_typed_blocks", numpy_rejects)
+
+
+# Cells of the two-path property. Text mixes the characters the csv
+# module or numpy's reader treat specially; numbers are ints and floats as
+# write_table writes them and text that numpy reads as Python does (outer
+# spaces, a sign, nan, inf, overflow to inf).
+PARITY_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", " ", "#", "a", "Año", "東京"]),
+                       max_size=4).map("".join) | st.characters(exclude_categories=["Cs"])
+PARITY_NUMBERS = (st.integers(-2**63, 2**63 - 1).map(str) | st.floats().map(repr)
+                  | st.sampled_from([" 5", "+5", "5 ", "-0", "nan", "-nan", "inf", "-Infinity", "1e400"]))
+PARITY_KINDS = {"s": (str, PARITY_TEXT), "i": (int, PARITY_NUMBERS), "f": (float, PARITY_NUMBERS),
+                "f?": (ingest.optional_float, PARITY_NUMBERS)}
+# At most one cell per table that numpy rejects: (row, column, text).
+PARITY_BAD = st.none() | st.tuples(st.integers(0, 6), st.integers(0, 3), st.sampled_from(
+    ["1_000", "٣", "", "x", "5.0", "1e3", str(2**63), "#1"]))
+
+
+class TestReadColumnsMatchesCsvPath:
+    """read_columns, which takes numpy's path wherever numpy accepts a
+    table, against the csv module's path alone (`ingest._read_rows`), on
+    tables write_table writes with blank lines and a byte-order mark
+    added: the same columns cell for cell (floats by their bits), or the
+    same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(sorted(PARITY_KINDS)), min_size=1, max_size=4),
+           bad=PARITY_BAD, resize=st.none() | st.tuples(st.integers(0, 6), st.sampled_from([-1, 1])),
+           block=st.sampled_from([1, 2, 3, 256]), bom=st.booleans(), data=st.data())
+    def test_same_columns_or_error(self, kinds, bad, resize, block, bom, data):
+        header = [f"c{k}" for k in range(len(kinds))]
+        rows = data.draw(st.lists(st.tuples(*(PARITY_KINDS[k][1] for k in kinds)).map(list), max_size=7))
+        if bad is not None and bad[0] < len(rows) and bad[1] < len(kinds):
+            rows[bad[0]][bad[1]] = bad[2]
+        if resize is not None and resize[0] < len(rows):  # one row a cell short or long
+            row = rows[resize[0]]
+            rows[resize[0]] = row[:-1] if resize[1] < 0 else row + ["x"]
+        order = data.draw(st.permutations(range(len(kinds))))
+        columns = {header[k]: PARITY_KINDS[kinds[k]][0] for k in order[:data.draw(st.integers(0, len(order)))]}
+        blank = data.draw(st.sets(st.integers(0, len(rows))))  # blank lines after these records
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "ROWS_PER_BLOCK", block)
+            path = Path(tmp) / "t.csv"
+            tables = []
+            for k in range(len(rows) + 1):
+                write_table(path, header, rows[:k])
+                tables.append(path.read_bytes())
+            path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(
+                table[len(before):] + b"\n" * (k in blank)
+                for k, (before, table) in enumerate(zip([b""] + tables, tables))))
+            for read in (read_columns, ingest._read_rows):
+                try:
+                    cols = read(path, columns)
+                    outcomes.append([(c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in cols])
+                except IngestError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 HEADER_NAMES = st.sampled_from(["a", "b", "c", "a b", "Año", 'say "x"'])
