@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from artistnet.graph import GraphError, InfluenceGraph
+from artistnet.graph import GraphError, InfluenceGraph, genre_codes
 from artistnet.simvec import tss_rows
 
 DEFAULT_ALPHA = 0.8
@@ -248,13 +248,16 @@ def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit
 # revolutionary labeling
 
 
+def periphery_scores(g: InfluenceGraph, node_ids) -> dict[int, float]:
+    """{id: fraction of its out-edges into another genre, 0 for a sink} of `node_ids`."""
+    _, code = genre_codes(g)
+    cross = np.bincount(g.src, code[g.src] != code[g.indices], g.n_nodes)
+    share = (cross / np.maximum(np.diff(g.indptr), 1)).tolist()
+    return {i: share[g._index(i)] for i in node_ids}
+
+
 def periphery_score(g: InfluenceGraph, node: int) -> float:
-    """Fraction of out-edges leading to a different genre; 0 for sinks."""
-    nbrs = g.out_neighbors(node)
-    if not nbrs:
-        return 0.0
-    own = g.nodes[node].genre
-    return sum(g.nodes[w].genre != own for w in nbrs) / len(nbrs)
+    return periphery_scores(g, [node])[node]
 
 
 def _normalize_text(text: str) -> str:

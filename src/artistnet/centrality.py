@@ -10,14 +10,19 @@ out-direction (influence flows influencer -> follower):
 * out_closeness (GC): reachability-corrected closeness
   (reachable/(N-1))^2 / (sum of hop distances).
 
-The composite score is NI = (e^GC - 1) * LC * SC. SC, GC and the reach
-columns read `graph.reach_table`: exact counts from one BFS per graph.
+The composite score is NI = (e^GC - 1) * LC * SC. `_columns` computes all
+three for every node at once from the CSR arrays and `graph.reach_table`
+(exact counts from one BFS per graph), listing each two-hop path once; its
+sums are integers, exact in float64, and its float steps run on Python
+floats, node by node. The per-node functions read one entry of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from artistnet.graph import GraphError, InfluenceGraph, reach_table, reachability_counts
 from artistnet.ingest import write_table
@@ -33,54 +38,47 @@ class CentralityScores:
     rank_ni: int = 0
 
 
-def _out_clustering(succ, nbrs) -> float:
-    """Fraction of ordered out-neighbor pairs (u, v) joined by an edge
-    u -> v; 0 when the node has fewer than two out-neighbors."""
-    if len(nbrs) < 2:
-        return 0.0
-    nbr_set = set(nbrs)
-    linked = 0
-    for u in nbrs:
-        for v in succ[u]:
-            if v in nbr_set and v != u:
-                linked += 1
-    return linked / (len(nbrs) * (len(nbrs) - 1))
+def _columns(g: InfluenceGraph) -> tuple[list[float], list[float], list[float]]:
+    """(LC, SC, GC) of every node, by dense index."""
+    n, src, indices, indptr = g.n_nodes, g.src, g.indices, g.indptr
+    deg = np.diff(indptr)
+    reach, dist, two_hop = reach_table(g)
+    paths = deg[indices]  # two-hop paths through each edge
+    k2 = np.repeat(src, paths)
+    w2 = indices[np.repeat(indptr[indices] - (np.cumsum(paths) - paths), paths) + np.arange(len(k2))]
+    edge, path = src * n + indices, k2 * n + w2  # `edge` ascends: CSR order is (src, dst)
+    closed = edge.take(np.searchsorted(edge, path), mode="clip") == path  # k -> u -> w, k -> w
+    linked = np.bincount(k2[closed], minlength=n).tolist()
+    degree_sum = np.bincount(src, deg[indices] + 1, n).tolist()
+    sc = np.bincount(k2, np.asarray(two_hop, np.int64)[w2], n).tolist()
+    lc, gc = [], []
+    for d, t, s, r, h in zip(deg.tolist(), linked, degree_sum, reach, dist):
+        c = t / (d * (d - 1)) if d > 1 else 0.0  # out-clustering coefficient
+        lc.append(10.0 ** (-c) * s if d else 0.0)
+        gc.append((r / (n - 1)) ** 2 / h if r else 0.0)
+    return lc, sc, gc
 
 
 def cluster_rank(g: InfluenceGraph, node: int) -> float:
-    succ = g._succ
-    nbrs = succ[g._index(node)]
-    if not nbrs:
-        return 0.0
-    damping = 10.0 ** (-_out_clustering(succ, nbrs))
-    return damping * sum(len(succ[j]) + 1 for j in nbrs)
+    return _columns(g)[0][g._index(node)]
 
 
 def semi_local(g: InfluenceGraph, node: int) -> float:
-    succ, two_hop = g._succ, reach_table(g)[2]
-    return float(sum(two_hop[w] for u in succ[g._index(node)] for w in succ[u]))
+    return _columns(g)[1][g._index(node)]
 
 
 def out_closeness(g: InfluenceGraph, node: int) -> float:
     if g.n_nodes < 2:
         raise GraphError("out_closeness needs at least 2 nodes")
-    reach, dist, _ = reach_table(g)
-    k = g._index(node)
-    if reach[k] == 0:
-        return 0.0
-    return (reach[k] / (g.n_nodes - 1)) ** 2 / dist[k]
+    return _columns(g)[2][g._index(node)]
 
 
 def node_influence(g: InfluenceGraph) -> list[CentralityScores]:
     """Score every node and dense-rank by descending NI (rank 1 = highest;
     tied NI values share a rank). Output sorted by (rank, node id)."""
-    raw = []
-    for i in g.node_ids():
-        lc = cluster_rank(g, i)
-        sc = semi_local(g, i)
-        gc = out_closeness(g, i)
-        ni = (math.exp(gc) - 1.0) * lc * sc
-        raw.append((i, lc, sc, gc, ni))
+    if g.n_nodes == 1:  # GC needs a second node; an empty graph gives []
+        raise GraphError("out_closeness needs at least 2 nodes")
+    raw = [(i, lc, sc, gc, (math.exp(gc) - 1.0) * lc * sc) for i, lc, sc, gc in zip(g.node_ids(), *_columns(g))]
     raw.sort(key=lambda t: (-t[4], t[0]))
     scores = []
     rank = 0
@@ -113,7 +111,10 @@ def top_k(g: InfluenceGraph, k: int, genre: str | None = None):
 
 
 def export_scores_csv(path, g: InfluenceGraph, scores: list[CentralityScores]) -> None:
+    reach, _, two_hop = reach_table(g)
+    first = np.diff(g.indptr).tolist()
+    at = [g._index(s.node_id) for s in scores]
     write_table(path, ["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
                        "first_order", "second_order", "total_reach"],
                 ([s.node_id, g.nodes[s.node_id].name, g.nodes[s.node_id].genre, s.lc, s.sc, s.gc,
-                  s.ni, s.rank_ni, *reachability_counts(g, s.node_id)] for s in scores))
+                  s.ni, s.rank_ni, first[k], two_hop[k] - first[k], reach[k]] for s, k in zip(scores, at)))

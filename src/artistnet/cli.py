@@ -395,7 +395,7 @@ def stage_revolution(ctx: Context) -> None:
     scores = ctx.load_scores()
     standardized = ctx.load_profiles("profiles_standardized.csv", len(ingest.FEATURES))
 
-    periphery = {s.node_id: authrev.periphery_score(g, s.node_id) for s in scores}
+    periphery = authrev.periphery_scores(g, [s.node_id for s in scores])
     keyword_ids: set[int] = set()
     if cfg["phrases_file"] and cfg["bios_dir"]:
         phrases = [line.strip() for line in ctx.read_text("phrases_file").splitlines() if line.strip()]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from artistnet.graph import InfluenceGraph
+from artistnet.graph import InfluenceGraph, genre_codes
 from artistnet.ingest import FEATURES, SongTable
 from artistnet.simvec import tss_rows
 
@@ -323,16 +323,14 @@ def genre_influence_matrix(g: InfluenceGraph, threshold: float = 0.05):
     normalized by that genre's total out-edges. Cross-genre pairs below
     the threshold are pruned; self-pairs are reported separately.
     Returns (cross, self_pairs) as sorted (from, to, weight) lists."""
-    counts: dict[tuple[str, str], int] = {}
-    out_totals: dict[str, int] = {}
-    for s, d, _, _ in g.edge_rows():
-        gm = g.nodes[s].genre
-        gn = g.nodes[d].genre
-        counts[(gm, gn)] = counts.get((gm, gn), 0) + 1
-        out_totals[gm] = out_totals.get(gm, 0) + 1
+    names, code = genre_codes(g)
+    k = len(names)
+    counts = np.bincount(code[g.src] * k + code[g.indices], minlength=k * k).reshape(k, k)
+    out_totals = counts.sum(1).tolist()
+    rows, cols = np.nonzero(counts)  # ascending (from, to): `names` is sorted
     cross, self_pairs = [], []
-    for (gm, gn), c in sorted(counts.items()):
-        w = c / out_totals[gm]
+    for a, b, c in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist()):
+        gm, gn, w = names[a], names[b], c / out_totals[a]
         if gm == gn:
             self_pairs.append((gm, gn, w))
         elif w >= threshold:

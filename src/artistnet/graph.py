@@ -42,13 +42,10 @@ class InfluenceEdge:
     weight: float | None = None  # normalized to (0, 1]
 
 
-def _rows(row: np.ndarray, col: np.ndarray, n: int):
-    """(indptr, rows as lists) of the pairs (row[i], col[i]), sorted by
-    (row, col), over n dense nodes."""
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    flat, bounds = col.tolist(), indptr.tolist()
-    return indptr, [flat[bounds[k]:bounds[k + 1]] for k in range(n)]
+def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """The rows of a CSR adjacency as Python lists, one per dense node."""
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [flat[bounds[k]:bounds[k + 1]] for k in range(len(bounds) - 1)]
 
 
 class InfluenceGraph:
@@ -58,9 +55,9 @@ class InfluenceGraph:
     dense index of the sorted node ids, ascending by (src, dst): edge j runs
     from dense node `src[j]` to `indices[j]` with `year_diff[j]` and
     `weight[j]` (NaN for an unweighted edge), and the out-edges of dense node
-    k are positions `indptr[k]:indptr[k + 1]`. Traversals read `_succ`, the
-    same rows as Python lists, and `_in_csr`, the in-adjacency in the same
-    form, built on first use; `edge_rows` walks the edges by id.
+    k are positions `indptr[k]:indptr[k + 1]`. Traversals read these arrays
+    and `_in_csr`, the in-adjacency in the same form, built on first use;
+    `edge_rows` walks the edges by id.
 
     `from_arrays` is the one constructor that checks edges; `InfluenceGraph(
     nodes, edges)` adapts ArtistNode and InfluenceEdge records into it.
@@ -106,15 +103,14 @@ class InfluenceGraph:
         self.src, self.indices = s[order], d[order]
         self.year_diff = np.asarray(year_diff, np.int64)[order]
         self.weight = np.asarray(weight, np.float64)[order]
-        self.indptr, self._succ = _rows(self.src, self.indices, len(ids))
+        self.indptr = np.searchsorted(self.src, np.arange(len(ids) + 1))
         self._reach_table = None  # filled by reach_table on first use
 
     @cached_property
     def _in_csr(self):
-        """(indptr, indices, rows as lists) of the in-adjacency."""
+        """(indptr, indices) of the in-adjacency, ascending by (dst, src)."""
         order = np.lexsort((self.src, self.indices))
-        indptr, rows = _rows(self.indices, self.src[order], len(self._ids))
-        return indptr, self.src[order], rows
+        return np.searchsorted(self.indices[order], np.arange(len(self._ids) + 1)), self.src[order]
 
     @property
     def n_nodes(self) -> int:
@@ -126,9 +122,6 @@ class InfluenceGraph:
 
     def node_ids(self) -> list[int]:
         return list(self._ids)
-
-    def out_neighbors(self, i: int) -> list[int]:
-        return [self._ids[k] for k in self._succ[self._index(i)]]
 
     def _index(self, i: int) -> int:
         """Dense index of node id `i`."""
@@ -153,7 +146,7 @@ class InfluenceGraph:
     def subgraph(self, keep_ids) -> InfluenceGraph:
         """Induced subgraph on `keep_ids`."""
         keep = set(keep_ids)
-        inside = np.array([i in keep for i in self._ids], bool)
+        inside = np.isin(self._id_array, np.fromiter(keep, np.int64, len(keep)))
         return self._with_edges([self.nodes[i] for i in self._ids if i in keep],
                                 inside[self.src] & inside[self.indices])
 
@@ -282,8 +275,7 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
     if np.isnan(g.weight).any():
         raise GraphError("remove_cycles requires normalized weights")
     src, dst = g.src.tolist(), g.indices.tolist()
-    succ = [list(row) for row in g._succ]
-    pred = [list(row) for row in g._in_csr[2]]
+    succ, pred = _rows(g.indptr, g.indices), _rows(*g._in_csr)
     ascending = np.lexsort((g.indices, g.src, g.weight)).tolist()  # edge positions
     rank = {(src[p], dst[p]): r for r, p in enumerate(ascending)}
 
@@ -330,7 +322,7 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
 
 def is_acyclic(g: InfluenceGraph) -> bool:
     """True when no strongly connected component has two or more nodes."""
-    return all(len(c) == 1 for c in _tarjan_scc(range(g.n_nodes), g._succ))
+    return all(len(c) == 1 for c in _tarjan_scc(range(g.n_nodes), _rows(g.indptr, g.indices)))
 
 
 def reach_table(g: InfluenceGraph) -> list[list[int]]:
@@ -346,7 +338,7 @@ def reach_table(g: InfluenceGraph) -> list[list[int]]:
     if g._reach_table is None:
         n = len(g._ids)
         table = np.zeros((3, n), np.int64)
-        in_indptr, in_indices, _ = g._in_csr
+        in_indptr, in_indices = g._in_csr
         in_dst = np.repeat(np.arange(n), np.diff(in_indptr))
         at = np.empty(n, np.int64)  # row of each frontier node in `rows`, else -1
         for lo in range(0, n, BFS_CHUNK):
@@ -384,9 +376,14 @@ def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
     total: all nodes reachable from the node (excluding itself).
     """
     k = g._index(node)
-    first = len(g._succ[k])
+    first = int(g.indptr[k + 1] - g.indptr[k])
     reach, _, two_hop = reach_table(g)
     return first, two_hop[k] - first, reach[k]
+
+
+def genre_codes(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct genres, the index in them of each dense node's genre)."""
+    return np.unique(np.array([g.nodes[i].genre for i in g._ids], object), return_inverse=True)
 
 
 def year_diff_centrality_correlation(g: InfluenceGraph, scores):

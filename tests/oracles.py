@@ -14,6 +14,7 @@ import networkx as nx
 import numpy as np
 
 from artistnet.authrev import AuthenticityScore, AuthenticitySummary, AuthRevError
+from artistnet.centrality import CentralityScores
 from artistnet.graph import YEAR_DIFF_MAX, YEAR_DIFF_MIN, ArtistNode, GraphError, InfluenceEdge
 from artistnet.ingest import write_table
 from artistnet.simvec import tss_rows
@@ -87,11 +88,18 @@ def brute_reachable(dg: nx.DiGraph, node) -> int:
     return len(nx.descendants(dg, node))
 
 
+def succ_rows(g) -> list[list[int]]:
+    """Successor rows by dense node, as Python lists, sliced from the CSR
+    arrays `indptr` and `indices`."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    return [indices[indptr[k]:indptr[k + 1]] for k in range(g.n_nodes)]
+
+
 def reference_bfs_distances(g, node) -> dict:
     """Unweighted hop distances from `node` along out-edges (node excluded),
     by one level-by-level BFS over the graph's successor rows."""
     start = g._index(node)
-    succ, ids = g._succ, g._ids
+    succ, ids = succ_rows(g), g.node_ids()
     dist = {start: 0}
     frontier = [start]
     hops = 0
@@ -106,6 +114,60 @@ def reference_bfs_distances(g, node) -> dict:
         frontier = nxt
     del dist[start]
     return {ids[w]: d for w, d in dist.items()}
+
+
+def _out_clustering(succ, nbrs) -> float:
+    """Fraction of ordered out-neighbor pairs (u, v) joined by an edge
+    u -> v; 0 when the node has fewer than two out-neighbors."""
+    if len(nbrs) < 2:
+        return 0.0
+    nbr_set = set(nbrs)
+    linked = 0
+    for u in nbrs:
+        for v in succ[u]:
+            if v in nbr_set and v != u:
+                linked += 1
+    return linked / (len(nbrs) * (len(nbrs) - 1))
+
+
+def reference_node_influence(g) -> list[CentralityScores]:
+    """node_influence node by node: cluster rank, semi-local spread and
+    closeness of each node from its successor rows (`succ_rows`) and the hop
+    distances of `reference_bfs_distances`, integer sums taken in Python and
+    the float steps written as the per-node formulas; then dense ranks by
+    descending NI, sorted by (rank, id). Raises the library's GraphError for
+    a graph with one node."""
+    succ, ids, n = succ_rows(g), g.node_ids(), g.n_nodes
+    hops = [list(reference_bfs_distances(g, i).values()) for i in ids]
+    two_hop = [sum(d <= 2 for d in dist) for dist in hops]
+    raw = []
+    for k, i in enumerate(ids):
+        nbrs = succ[k]
+        lc = 10.0 ** (-_out_clustering(succ, nbrs)) * sum(len(succ[j]) + 1 for j in nbrs) if nbrs else 0.0
+        sc = float(sum(two_hop[w] for u in nbrs for w in succ[u]))
+        if n < 2:
+            raise GraphError("out_closeness needs at least 2 nodes")
+        gc = (len(hops[k]) / (n - 1)) ** 2 / sum(hops[k]) if hops[k] else 0.0
+        raw.append((i, lc, sc, gc, (math.exp(gc) - 1.0) * lc * sc))
+    raw.sort(key=lambda t: (-t[4], t[0]))
+    scores, rank, prev_ni = [], 0, None
+    for i, lc, sc, gc, ni in raw:
+        if ni != prev_ni:
+            rank, prev_ni = rank + 1, ni
+        scores.append(CentralityScores(node_id=i, lc=lc, sc=sc, gc=gc, ni=ni, rank_ni=rank))
+    return scores
+
+
+def reference_periphery(g) -> dict:
+    """{id: fraction of the node's out-neighbors in another genre, 0 for a
+    sink}, neighbor by neighbor over `succ_rows`."""
+    succ, ids = succ_rows(g), g.node_ids()
+    out = {}
+    for k, i in enumerate(ids):
+        nbrs = [ids[w] for w in succ[k]]
+        own = g.nodes[i].genre
+        out[i] = sum(g.nodes[w].genre != own for w in nbrs) / len(nbrs) if nbrs else 0.0
+    return out
 
 
 def reference_remove_cycles(g):

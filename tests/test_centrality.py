@@ -9,8 +9,12 @@ from oracles import (
     brute_node_influence,
     brute_out_closeness,
     brute_semi_local,
+    reference_node_influence,
+    reference_periphery,
     to_nx,
 )
+
+from artistnet.authrev import periphery_scores
 
 from artistnet.centrality import (
     cluster_rank,
@@ -19,7 +23,7 @@ from artistnet.centrality import (
     semi_local,
     top_k,
 )
-from artistnet.graph import GraphError, remove_cycles
+from artistnet.graph import ArtistNode, GraphError, InfluenceGraph, remove_cycles
 
 
 class TestClusterRank:
@@ -189,3 +193,55 @@ class TestTopK:
         small_scores = [(s.ni, s.node_id) for s, _ in top_k(small, 3, genre="A")]
         big_scores = [(s.ni, s.node_id) for s, _ in top_k(big, 3, genre="A")]
         assert small_scores == big_scores
+
+
+def relabeled(g, rng, genres=("Zydeco", "Blues", "Pop/Rock")):
+    """`g` with its node ids moved to random distinct ids in [0, 10^6) (so
+    dense order is not id order of `g`) and each genre drawn from `genres`."""
+    old = np.array(g.node_ids())
+    new = rng.choice(10**6, len(old), replace=False)
+    nodes = [ArtistNode(int(b), f"artist{b}", str(rng.choice(genres)), 1950) for b in new.tolist()]
+    return InfluenceGraph.from_arrays(nodes, new[g.src], new[g.indices], g.year_diff, g.weight)
+
+
+def bits(values) -> list[int]:
+    return np.array(values, np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "decycled", "wide"])
+@pytest.mark.parametrize("seed", range(15))
+def test_whole_graph_columns_match_per_node_reference_bitwise(kind, seed):
+    """node_influence, the per-node functions and periphery_scores give the
+    same bits as the node-by-node references, on cyclic, decycled and
+    denser (up to 60 nodes) multi-genre graphs."""
+    rng = np.random.default_rng(seed)
+    g = random_digraph(rng, max_nodes=60 if kind == "wide" else 12)
+    if kind == "decycled":
+        g, _ = remove_cycles(g)
+    g = relabeled(g, rng)
+    got, want = node_influence(g), reference_node_influence(g)
+    assert [(s.node_id, s.rank_ni) for s in got] == [(s.node_id, s.rank_ni) for s in want]
+    for name in ("lc", "sc", "gc", "ni"):
+        assert bits([getattr(s, name) for s in got]) == bits([getattr(s, name) for s in want])
+    per_node = [(cluster_rank(g, s.node_id), semi_local(g, s.node_id), out_closeness(g, s.node_id))
+                for s in got]
+    assert bits(per_node) == bits([(s.lc, s.sc, s.gc) for s in got])
+    ids = g.node_ids()
+    expected = reference_periphery(g)
+    assert bits(list(periphery_scores(g, ids).values())) == bits([expected[i] for i in ids])
+
+
+def test_genre_fixture_matches_references():
+    genres = {0: "Zydeco", 1: "Blues", 2: "Zydeco", 3: "Pop/Rock", 4: "Blues"}
+    g = make_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (2, 4), (4, 3)], genres=genres)
+    assert node_influence(g) == reference_node_influence(g)
+    assert periphery_scores(g, g.node_ids()) == reference_periphery(g) == {
+        0: 2 / 3, 1: 1.0, 2: 1.0, 3: 0.0, 4: 1.0}
+
+
+def test_fewer_than_two_nodes():
+    for score in (node_influence, reference_node_influence):
+        with pytest.raises(GraphError, match="out_closeness needs at least 2 nodes"):
+            score(make_graph(1, []))
+        assert score(InfluenceGraph([], [])) == []
+    assert node_influence(make_graph(2, [])) == reference_node_influence(make_graph(2, []))

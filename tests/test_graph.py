@@ -259,8 +259,7 @@ class TestRemoveCycles:
     # with the round-based reference.
     @staticmethod
     def split_after_deleting(g, u, v):
-        succ = [list(row) for row in g._succ]
-        pred = [list(row) for row in g._in_csr[2]]
+        succ, pred = graph._rows(g.indptr, g.indices), graph._rows(*g._in_csr)
         succ[u].remove(v)
         pred[v].remove(u)
         return graph._split_search(succ, pred, u, v, set(range(g.n_nodes)))
