@@ -108,7 +108,7 @@ def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
         lo = np.repeat(np.minimum.reduceat(v, start), n_in)
         span = np.repeat(np.maximum.reduceat(v, start), n_in) - lo
         mapped = (v - lo) / np.where(span == 0.0, 1.0, span)  # tied values map to 0
-    for n in np.unique(n_in).tolist():
+    for n in np.flatnonzero(np.bincount(n_in)).tolist():  # the distinct counts, ascending
         members = np.flatnonzero(n_in == n)
         step = max(1, 2**16 // (n * (n - 1) // 2))  # followers a block: at most 2**16 pairs
         for b in range(0, len(members), step):

@@ -18,6 +18,12 @@ read back by `ingest.read_columns` as numpy arrays (`.tolist()` where a
 record, key or JSON needs Python values); text and JSON inputs are read by
 `Context.read_text` and `Context.read_json`.
 
+The loaders `Context.load_influence`, `load_graph`, `load_profiles` and
+`load_scores` hand a later stage of the process what an earlier one typed
+(`_MEMO`, one entry per loader and table name), keyed by the SHA-256 of
+each file read (`Context.digest`, as in the manifest) and the arguments,
+so a rewritten file is read anew; its arrays are read-only, scores a tuple.
+
 Exit codes: 0 success, 2 config error (including a config file that is
 not UTF-8 JSON, a configured input file or directory that does not exist,
 and an unknown config key), 3 data error (in an input, an artifact or the
@@ -172,6 +178,7 @@ class Context:
         self.out = Path(cfg["out_dir"])
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+        self.digests: dict[Path, str] = {}
 
     def read(self, name: str | Path) -> Path:
         """Path of input `name`, recorded if it is a file: a config field
@@ -219,24 +226,69 @@ class Context:
         """The JSON value of input `name` (see `_read_json`)."""
         return _read_json(self.read(name))
 
+    def digest(self, path: Path) -> str:
+        """SHA-256 of file `path`, hashed once in the stage."""
+        if path not in self.digests:
+            self.digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return self.digests[path]
+
+    def _memo(self, load, names: tuple, *args):
+        """load(*paths, *args) of inputs `names` (see `read`), or the value
+        it gave earlier in this process on files of the same digests."""
+        paths = [self.read(name) for name in names]
+        key = (tuple(map(self.digest, paths)), args)
+        if _MEMO.get((load, names), (None,))[0] != key:
+            _MEMO[load, names] = key, _read_only(load(*paths, *args))
+        return _MEMO[load, names][1]
+
+    def load_influence(self):
+        """`ingest.load_influence` of influence_csv."""
+        return self._memo(ingest.load_influence, ("influence_csv",))
+
     def load_graph(self) -> graph.InfluenceGraph:
-        ids, names, genres, starts = ingest.read_columns(self.read("nodes.csv"), {
-            "id": int, "name": str, "genre": str, "active_start": int})
-        nodes = list(map(graph.ArtistNode, ids.tolist(), names, genres, starts.tolist()))
-        return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(self.read("edges.csv"), {
-            "from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}))
+        return self._memo(_load_graph, ("nodes.csv", "edges.csv"))
 
     def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
         """Artist id -> vector of the first `width` columns of profile table
         `name`; the vectors are the rows of one matrix."""
-        ids, *values = ingest.read_columns(
-            self.read(name), {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
-        return dict(zip(ids.tolist(), np.column_stack(values)))
+        return self._memo(_load_profiles, (name,), width)
 
-    def load_scores(self) -> list[centrality.CentralityScores]:
-        cols = ingest.read_columns(self.read("centrality.csv"), {
-            "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
-        return list(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
+    def load_scores(self) -> tuple[centrality.CentralityScores, ...]:
+        return self._memo(_load_scores, ("centrality.csv",))
+
+
+# What `Context._memo` loaded in this process: (loader, input names) ->
+# (key, value), the key the SHA-256 of each file read and the arguments.
+_MEMO: dict[tuple, tuple] = {}
+
+
+def _read_only(value):
+    """`value`, the arrays among its items, values or attributes made
+    read-only: every stage that loads it gets the same object."""
+    parts = value if isinstance(value, tuple) else value.values() if isinstance(value, dict) else vars(value).values()
+    for v in parts:
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return value
+
+
+def _load_graph(nodes_path: Path, edges_path: Path) -> graph.InfluenceGraph:
+    ids, names, genres, starts = ingest.read_columns(nodes_path, {
+        "id": int, "name": str, "genre": str, "active_start": int})
+    nodes = list(map(graph.ArtistNode, ids.tolist(), names, genres, starts.tolist()))
+    return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(edges_path, {
+        "from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}))
+
+
+def _load_profiles(path: Path, width: int) -> dict[int, np.ndarray]:
+    ids, *values = ingest.read_columns(path, {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
+    return dict(zip(ids.tolist(), np.column_stack(values)))
+
+
+def _load_scores(path: Path) -> tuple[centrality.CentralityScores, ...]:
+    cols = ingest.read_columns(path, {
+        "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
+    return tuple(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
 
 
 def _read_json(path: Path):
@@ -245,10 +297,6 @@ def _read_json(path: Path):
         return json.loads(ingest.read_text(path))
     except json.JSONDecodeError as exc:
         raise ingest.IngestError(f"{path}:{exc.lineno}: not JSON ({exc.msg})") from None
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _read_manifest(path: Path) -> dict:
@@ -267,8 +315,8 @@ def _update_manifest(ctx: Context, manifest: dict) -> None:
     manifest["stages"][ctx.stage.name] = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": ctx.cfg["seed"],
-        "inputs": {str(p): _sha256(p) for p in sorted(ctx.inputs)},
-        "outputs": {p.name: _sha256(p) for p in sorted(ctx.outputs)},
+        "inputs": {str(p): ctx.digest(p) for p in sorted(ctx.inputs)},
+        "outputs": {p.name: ctx.digest(p) for p in sorted(ctx.outputs)},
     }
     (ctx.out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                                           encoding="utf-8")
@@ -283,8 +331,9 @@ def _profile_header(width: int) -> list[str]:
 
 
 def stage_ingest(ctx: Context) -> None:
-    influence_path, songs_path = ctx.read("influence_csv"), ctx.read("songs_csv")
-    artists, _, _ = ingest.load_influence(influence_path)
+    ctx.read("influence_csv")  # checked before songs_csv
+    songs_path = ctx.read("songs_csv")
+    artists, _, _ = ctx.load_influence()
     genres = {a: genre for a, (_, genre, _) in artists.items()}  # as nodes.csv records them
     songs, report = ingest.load_songs(songs_path, known_artist_ids=genres)
     profiles = ingest.build_artist_profiles(songs)
@@ -295,7 +344,7 @@ def stage_ingest(ctx: Context) -> None:
 
 
 def stage_graph_build(ctx: Context) -> None:
-    g = graph.build_graph(*ingest.load_influence(ctx.read("influence_csv")))
+    g = graph.build_graph(*ctx.load_influence())
     dag, removed = graph.remove_cycles(g)
     graph.export_nodes_csv(ctx.write("nodes.csv"), dag)
     graph.export_edges_csv(ctx.write("edges.csv"), dag)
@@ -501,6 +550,7 @@ STAGES = (
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON config")

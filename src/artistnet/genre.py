@@ -5,7 +5,6 @@ counts read off the graph's nodes, yearly feature means off the songs."""
 from __future__ import annotations
 
 import json
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 
@@ -302,20 +301,27 @@ def genre_year_means(songs: SongTable, artist_genres: dict[int, str]) -> list[li
     artists have in `artist_genres` and, if in one, in ALL (a genre named
     ALL merges into it). A mean is the sum in song order, as np.bincount
     adds it, divided by n_songs."""
-    bins: dict[tuple[str, int], int] = {}
-    song, key = array("q"), array("q")  # 8 bytes an entry, no int objects
-    years = map(int, songs.values[:, YEAR].tolist())
-    for r, (artist_ids, year) in enumerate(zip(songs.artist_ids, years)):
-        member = {artist_genres[a] for a in artist_ids if a in artist_genres}
-        if member:
-            for series in member | {ALL}:
-                song.append(r)
-                key.append(bins.setdefault((series, year), len(bins)))
-    song, key = np.frombuffer(song, np.int64), np.frombuffer(key, np.int64)
+    series = sorted(set(artist_genres.values()) | {ALL})
+    code_of = {name: k for k, name in enumerate(series)}
+    known = np.fromiter(artist_genres, np.int64, len(artist_genres))
+    code = np.fromiter(map(code_of.get, artist_genres.values()), np.int64, len(artist_genres))
+    order = np.argsort(known)
+    at = np.searchsorted(known, songs.ids, sorter=order)
+    linked = np.searchsorted(known, songs.ids, "right", sorter=order) > at
+    song = songs.rows[linked]
+    # distinct (song, series) pairs in ascending song order, as song * len(series) + code
+    pairs = np.sort(np.concatenate([song * len(series) + code[order[at[linked]]],
+                                    song * len(series) + code_of[ALL]]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    song = pairs // len(series)
+    years, year_at = np.unique(songs.values[song, YEAR], return_inverse=True)
+    bins, key = np.unique(pairs % len(series) * len(years) + year_at, return_inverse=True)  # by (series, year)
     counts = np.bincount(key, minlength=len(bins))
     means = np.column_stack([np.bincount(key, songs.values[song, k], len(bins))
                              for k in range(len(FEATURES)) if k != YEAR]) / counts[:, None]
-    return [[*series_year, int(counts[b]), *means[b].tolist()] for series_year, b in sorted(bins.items())]
+    years = years.tolist()
+    return [[series[b // len(years)], int(years[b % len(years)]), n, *m]
+            for b, n, m in zip(bins.tolist(), counts.tolist(), means.tolist())]
 
 
 def genre_influence_matrix(g: InfluenceGraph, threshold: float = 0.05):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, field, asdict
@@ -73,14 +74,22 @@ class IngestError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class SongTable:
-    """Cleaned songs, one row per song: `values` holds the numeric columns
-    in NUMERIC order (the first 13 are FEATURES), with key, year, explicit
-    and mode truncated toward zero as int() does."""
-    artist_ids: list[tuple[int, ...]]
+    """Cleaned songs, one row per song: song r lists the artists
+    `ids[indptr[r]:indptr[r + 1]]` (CSR), in listed order, a repeated id
+    once, at its first place; `values` holds the numeric columns in NUMERIC
+    order (the first 13 are FEATURES), with key, year, explicit and mode
+    truncated toward zero as int() does."""
+    ids: np.ndarray  # int64
+    indptr: np.ndarray  # (len + 1,) int64
     values: np.ndarray  # (len, 15) float64
 
     def __len__(self) -> int:
-        return len(self.artist_ids)
+        return len(self.values)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The song of each entry of `ids`."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 @dataclass
@@ -216,14 +225,41 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> IngestError:
     return IngestError(f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})")
 
 
-def _parse_artist_ids(text: str) -> tuple[int, ...]:
-    # Serialized as a bracketed comma-separated list, e.g. "[101, 202]"; an
-    # id listed twice is kept once, at its first place. ValueError for a
-    # part that is not an int (int() ignores the whitespace around a part).
+def _parse_artist_ids(text: str) -> list[int]:
+    # Serialized as a bracketed comma-separated list, e.g. "[101, 202]".
+    # ValueError for a part that is not an int (int() ignores the whitespace
+    # around a part) or is outside int64.
     inner = text.strip()
     if inner.startswith("[") and inner.endswith("]"):
         inner = inner[1:-1]
-    return tuple(dict.fromkeys(map(int, filter(str.strip, inner.split(",")))))
+    ids = list(map(int, filter(str.strip, inner.split(","))))
+    if not all(-2**63 <= a < 2**63 for a in ids):
+        raise ValueError(text)
+    return ids
+
+
+# A block's artist_ids cells joined by ";", each as the writers make them:
+# "[1, 2]", "[1,2]" or "[]", ids of at most 18 digits (so within int64).
+_CELL = r"\[(?:\d{1,18}(?:, ?\d{1,18})*)?\]"
+_CANONICAL_IDS = re.compile(f"{_CELL}(?:;{_CELL})*")
+
+
+def _artist_id_pairs(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(row, id) int64 arrays of a block of artist_ids cells, each row's ids
+    in listed order, an id repeated in a row kept at its first place. A
+    block of canonical cells is parsed at once; another is made canonical a
+    row at a time by `_parse_artist_ids` (ValueError for a bad cell)."""
+    text = ";".join(cells)
+    if not _CANONICAL_IDS.fullmatch(text):
+        text = ";".join(map(str, map(_parse_artist_ids, cells)))  # each as "[1, -2]"
+    chars = np.frombuffer(text.encode(), np.uint8)
+    digit = ((ord("0") <= chars) & (chars <= ord("9"))).view(np.int8)
+    row = np.cumsum(chars == ord(";"))[np.diff(digit, prepend=0) == 1]  # at each id's first digit
+    ids = np.fromstring(text.translate(str.maketrans("[],;", "    ")).strip(), np.int64, sep=" ")
+    order = np.lexsort((ids, row))  # stable: a repeat sorts after its first place
+    repeat = np.zeros(len(ids), bool)
+    repeat[order[1:]] = (np.diff(row[order]) == 0) & (np.diff(ids[order]) == 0)
+    return row[~repeat], ids[~repeat]
 
 
 def _is_finite(cell: str) -> bool:
@@ -278,13 +314,13 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
     block numpy types. A table numpy rejects (a blank cell, say) or with a
     bad cell is read a row at a time, which drops or names that row.
     """
-    blocks = ((list(map(_parse_artist_ids, ids.tolist())), np.column_stack(cols))
+    blocks = ((ids.tolist(), np.column_stack(cols))
               for *cols, ids in _typed_blocks(path, dict.fromkeys(NUMERIC, float) | {"artist_ids": object}))
     try:
         return _clean_songs(blocks, CleaningReport(), known_artist_ids)
     except ValueError:
         pass  # read a row at a time
-    report, ids, flat = CleaningReport(), [], array("d")
+    report, id_cells, flat = CleaningReport(), [], array("d")
     for lineno, (id_cell, *cells) in read_numbered(path, SONG_COLUMNS):
         if any((c or "").strip() == "" for c in cells):  # blank, or None where a short row ends
             report.rows_read += 1
@@ -294,34 +330,38 @@ def load_songs(path, known_artist_ids=None) -> tuple[SongTable, CleaningReport]:
             if not _is_finite(cell):
                 raise IngestError(f"{path}:{lineno}: numeric field {col}={cell!r} is not a finite number")
         try:
-            ids.append(_parse_artist_ids(id_cell or ""))
+            id_cells.append(str(_parse_artist_ids(id_cell or "")))
         except ValueError:
             raise IngestError(f"{path}:{lineno}: bad artist_ids {id_cell!r}") from None
         flat.extend(map(float, cells))
     values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
-    return _clean_songs([(ids, values)], report, known_artist_ids)
+    return _clean_songs([(id_cells, values)], report, known_artist_ids)
 
 
 def _clean_songs(blocks, report: CleaningReport, known_artist_ids) -> tuple[SongTable, CleaningReport]:
-    """SongTable of the rows of (artist ids, values) `blocks` that pass."""
-    ids, flat = [], array("d")  # grown in place: no second copy of the table
-    for artist_ids, values in blocks:
+    """SongTable of the rows of (artist_ids cells, values) `blocks` that pass."""
+    ids, counts, flat = [], [], array("d")  # values grown in place: no second copy of the table
+    for cells, values in blocks:
         if not np.isfinite(values).all():
             raise ValueError("a cell that is not a finite number")
-        has_artist = np.array(list(map(bool, artist_ids)), bool)
-        keep = has_artist & (-60.0 <= values[:, LOUDNESS]) & (values[:, LOUDNESS] <= 0.0)
+        row, artist = _artist_id_pairs(cells)
+        n = np.bincount(row, minlength=len(values))
+        keep = (n > 0) & (-60.0 <= values[:, LOUDNESS]) & (values[:, LOUDNESS] <= 0.0)
         report.rows_read += len(values)
-        report.rows_dropped_missing_artist += int((~has_artist).sum())
-        report.rows_dropped_loudness += int((has_artist & ~keep).sum())
-        kept = [t for t, k in zip(artist_ids, keep.tolist()) if k]
-        report.rows_flagged_unlinked += known_artist_ids is not None and sum(
-            not any(a in known_artist_ids for a in t) for t in kept)
-        ids += kept
+        report.rows_dropped_missing_artist += int((n == 0).sum())
+        report.rows_dropped_loudness += int(((n > 0) & ~keep).sum())
+        ids.append(artist[keep[row]])
+        counts.append(n[keep])
         flat.frombytes(values[keep].tobytes())
     values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
     # int() truncation; adding 0.0 turns trunc's -0.0 into int()'s 0.
     values[:, TRUNCATED] = np.trunc(values[:, TRUNCATED]) + 0.0
-    return SongTable(ids, values), report
+    songs = SongTable(np.concatenate(ids), np.concatenate([[0], np.cumsum(np.concatenate(counts))]), values)
+    if known_artist_ids is not None:
+        known = np.sort(np.fromiter(known_artist_ids, np.int64, len(known_artist_ids)))
+        linked = np.searchsorted(known, songs.ids, "right") > np.searchsorted(known, songs.ids)
+        report.rows_flagged_unlinked = int((np.bincount(songs.rows[linked], minlength=len(songs)) == 0).sum())
+    return songs, report
 
 
 def build_artist_profiles(songs: SongTable) -> dict[int, np.ndarray]:
@@ -330,11 +370,8 @@ def build_artist_profiles(songs: SongTable) -> dict[int, np.ndarray]:
     Sums accumulate in song order from -0.0, the additive identity, so a
     profile is bit for bit the left-to-right sum of its songs divided by
     their count."""
-    slot_of: dict[int, int] = {}
-    slot = np.array([slot_of.setdefault(a, len(slot_of)) for ids in songs.artist_ids for a in ids],
-                    dtype=np.intp)
-    song = np.array([r for r, ids in enumerate(songs.artist_ids) for _ in ids], dtype=np.intp)
-    sums = np.full((len(slot_of), len(FEATURES)), -0.0)
-    np.add.at(sums, slot, songs.values[song, :len(FEATURES)])
-    means = sums / np.bincount(slot, minlength=len(slot_of))[:, None]
-    return {a: means[slot_of[a]] for a in sorted(slot_of)}
+    artists, slot = np.unique(songs.ids, return_inverse=True)
+    sums = np.full((len(artists), len(FEATURES)), -0.0)
+    np.add.at(sums, slot, songs.values[songs.rows, :len(FEATURES)])
+    means = sums / np.bincount(slot, minlength=len(artists))[:, None]
+    return dict(zip(artists.tolist(), means))

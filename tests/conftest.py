@@ -6,7 +6,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from artistnet import cli
 from artistnet.graph import ArtistNode, InfluenceEdge, InfluenceGraph, build_graph
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts with nothing loaded: a table typed by an earlier test
+    would let a stage skip the reading the test checks."""
+    cli._MEMO.clear()
 
 
 def make_graph(n, edges, genres=None):

@@ -504,6 +504,13 @@ def reference_forest_train(X, labels, trees=200, max_depth=8, features_per_split
 # the per-row song loader the song table replaced
 
 
+def artist_id_tuples(songs) -> list[tuple[int, ...]]:
+    """Each song's artist ids of a SongTable, as the tuple the per-row
+    loader gives (`SongRecord.artist_ids`)."""
+    bounds = songs.indptr.tolist()
+    return [tuple(songs.ids[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass(frozen=True)
 class SongRecord:
     artist_ids: tuple[int, ...]
@@ -613,7 +620,7 @@ def reference_genre_feature_trend(songs, genre: str, feature: str, artist_genres
     global_acc: dict[int, list[float]] = {}
     years = map(int, songs.values[:, NUMERIC.index("year")].tolist())
     values = songs.values[:, NUMERIC.index(feature)].tolist()
-    for artist_ids, year, value in zip(songs.artist_ids, years, values):
+    for artist_ids, year, value in zip(artist_id_tuples(songs), years, values):
         song_genres = {artist_genres[a] for a in artist_ids if a in artist_genres}
         if not song_genres:
             continue

@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import edges_of, reference_genre_feature_trend
+from oracles import artist_id_tuples, edges_of, reference_genre_feature_trend
 
 from artistnet import centrality, genre, graph, ingest
 from artistnet import cli
@@ -248,7 +249,7 @@ def test_graph_artifacts_round_trip_awkward_names(tmp_path):
     assert edges_of(back) == edges_of(g)
     scores = centrality.node_influence(g)
     centrality.export_scores_csv(tmp_path / "centrality.csv", g, scores)
-    assert reader(tmp_path).load_scores() == scores
+    assert reader(tmp_path).load_scores() == tuple(scores)
     with open(tmp_path / "centrality.csv", newline="", encoding="utf-8") as fh:
         assert {r["name"] for r in csv.DictReader(fh)} == set(names)
 
@@ -397,7 +398,7 @@ def test_genre_year_means_match_the_reference(tmp_path):
                 assert got == pytest.approx(expected, rel=1e-12, abs=0), (label, feature)
     # Exactly the plain left-to-right sum over the series' songs, divided by their count.
     members: dict[tuple[str, int], list[list[float]]] = {}
-    for ids, row in zip(songs.artist_ids, songs.values.tolist()):
+    for ids, row in zip(artist_id_tuples(songs), songs.values.tolist()):
         series = {genres[a] for a in ids if a in genres}
         for label in series | {"__all__"} if series else ():
             members.setdefault((label, int(row[ingest.FEATURES.index("year")])), []).append(row)
@@ -555,6 +556,15 @@ class TestManifest:
             "nodes.csv", "edges.csv", "centrality.csv", "profiles_standardized.csv") | {
             bios["phrases_file"], str(Path(bios["bios_dir"]) / "1.txt"),
             str(Path(bios["bios_dir"]) / "12.txt")}
+
+    def test_digests_are_the_sha256_of_the_files(self, tmp_path):
+        cfg_path = write_fixture(tmp_path)
+        run_all(cfg_path)
+        out = tmp_path / "out"
+        sha256 = lambda path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for stage in json.loads((out / "manifest.json").read_text())["stages"].values():
+            assert stage["inputs"] and stage["inputs"] == {p: sha256(p) for p in stage["inputs"]}
+            assert stage["outputs"] == {name: sha256(out / name) for name in stage["outputs"]}
 
     def test_outputs_are_the_declared_writes(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
@@ -718,3 +728,74 @@ class TestOverrides:
         a = json.loads((tmp_path / "s0" / "genre_similarity_sampling.json").read_text())
         b = json.loads((tmp_path / "s9" / "genre_similarity_sampling.json").read_text())
         assert a["within_totals"] != b["within_totals"]
+
+
+@pytest.mark.parametrize("cell", ["[2, 18446744073709551616]", "[-9223372036854775809]"])
+def test_song_artist_id_outside_int64_is_a_data_error(tmp_path, capsys, cell):
+    cfg_path = write_fixture(tmp_path)
+    songs = tmp_path / "songs.csv"
+    songs.write_text(songs.read_text().replace("[2],", f'"{cell}",', 1))  # line 4
+    assert main(["ingest", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {songs}:4: bad artist_ids {cell!r}\n"
+
+
+class TestMemo:
+    """A table a stage loaded is reused by the later stages of the process
+    that load the same bytes (`cli._MEMO`)."""
+
+    def test_artifact_rewritten_between_stages_is_read_anew(self, tmp_path):
+        cfg_path = write_fixture(tmp_path)
+        out = tmp_path / "out"
+        for argv in (["ingest"], ["similarity"]):
+            assert main(argv + ["--config", str(cfg_path)]) == 0, argv
+        before = (out / "profiles_standardized.csv").read_bytes()
+        path = out / "artist_profiles.csv"
+        size = path.stat().st_size
+        header, row, rest = path.read_text().split("\n", 2)
+        artist, c0, tail = row.split(",", 2)
+        c0 = c0[:2] + ("6" if c0[2] == "5" else "5") + c0[3:]  # "0.21..." -> "0.51...": same length
+        path.write_text("\n".join([header, ",".join([artist, c0, tail]), rest]))
+        assert path.stat().st_size == size
+        assert main(["similarity", "--config", str(cfg_path)]) == 0
+        after = (out / "profiles_standardized.csv").read_bytes()
+        assert after != before
+        cli._MEMO.clear()
+        assert main(["similarity", "--config", str(cfg_path)]) == 0
+        assert (out / "profiles_standardized.csv").read_bytes() == after
+
+    def test_memoized_values_are_read_only(self, tmp_path):
+        cfg_path = write_fixture(tmp_path)
+        run_all(cfg_path)
+        ctx = cli.Context(cli.load_config(str(cfg_path)), None)
+        g = ctx.load_graph()
+        assert reader(tmp_path / "out").load_graph() is g  # held from the stages
+        _, src, dst = ctx.load_influence()
+        vector = next(iter(ctx.load_profiles("profiles_projected.csv", 2).values()))
+        for array in (g.indptr, g.indices, g.src, g.weight, g.year_diff, src, dst, vector):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert isinstance(ctx.load_scores(), tuple)
+
+    def test_failed_parse_is_not_memoized(self, tmp_path, capsys):
+        cfg_path = write_fixture(tmp_path)
+        for argv in STAGES[:4]:
+            assert main(argv + ["--config", str(cfg_path)]) == 0, argv
+        path = tmp_path / "out" / "centrality.csv"
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b"\n1,", b"\nx,", 1))
+        assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
+        assert "bad node_id cell 'x'" in capsys.readouterr().err
+        assert not [names for _, names in cli._MEMO if names == ("centrality.csv",)]
+        path.write_bytes(good)
+        assert main(["revolution", "--config", str(cfg_path)]) == 0
+        path.write_bytes(good.replace(b"\n1,", b"\nx,", 1))  # after a load of the good bytes too
+        assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
+
+    def test_bounded_over_runs_in_several_out_dirs(self, tmp_path):
+        for k in range(3):
+            (tmp_path / f"corpus{k}").mkdir()
+            cfg_path = write_fixture(tmp_path / f"corpus{k}", names={1: f"first artist {k}"})
+            run_all(cfg_path, extra=["--out", str(tmp_path / f"out{k}")])
+        assert sorted(names for _, names in cli._MEMO) == [
+            ("artist_profiles.csv",), ("centrality.csv",), ("influence_csv",), ("nodes.csv", "edges.csv"),
+            ("profiles_projected.csv",), ("profiles_standardized.csv",)]

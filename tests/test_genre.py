@@ -306,7 +306,9 @@ class TestFeatureTrend:
         values = np.full((len(specs), len(NUMERIC)), 0.5)
         for row, (_, year, energy) in zip(values, specs):
             row[NUMERIC.index("year")], row[NUMERIC.index("energy")] = year, energy
-        return SongTable([a if isinstance(a, tuple) else (a,) for a, _, _ in specs], values)
+        ids = [a if isinstance(a, tuple) else (a,) for a, _, _ in specs]
+        return SongTable(np.array([a for t in ids for a in t], np.int64), np.cumsum([0] + [len(t) for t in ids]),
+                         values)
 
     def energy(self, songs, genres):
         """{(series, year): (n_songs, mean energy)} of the table."""

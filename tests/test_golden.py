@@ -12,6 +12,10 @@ types every table (the csv module's path, kept for tables numpy rejects,
 is made to fail), and the writers hand `write_table` only Python str, int,
 float and None cells.
 
+Two more check the process: a run in a fresh interpreter never imports
+numpy.ma, and two pipelines in one process, the second reusing every table
+the first typed (`cli._MEMO`), write the bytes of a fresh interpreter's run.
+
 A change that alters artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,6 +27,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,12 +51,23 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def out_digests(name: str, work: Path) -> dict:
-    """sha256 of each out_dir file but the manifest, after the eight stages
-    ran on workload `name` at smoke scale in directory `work`."""
+def prepare(name: str, work: Path) -> None:
+    """Workload `name`'s corpus at smoke scale and its config, in `work`."""
     workload = bench.smoke(bench.WORKLOADS[name])
     generate(workload.corpus, SEED, work)
     (work / "config.json").write_text(json.dumps(bench.config_for(workload)), encoding="utf-8")
+
+
+def digests(out: Path) -> dict:
+    """sha256 of each file in `out` but the manifest."""
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def out_digests(name: str, work: Path) -> dict:
+    """`digests` of out_dir after the eight stages ran on workload `name`
+    at smoke scale in directory `work`, in this process."""
+    prepare(name, work)
     cwd = os.getcwd()
     os.chdir(work)  # the config's paths are relative, as in the benchmark
     try:
@@ -59,9 +75,22 @@ def out_digests(name: str, work: Path) -> dict:
             assert main(argv + ["--config", "config.json"]) == 0, f"{name}: stage {stage} failed"
     finally:
         os.chdir(cwd)
-    out = work / "out"
-    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+    return digests(work / "out")
+
+
+def fresh_process_run(name: str, work: Path) -> tuple[dict, set]:
+    """`digests` of out_dir after the eight stages ran on workload `name`
+    at smoke scale in directory `work`, in a fresh interpreter, and the
+    names of the modules that interpreter had loaded at the end."""
+    prepare(name, work)
+    code = ("import json, sys\nfrom artistnet.cli import main\n"
+            f"for argv in {[argv for _, argv in bench.STAGES]!r}:\n"
+            "    assert main(argv + ['--config', 'config.json']) == 0, argv\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", code], cwd=work, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return digests(work / "out"), set(json.loads(done.stdout))
 
 
 def golden_digests(name: str) -> dict:
@@ -85,6 +114,20 @@ def test_numpy_reads_every_table(name, tmp_path, monkeypatch):
         raise AssertionError(f"numpy rejected {path}")
     monkeypatch.setattr(ingest, "read_numbered", csv_path)  # every row-at-a-time read
     assert out_digests(name, tmp_path) == golden_digests(name)
+
+
+def test_a_run_imports_no_numpy_ma(tmp_path):
+    """A bare np.unique imports numpy.ma, some 20 ms of every CLI process."""
+    got, modules = fresh_process_run("paper", tmp_path)
+    assert got == golden_digests("paper")
+    assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("name", ["cyclic", "names"])
+def test_two_pipelines_in_one_process_match_a_fresh_process(name, tmp_path):
+    """The second pipeline finds every table it loads already typed."""
+    first, second = out_digests(name, tmp_path / "first"), out_digests(name, tmp_path / "second")
+    assert first == second == fresh_process_run(name, tmp_path / "fresh")[0]
 
 
 def test_writers_hand_csv_python_scalars(tmp_path, monkeypatch):

@@ -1,12 +1,13 @@
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_build_artist_profiles, reference_load_songs
+from oracles import artist_id_tuples, reference_build_artist_profiles, reference_load_songs
 
 from artistnet import ingest
 from artistnet.ingest import (
@@ -235,7 +236,7 @@ class TestLoadSongs:
         cells = full_row(loudness="-1")[1:]
         write_table(p, ingest.NUMERIC + ["artist_ids"], [cells, cells + ["[4]"]])
         songs, report = load_songs(p)
-        assert songs.artist_ids == [(4,)]
+        assert artist_id_tuples(songs) == [(4,)]
         assert report.rows_dropped_missing_artist == 1
         records, expected = reference_load_songs(p)
         assert [s.artist_ids for s in records] == [(4,)]
@@ -245,7 +246,7 @@ class TestLoadSongs:
         p = tmp_path / "songs.csv"
         write_lines(p, [SONG_HEADER, song_row(artist_ids="[1]"), song_row(artist_ids="[9]")])
         songs, report = load_songs(p, known_artist_ids={1})
-        assert songs.artist_ids == [(1,), (9,)]  # both kept
+        assert artist_id_tuples(songs) == [(1,), (9,)]  # both kept
         assert report.rows_flagged_unlinked == 1
 
     def test_report_counts_partition_drops(self, tmp_path):
@@ -308,7 +309,7 @@ class TestArtistProfiles:
             song_row(artist_ids="[1, 1]", danceability=0.2),
             song_row(artist_ids="[2, 1, 2]", danceability=0.6),
         ])
-        assert songs.artist_ids == [(1,), (2, 1)]
+        assert artist_id_tuples(songs) == [(1,), (2, 1)]
         profiles = build_artist_profiles(songs)
         assert profiles[1][FEATURES.index("danceability")] == (0.2 + 0.6) / 2
         assert profiles[2][FEATURES.index("danceability")] == 0.6
@@ -332,6 +333,12 @@ SONG_ROWS = st.tuples(
     ID_CELLS, *(LOUDNESS_CELLS if c == "loudness" else NUMBER_CELLS for c in ingest.NUMERIC),
     st.just(16) | st.integers(1, 15),
 ).map(lambda t: list(t[:t[-1]]))
+# An artist_ids cell of up to four ids, repeats allowed: canonical ("[1, 2]",
+# "[1,2]", "[]") or in syntax only the row-at-a-time parser reads.
+ID_LIST_CELLS = st.builds(
+    lambda ids, part, sep, frame: frame.format(sep.join(part.format(a) for a in ids)),
+    st.lists(st.integers(0, 6), max_size=4), st.sampled_from(["{}", "{}", "+{}", "00{}", "1_00{}"]),
+    st.sampled_from([", ", ",", " ,", " , "]), st.sampled_from(["[{}]", "[{}]", "[ {} ]", "{}"]))
 # At most one cell per file that is not a finite number: (row, column, text).
 BAD_CELL = st.none() | st.tuples(st.integers(0, 7), st.sampled_from(ingest.NUMERIC),
                                  st.sampled_from(["nan", "inf", "-inf", "NaN", "x", "1e999"]))
@@ -354,6 +361,20 @@ class TestSongTableMatchesReference:
     def test_load_and_profiles(self, rows, known, bad):
         if bad is not None and bad[0] < len(rows) and 1 + ingest.NUMERIC.index(bad[1]) < len(rows[bad[0]]):
             rows[bad[0]][1 + ingest.NUMERIC.index(bad[1])] = bad[2]
+        self.check(rows, known)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(ID_LIST_CELLS, LOUDNESS_CELLS), max_size=10),
+           known=st.none() | st.frozensets(st.integers(0, 1010)))
+    @example(rows=[("[1, 1]", "-1"), ("[]", "-1"), ("[ 1 ,2 ]", "-1"), ("1, 2", "-1"),
+                   ("+3", "-1"), ("[1_000, 3, 1_000]", "-1"), ("[2,2]", "-1")], known=frozenset({3}))
+    @example(rows=[("[1]", "-1"), ("[1 2]", "-1")], known=None)  # an error, as int("1 2") is
+    def test_artist_id_cells_in_blocks_cut_mid_table(self, rows, known):
+        """Blocks of three rows, canonical cells in some and not in others."""
+        with mock.patch.object(ingest, "ROWS_PER_BLOCK", 3):
+            self.check([full_row(ids, loudness=loudness) for ids, loudness in rows], known)
+
+    def check(self, rows, known):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "songs.csv"
             write_table(path, ingest.SONG_COLUMNS, rows)
@@ -370,7 +391,8 @@ class TestSongTableMatchesReference:
         (table, report), (songs, expected_report) = table, expected
         assert report == expected_report
         assert len(table) == len(songs)
-        assert table.artist_ids == [s.artist_ids for s in songs]
+        assert table.ids.dtype == table.indptr.dtype == np.int64
+        assert artist_id_tuples(table) == [s.artist_ids for s in songs]
         reference = np.array([[float(getattr(s, c)) for c in ingest.NUMERIC] for s in songs])
         assert table.values.tobytes() == reference.reshape(-1, 15).tobytes()
         profiles = build_artist_profiles(table)
