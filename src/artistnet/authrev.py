@@ -8,13 +8,13 @@ a from-scratch random forest for feature importance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from artistnet.graph import GraphError, InfluenceGraph, genre_codes
+from artistnet.ingest import json_text
 from artistnet.simvec import tss_rows
 
 DEFAULT_ALPHA = 0.8
@@ -47,7 +47,7 @@ class AuthenticitySummary:
     mode: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
 
 
 def average_extreme_distance(values, mode: str = "pair_mean") -> float:
@@ -137,18 +137,8 @@ class ElasticNetFit:
     objective_history: list[float] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "intercept": self.intercept,
-                "coefficients": self.coefficients.tolist(),
-                "lambda": self.lam,
-                "alpha_mix": self.alpha_mix,
-                "iterations": self.iterations,
-                "converged": self.converged,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        return json_text({"intercept": self.intercept, "coefficients": self.coefficients.tolist(), "lambda": self.lam,
+                          "alpha_mix": self.alpha_mix, "iterations": self.iterations, "converged": self.converged})
 
 
 def elastic_net_objective(X, y, intercept, beta, lam, alpha_mix) -> float:
@@ -213,15 +203,7 @@ def elastic_net_fit(X, y, lam: float, alpha_mix: float = 0.5,
         if max_delta < tol:
             converged = True
             break
-    return ElasticNetFit(
-        intercept=intercept,
-        coefficients=beta,
-        lam=lam,
-        alpha_mix=alpha_mix,
-        iterations=sweeps,
-        converged=converged,
-        objective_history=history,
-    )
+    return ElasticNetFit(intercept, beta, lam, alpha_mix, sweeps, converged, history)
 
 
 def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit:
@@ -405,20 +387,10 @@ class ForestModel:
         return np.asarray(self.classes)[np.argmax(probas, axis=1)]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "classes": list(self.classes),
-                "n_trees": len(self.trees),
-                "trees": [t.root for t in self.trees],
-                "feature_importances": self.feature_importances.tolist(),
-                "train_accuracy": self.train_accuracy,
-                "validation_accuracy": self.validation_accuracy,
-                "test_accuracy": self.test_accuracy,
-                "trained": True,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        return json_text({
+            "classes": list(self.classes), "n_trees": len(self.trees), "trees": [t.root for t in self.trees],
+            "feature_importances": self.feature_importances.tolist(), "train_accuracy": self.train_accuracy,
+            "validation_accuracy": self.validation_accuracy, "test_accuracy": self.test_accuracy, "trained": True})
 
 
 def forest_train(X, labels, trees: int = 200, max_depth: int = 8,

@@ -20,9 +20,11 @@ record, key or JSON needs Python values); text and JSON inputs are read by
 
 The loaders `Context.load_influence`, `load_graph`, `load_profiles` and
 `load_scores` hand a later stage of the process what an earlier one typed
-(`_MEMO`, one entry per loader and table name), keyed by the SHA-256 of
-each file read (`Context.digest`, as in the manifest) and the arguments,
-so a rewritten file is read anew; its arrays are read-only, scores a tuple.
+(`_MEMO`, one entry per table read), keyed by the SHA-256 of each file
+read (`Context.digest`, as in the manifest) and the arguments, so a
+rewritten file is read anew; its arrays are read-only, scores a tuple.
+Only a caller that runs several stages in one process (through `main`)
+gains: a command line runs one stage per process.
 
 Exit codes: 0 success, 2 config error (including a config file that is
 not UTF-8 JSON, a configured input file or directory that does not exist,
@@ -213,7 +215,7 @@ class Context:
         self.write(name).write_text(text, encoding="utf-8")
 
     def write_json(self, name: str, obj) -> None:
-        self.write_text(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        self.write_text(name, ingest.json_text(obj))
 
     def write_table(self, name: str, header: list[str], rows) -> None:
         ingest.write_table(self.write(name), header, rows)
@@ -232,33 +234,46 @@ class Context:
             self.digests[path] = hashlib.sha256(path.read_bytes()).hexdigest()
         return self.digests[path]
 
-    def _memo(self, load, names: tuple, *args):
-        """load(*paths, *args) of inputs `names` (see `read`), or the value
-        it gave earlier in this process on files of the same digests."""
-        paths = [self.read(name) for name in names]
-        key = (tuple(map(self.digest, paths)), args)
-        if _MEMO.get((load, names), (None,))[0] != key:
-            _MEMO[load, names] = key, _read_only(load(*paths, *args))
-        return _MEMO[load, names][1]
+    def _memo(self, names: tuple, load, *args):
+        """load(*paths) of inputs `names` (see `read`), or the value it gave
+        earlier in this process on files of the same digests and `args`."""
+        paths = list(map(self.read, names))
+        key = (*map(self.digest, paths), *args)
+        if _MEMO.get(names, (None,))[0] != key:
+            _MEMO[names] = key, _read_only(load(*paths))
+        return _MEMO[names][1]
 
     def load_influence(self):
         """`ingest.load_influence` of influence_csv."""
-        return self._memo(ingest.load_influence, ("influence_csv",))
+        return self._memo(("influence_csv",), ingest.load_influence)
 
     def load_graph(self) -> graph.InfluenceGraph:
-        return self._memo(_load_graph, ("nodes.csv", "edges.csv"))
+        def load(nodes_path, edges_path):
+            ids, names, genres, starts = ingest.read_columns(nodes_path, {
+                "id": int, "name": str, "genre": str, "active_start": int})
+            nodes = list(map(graph.ArtistNode, ids.tolist(), names, genres, starts.tolist()))
+            return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(edges_path, {
+                "from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}))
+        return self._memo(("nodes.csv", "edges.csv"), load)
 
     def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
         """Artist id -> vector of the first `width` columns of profile table
         `name`; the vectors are the rows of one matrix."""
-        return self._memo(_load_profiles, (name,), width)
+        def load(path):
+            ids, *values = ingest.read_columns(path, dict.fromkeys(_profile_header(width), float) | {"artist_id": int})
+            return dict(zip(ids.tolist(), np.column_stack(values)))
+        return self._memo((name,), load, width)
 
     def load_scores(self) -> tuple[centrality.CentralityScores, ...]:
-        return self._memo(_load_scores, ("centrality.csv",))
+        def load(path):
+            cols = ingest.read_columns(path, {
+                "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
+            return tuple(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
+        return self._memo(("centrality.csv",), load)
 
 
-# What `Context._memo` loaded in this process: (loader, input names) ->
-# (key, value), the key the SHA-256 of each file read and the arguments.
+# What `Context._memo` loaded in this process: input names -> (key, value),
+# the key the SHA-256 of each file read and the loader's arguments.
 _MEMO: dict[tuple, tuple] = {}
 
 
@@ -270,25 +285,6 @@ def _read_only(value):
         if isinstance(v, np.ndarray):
             v.setflags(write=False)
     return value
-
-
-def _load_graph(nodes_path: Path, edges_path: Path) -> graph.InfluenceGraph:
-    ids, names, genres, starts = ingest.read_columns(nodes_path, {
-        "id": int, "name": str, "genre": str, "active_start": int})
-    nodes = list(map(graph.ArtistNode, ids.tolist(), names, genres, starts.tolist()))
-    return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(edges_path, {
-        "from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}))
-
-
-def _load_profiles(path: Path, width: int) -> dict[int, np.ndarray]:
-    ids, *values = ingest.read_columns(path, {"artist_id": int} | dict.fromkeys(_profile_header(width)[1:], float))
-    return dict(zip(ids.tolist(), np.column_stack(values)))
-
-
-def _load_scores(path: Path) -> tuple[centrality.CentralityScores, ...]:
-    cols = ingest.read_columns(path, {
-        "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
-    return tuple(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
 
 
 def _read_json(path: Path):
@@ -318,8 +314,7 @@ def _update_manifest(ctx: Context, manifest: dict) -> None:
         "inputs": {str(p): ctx.digest(p) for p in sorted(ctx.inputs)},
         "outputs": {p.name: ctx.digest(p) for p in sorted(ctx.outputs)},
     }
-    (ctx.out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                                          encoding="utf-8")
+    (ctx.out / "manifest.json").write_text(ingest.json_text(manifest), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

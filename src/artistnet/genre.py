@@ -4,14 +4,14 @@ counts read off the graph's nodes, yearly feature means off the songs."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, asdict
+from itertools import combinations
 
 import numpy as np
 
 from artistnet.graph import InfluenceGraph, genre_codes
-from artistnet.ingest import FEATURES, SongTable
+from artistnet.ingest import FEATURES, SongTable, json_text
 from artistnet.simvec import tss_rows
 
 
@@ -52,7 +52,18 @@ class GenreSamplingReport:
     seed: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
+
+
+def _report(metric: str, within: list[float], between: list[float], cfg: SamplingConfig,
+            **lists) -> GenreSamplingReport:
+    """The report of a sampling's per-run totals: within is the stronger
+    side where its TSS is lower, or its IP higher."""
+    stronger = float.__lt__ if metric == "tss" else float.__gt__
+    w_mean, b_mean = float(np.mean(within)), float(np.mean(between))
+    return GenreSamplingReport(metric, within, between, w_mean, b_mean, stronger(w_mean, b_mean),
+                               sum(map(stronger, within, between)), **lists,
+                               samples_per_run=cfg.samples_per_run, runs=cfg.runs, seed=cfg.seed)
 
 
 def _genre_members(ids, genres) -> dict[str, list[int]]:
@@ -110,21 +121,7 @@ def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
         k = draw(0, len(P) - size[g])
         between_totals.append(total_tss(q, k + size[g] * (k >= start[g])))
 
-    w_mean = float(np.mean(within_totals))
-    b_mean = float(np.mean(between_totals))
-    return GenreSamplingReport(
-        metric="tss",
-        within_totals=within_totals,
-        between_totals=between_totals,
-        within_mean=w_mean,
-        between_mean=b_mean,
-        within_stronger=w_mean < b_mean,
-        runs_within_stronger=sum(w < b for w, b in zip(within_totals, between_totals)),
-        excluded_genres=excluded,
-        samples_per_run=cfg.samples_per_run,
-        runs=cfg.runs,
-        seed=cfg.seed,
-    )
+    return _report("tss", within_totals, between_totals, cfg, excluded_genres=excluded)
 
 
 def influence_proximity(rank_q: int, rank_p: int) -> float:
@@ -165,21 +162,7 @@ def sample_influence(g: InfluenceGraph, scores, genres: dict[int, str],
         if not len(within_ips) or not len(between_ips):
             flagged.append(run)
 
-    w_mean = float(np.mean(within_totals))
-    b_mean = float(np.mean(between_totals))
-    return GenreSamplingReport(
-        metric="ip",
-        within_totals=within_totals,
-        between_totals=between_totals,
-        within_mean=w_mean,
-        between_mean=b_mean,
-        within_stronger=w_mean > b_mean,
-        runs_within_stronger=sum(w > b for w, b in zip(within_totals, between_totals)),
-        flagged_runs=flagged,
-        samples_per_run=cfg.samples_per_run,
-        runs=cfg.runs,
-        seed=cfg.seed,
-    )
+    return _report("ip", within_totals, between_totals, cfg, flagged_runs=flagged)
 
 
 @dataclass
@@ -217,15 +200,8 @@ class Dendrogram:
         return render(self.tree) + ";"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "leaves": self.leaves,
-                "merges": [[list(a), list(b), d] for a, b, d in self.merges],
-                "tree": self.tree,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        merges = [[list(a), list(b), d] for a, b, d in self.merges]
+        return json_text({"leaves": self.leaves, "merges": merges, "tree": self.tree})
 
 
 def cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],
@@ -250,22 +226,12 @@ def cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],
     labels: list[tuple[str, ...]] = [(n,) for n in names]
     sizes = {(n,): 1 for n in names}
     trees: dict[tuple[str, ...], dict] = {(n,): {"name": n} for n in names}
-    dist: dict[frozenset, float] = {}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            dist[frozenset((a, b))] = base_dist(a[0], b[0])
+    dist = {frozenset((a, b)): base_dist(a[0], b[0]) for a, b in combinations(labels, 2)}
 
     merges = []
     while len(labels) > 1:
-        best = None
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
-                pair = (a, b) if a < b else (b, a)
-                d = dist[frozenset((a, b))]
-                key = (d, pair)
-                if best is None or key < best:
-                    best = key
-        d, (a, b) = best
+        # the least (distance, pair); `labels` is sorted, so each pair is too
+        d, (a, b) = min((dist[frozenset(pair)], pair) for pair in combinations(labels, 2))
         merged = tuple(sorted(a + b))
         report_d = d ** 0.5 if linkage == "ward" else d
         merges.append((a, b, report_d))

@@ -1,9 +1,10 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
 one CSV codec every table goes through: `write_table`, and `read_columns`,
 which types a table with numpy's text reader a block at a time, reading a
-table numpy rejects with the csv module (`read_numbered`). Cleaned songs
-are one `SongTable`, held in memory only: the `ingest` stage writes what is
-read off it (artist profiles and genre-by-year feature means)."""
+table numpy rejects with the csv module (`read_numbered`); `json_text` is
+the text of every JSON artifact. Cleaned songs are one `SongTable`, held
+in memory only: the `ingest` stage writes what is read off it (artist
+profiles and genre-by-year feature means)."""
 
 from __future__ import annotations
 
@@ -102,7 +103,7 @@ class CleaningReport:
     rows_flagged_unlinked: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
 
 
 def write_table(path, header, rows) -> None:
@@ -118,6 +119,11 @@ def write_table(path, header, rows) -> None:
         w = csv.writer(sink, lineterminator="\r\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+def json_text(obj) -> str:
+    """`obj` as the text of a JSON artifact: keys sorted, two-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _picks(path, header: list[str], columns) -> list[int]:
@@ -250,7 +256,7 @@ def _artist_id_pairs(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     block of canonical cells is parsed at once; another is made canonical a
     row at a time by `_parse_artist_ids` (ValueError for a bad cell)."""
     text = ";".join(cells)
-    if not _CANONICAL_IDS.fullmatch(text):
+    if text.count(";") != len(cells) - 1 or not _CANONICAL_IDS.fullmatch(text):  # or a cell holds a ";"
         text = ";".join(map(str, map(_parse_artist_ids, cells)))  # each as "[1, -2]"
     chars = np.frombuffer(text.encode(), np.uint8)
     digit = ((ord("0") <= chars) & (chars <= ord("9"))).view(np.int8)

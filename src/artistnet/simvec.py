@@ -12,11 +12,12 @@ on every pair of vectors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from artistnet.ingest import json_text
 
 DEFAULT_COMPONENTS = 9
 ANGLE_OFFSET_DEG = 10.0
@@ -61,16 +62,7 @@ class PcaModel:
     explained_variance: np.ndarray  # (k,)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "means": self.means.tolist(),
-                "stdevs": self.stdevs.tolist(),
-                "components": self.components.tolist(),
-                "explained_variance": self.explained_variance.tolist(),
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        return json_text({name: array.tolist() for name, array in vars(self).items()})
 
 
 def fit_pca(vectors, k: int, means=None, stdevs=None) -> PcaModel:

@@ -785,7 +785,7 @@ class TestMemo:
         path.write_bytes(good.replace(b"\n1,", b"\nx,", 1))
         assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
         assert "bad node_id cell 'x'" in capsys.readouterr().err
-        assert not [names for _, names in cli._MEMO if names == ("centrality.csv",)]
+        assert ("centrality.csv",) not in cli._MEMO
         path.write_bytes(good)
         assert main(["revolution", "--config", str(cfg_path)]) == 0
         path.write_bytes(good.replace(b"\n1,", b"\nx,", 1))  # after a load of the good bytes too
@@ -796,6 +796,6 @@ class TestMemo:
             (tmp_path / f"corpus{k}").mkdir()
             cfg_path = write_fixture(tmp_path / f"corpus{k}", names={1: f"first artist {k}"})
             run_all(cfg_path, extra=["--out", str(tmp_path / f"out{k}")])
-        assert sorted(names for _, names in cli._MEMO) == [
+        assert sorted(cli._MEMO) == [
             ("artist_profiles.csv",), ("centrality.csv",), ("influence_csv",), ("nodes.csv", "edges.csv"),
             ("profiles_projected.csv",), ("profiles_standardized.csv",)]

@@ -338,7 +338,8 @@ SONG_ROWS = st.tuples(
 ID_LIST_CELLS = st.builds(
     lambda ids, part, sep, frame: frame.format(sep.join(part.format(a) for a in ids)),
     st.lists(st.integers(0, 6), max_size=4), st.sampled_from(["{}", "{}", "+{}", "00{}", "1_00{}"]),
-    st.sampled_from([", ", ",", " ,", " , "]), st.sampled_from(["[{}]", "[{}]", "[ {} ]", "{}"]))
+    st.sampled_from([", ", ",", " ,", " , ", ";"]),
+    st.sampled_from(["[{0}]", "[{0}]", "[ {0} ]", "{0}", "[{0}];[{0}]"]))
 # At most one cell per file that is not a finite number: (row, column, text).
 BAD_CELL = st.none() | st.tuples(st.integers(0, 7), st.sampled_from(ingest.NUMERIC),
                                  st.sampled_from(["nan", "inf", "-inf", "NaN", "x", "1e999"]))
@@ -369,6 +370,7 @@ class TestSongTableMatchesReference:
     @example(rows=[("[1, 1]", "-1"), ("[]", "-1"), ("[ 1 ,2 ]", "-1"), ("1, 2", "-1"),
                    ("+3", "-1"), ("[1_000, 3, 1_000]", "-1"), ("[2,2]", "-1")], known=frozenset({3}))
     @example(rows=[("[1]", "-1"), ("[1 2]", "-1")], known=None)  # an error, as int("1 2") is
+    @example(rows=[("[1];[2]", "-1"), ("[3]", "-1"), ("[]", "-1")], known=None)  # a ";" in a cell: an error
     def test_artist_id_cells_in_blocks_cut_mid_table(self, rows, known):
         """Blocks of three rows, canonical cells in some and not in others."""
         with mock.patch.object(ingest, "ROWS_PER_BLOCK", 3):
