@@ -257,12 +257,8 @@ class Context:
         return self._memo(("nodes.csv", "edges.csv"), load)
 
     def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
-        """Artist id -> vector of the first `width` columns of profile table
-        `name`; the vectors are the rows of one matrix."""
-        def load(path):
-            ids, *values = ingest.read_columns(path, dict.fromkeys(_profile_header(width), float) | {"artist_id": int})
-            return dict(zip(ids.tolist(), np.column_stack(values)))
-        return self._memo((name,), load, width)
+        """`_read_profiles` of profile table `name`."""
+        return self._memo((name,), lambda path: _read_profiles(path, width), width)
 
     def load_scores(self) -> tuple[centrality.CentralityScores, ...]:
         def load(path):
@@ -325,6 +321,13 @@ def _profile_header(width: int) -> list[str]:
     return ["artist_id"] + [f"c{i}" for i in range(width)]
 
 
+def _read_profiles(path: Path, width: int) -> dict[int, np.ndarray]:
+    """Artist id -> vector of the first `width` columns of the profile table
+    at `path`; the vectors are the rows of one matrix."""
+    ids, *values = ingest.read_columns(path, dict.fromkeys(_profile_header(width), float) | {"artist_id": int})
+    return dict(zip(ids.tolist(), np.column_stack(values)))
+
+
 def stage_ingest(ctx: Context) -> None:
     ctx.read("influence_csv")  # checked before songs_csv
     songs_path = ctx.read("songs_csv")
@@ -363,7 +366,7 @@ def stage_centrality(ctx: Context) -> None:
 
 
 def stage_similarity(ctx: Context) -> None:
-    raw = ctx.load_profiles("artist_profiles.csv", len(ingest.FEATURES))
+    raw = _read_profiles(ctx.read("artist_profiles.csv"), len(ingest.FEATURES))  # not held: no later stage reads it
     ids = sorted(raw)
     X = np.array([raw[i] for i in ids])
     std = simvec.standardize(X)

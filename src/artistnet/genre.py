@@ -280,8 +280,10 @@ def genre_year_means(songs: SongTable, artist_genres: dict[int, str]) -> list[li
                                     song * len(series) + code_of[ALL]]))
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     song = pairs // len(series)
-    years, year_at = np.unique(songs.values[song, YEAR], return_inverse=True)
-    bins, key = np.unique(pairs % len(series) * len(years) + year_at, return_inverse=True)  # by (series, year)
+    years, year_at = np.unique(songs.values[:, YEAR], return_inverse=True)  # of each song
+    cell = pairs % len(series) * len(years) + year_at[song]  # by (series, year)
+    del at, linked, pairs, year_at  # freed before the (series, year) grouping
+    bins, key = np.unique(cell, return_inverse=True)
     counts = np.bincount(key, minlength=len(bins))
     means = np.column_stack([np.bincount(key, songs.values[song, k], len(bins))
                              for k in range(len(FEATURES)) if k != YEAR]) / counts[:, None]

@@ -260,31 +260,31 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
     ascending (weight, src, dst)). Deterministic for a given input.
 
     Works in rounds over a worklist of nontrivial SCCs, visited by smallest
-    member. Each SCC holds its internal edges sorted once, heaviest first,
-    and pops its lightest remaining one off the end. Deleting an edge (u, v)
-    only splits the SCC C that holds it, and C minus (u, v) stays strongly
-    connected if and only if u still reaches v inside it. If not, every
-    node of C still reaches u and v reaches every node of C, so u's new SCC
-    is what u reaches and v's is what reaches v (Fleischer, Hendrickson &
-    Pinar 2000). `_split_search` interleaves both searches: if they meet,
-    C carries over whole; if not, Tarjan runs only on what neither reached,
-    usually little. The largest piece keeps C's edge list and skips edges
-    no longer internal to it; smaller pieces sort their own. Cost: one
-    Tarjan pass, then O(V_C + E_C) per deletion at worst.
+    member. Each SCC holds the CSR positions of its internal edges, sorted
+    once heaviest first, and pops its lightest remaining one off the end.
+    Deleting (u, v) only splits the SCC C that holds it, and C minus (u, v)
+    stays strongly connected if and only if u still reaches v inside it. If
+    not, every node of C still reaches u and v reaches every node of C, so
+    u's new SCC is what u reaches and v's is what reaches v (Fleischer,
+    Hendrickson & Pinar 2000). `_split_search` interleaves both searches: if
+    they meet, C carries over whole; if not, Tarjan runs only on what neither
+    reached, usually little. The largest piece keeps C's edge list and skips
+    edges no longer internal to it; smaller pieces list their live edges.
+    Cost: one Tarjan pass, then O(V_C + E_C) per deletion at worst.
     """
     if np.isnan(g.weight).any():
         raise GraphError("remove_cycles requires normalized weights")
-    src, dst = g.src.tolist(), g.indices.tolist()
+    src, dst, bounds = g.src.tolist(), g.indices.tolist(), g.indptr.tolist()
     succ, pred = _rows(g.indptr, g.indices), _rows(*g._in_csr)
-    ascending = np.lexsort((g.indices, g.src, g.weight)).tolist()  # edge positions
-    rank = {(src[p], dst[p]): r for r, p in enumerate(ascending)}
+    rank = np.argsort(np.lexsort((g.indices, g.src, g.weight))).tolist()  # by position
+    live = bytearray(b"\x01") * g.n_edges  # by position: not yet removed
 
     def scc(members: set[int], inner=None):
-        """Worklist entry: (smallest member, members, internal edges
+        """Worklist entry: (smallest member, members, internal edge positions
         heaviest first); `inner` may also hold edges outside `members`."""
         if inner is None:
-            inner = sorted(((x, w) for x in members for w in succ[x] if w in members),
-                           key=rank.__getitem__, reverse=True)
+            inner = sorted((p for x in members for p in range(bounds[x], bounds[x + 1])
+                            if live[p] and dst[p] in members), key=rank.__getitem__, reverse=True)
         return min(members), members, inner
 
     work = [scc(set(c)) for c in _tarjan_scc(range(g.n_nodes), succ) if len(c) > 1]
@@ -292,12 +292,14 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
     while work:
         carried = []
         for first, members, inner in sorted(work, key=lambda c: c[0]):
-            u, v = inner.pop()
-            while u not in members or v not in members:
-                u, v = inner.pop()
+            p = inner.pop()
+            while src[p] not in members or dst[p] not in members:
+                p = inner.pop()
+            u, v = src[p], dst[p]
             succ[u].remove(v)
             pred[v].remove(u)
-            gone.append(ascending[rank[(u, v)]])
+            live[p] = 0
+            gone.append(p)
             sides = _split_search(succ, pred, u, v, members)
             if sides is None:
                 carried.append((first, members, inner))
@@ -310,13 +312,13 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
             pieces += [side for side in sides if len(side) > 1]
             if pieces:
                 largest = max(pieces, key=len)
-                carried.extend(scc(p, inner if p is largest else None) for p in pieces)
+                carried.extend(scc(c, inner if c is largest else None) for c in pieces)
         work = carried
-    ids, year_diff, weight = g._ids, g.year_diff.tolist(), g.weight.tolist()
-    removed = [InfluenceEdge(ids[src[p]], ids[dst[p]], year_diff[p], weight[p]) for p in gone]
-    keep = np.ones(g.n_edges, bool)
-    keep[gone] = False
-    dag = g._with_edges(g.nodes.values(), keep, g.self_loops_dropped, g.year_window_dropped)
+    del src, dst, succ, pred, rank  # freed before the new graph is built
+    ids = g._id_array
+    removed = list(map(InfluenceEdge, ids[g.src[gone]].tolist(), ids[g.indices[gone]].tolist(),
+                       g.year_diff[gone].tolist(), g.weight[gone].tolist()))
+    dag = g._with_edges(g.nodes.values(), np.frombuffer(live, bool), g.self_loops_dropped, g.year_window_dropped)
     return dag, removed
 
 

@@ -298,12 +298,14 @@ def load_influence(path) -> tuple[dict[int, tuple[str, str, int]], np.ndarray, n
         raise IngestError(f"{where}: artist {ends[p]} active_start {starts[p]} "
                           f"conflicts with {starts[first[inverse[p]]]} given earlier")
     mention, text, row = np.sort(first), [], 0
+    ids, start = ends[mention].tolist(), starts[mention].tolist()
+    del a_start, b_start, ends, starts, first, inverse  # freed before the text pass
     # (name, genre) at each first mention, read a block at a time: the text is never all held
     for block in _typed_blocks(path, {c: object for c, f in INFLUENCE_COLUMNS.items() if f is str}):
         lo, hi = np.searchsorted(mention, [2 * row, 2 * (row + len(block[0]))])
         text += np.column_stack(block).reshape(-1, 2)[mention[lo:hi] - 2 * row].tolist()
         row += len(block[0])
-    artists = {i: (n, g, s) for i, (n, g), s in zip(ends[mention].tolist(), text, starts[mention].tolist())}
+    artists = {i: (n, g, s) for i, (n, g), s in zip(ids, text, start)}
     pairs = np.sort(np.unique(np.column_stack([a, b]), axis=0, return_index=True)[1])
     return artists, a[pairs], b[pairs]
 
@@ -360,8 +362,9 @@ def _clean_songs(blocks, report: CleaningReport, known_artist_ids) -> tuple[Song
         counts.append(n[keep])
         flat.frombytes(values[keep].tobytes())
     values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(NUMERIC))
-    # int() truncation; adding 0.0 turns trunc's -0.0 into int()'s 0.
-    values[:, TRUNCATED] = np.trunc(values[:, TRUNCATED]) + 0.0
+    for col in (values[:, k] for k in TRUNCATED):  # int() truncation, in place a column at a time
+        np.trunc(col, out=col)
+        col += 0.0  # adding 0.0 turns trunc's -0.0 into int()'s 0
     songs = SongTable(np.concatenate(ids), np.concatenate([[0], np.cumsum(np.concatenate(counts))]), values)
     if known_artist_ids is not None:
         known = np.sort(np.fromiter(known_artist_ids, np.int64, len(known_artist_ids)))
@@ -378,6 +381,7 @@ def build_artist_profiles(songs: SongTable) -> dict[int, np.ndarray]:
     their count."""
     artists, slot = np.unique(songs.ids, return_inverse=True)
     sums = np.full((len(artists), len(FEATURES)), -0.0)
-    np.add.at(sums, slot, songs.values[songs.rows, :len(FEATURES)])
+    for k in range(len(FEATURES)):  # a feature at a time: no entries x 13 gather
+        np.add.at(sums[:, k], slot, np.repeat(songs.values[:, k], np.diff(songs.indptr)))
     means = sums / np.bincount(slot, minlength=len(artists))[:, None]
     return dict(zip(artists.tolist(), means))

@@ -21,6 +21,7 @@ from artistnet.ingest import json_text
 
 DEFAULT_COMPONENTS = 9
 ANGLE_OFFSET_DEG = 10.0
+PAIR_BLOCK = 8192  # pairs `uniqueness` scores at a time, so its row copies stay small
 
 
 class SimvecError(Exception):
@@ -173,24 +174,30 @@ def ss(a, b) -> float:
 
 
 def _pairwise_metric(X: np.ndarray, metric: str) -> np.ndarray:
-    """Condensed upper-triangle values of the chosen metric, vectorized."""
-    X = np.asarray(X, dtype=float)
-    iu, ju = np.triu_indices(X.shape[0], k=1)
-    if metric == "tss":  # in blocks, so the row copies stay small
-        blocks = [tss_rows(X[iu[lo:lo + 8192]], X[ju[lo:lo + 8192]]) for lo in range(0, len(iu), 8192)]
-        return np.concatenate([t * s for t, s, _ in blocks])
-    gram = X @ X.T
-    sq = np.diag(gram)
-    dots = gram[iu, ju]
-    if metric == "euclidean":
-        return np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * dots, 0.0))
-    if metric == "cosine":
-        mags = np.sqrt(sq)
-        prod = mags[iu] * mags[ju]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosine = np.where(prod > 0.0, dots / prod, 1.0)
-        return np.clip(cosine, -1.0, 1.0)
-    raise SimvecError(f"unknown metric {metric!r}")
+    """Condensed upper-triangle values of the chosen metric, filled into one
+    array PAIR_BLOCK pairs at a time (a block may split a row). Euclidean and
+    cosine read the Gram matrix, computed once: by row blocks, bits could differ."""
+    if metric not in ("euclidean", "cosine", "tss"):
+        raise SimvecError(f"unknown metric {metric!r}")
+    first = np.cumsum(np.arange(len(X), 0, -1)) - len(X)  # row i's first pair; last, C(n, 2)
+    out = np.empty(first[-1])
+    if metric != "tss":
+        gram = X @ X.T
+        sq = np.diag(gram)
+    for lo in range(0, len(out), PAIR_BLOCK):
+        pair = np.arange(lo, min(lo + PAIR_BLOCK, len(out)))
+        iu = np.searchsorted(first, pair, "right") - 1
+        ju = pair - first[iu] + iu + 1
+        if metric == "tss":
+            t, s, _ = tss_rows(X[iu], X[ju])
+            out[pair] = t * s
+        elif metric == "euclidean":
+            out[pair] = np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * gram[iu, ju], 0.0))
+        else:
+            prod = np.sqrt(sq[iu]) * np.sqrt(sq[ju])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out[pair] = np.clip(np.where(prod > 0.0, gram[iu, ju] / prod, 1.0), -1.0, 1.0)
+    return out
 
 
 def uniqueness(vectors, metric: str) -> float:
@@ -200,5 +207,6 @@ def uniqueness(vectors, metric: str) -> float:
     X = np.asarray(vectors, dtype=float)
     if X.shape[0] < 2:
         raise SimvecError("uniqueness needs >= 2 vectors")
-    r = np.sort(np.round(_pairwise_metric(X, metric), 7))
+    r = _pairwise_metric(X, metric)
+    r.round(7, out=r).sort()  # in place
     return 100.0 * (1 + np.count_nonzero(r[1:] != r[:-1])) / len(r)

@@ -302,6 +302,34 @@ def reference_tss(a, b):
     return t, s, theta
 
 
+def reference_pairwise_metric(X, metric: str) -> np.ndarray:
+    """Condensed upper-triangle values of the chosen metric from all-pairs
+    `np.triu_indices` arrays: `tss_rows` on 8192 pairs at a time, the
+    others off the whole Gram matrix."""
+    X = np.asarray(X, dtype=float)
+    iu, ju = np.triu_indices(X.shape[0], k=1)
+    if metric == "tss":
+        blocks = [tss_rows(X[iu[lo:lo + 8192]], X[ju[lo:lo + 8192]]) for lo in range(0, len(iu), 8192)]
+        return np.concatenate([t * s for t, s, _ in blocks])
+    gram = X @ X.T
+    sq = np.diag(gram)
+    dots = gram[iu, ju]
+    if metric == "euclidean":
+        return np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * dots, 0.0))
+    mags = np.sqrt(sq)
+    prod = mags[iu] * mags[ju]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosine = np.where(prod > 0.0, dots / prod, 1.0)
+    return np.clip(cosine, -1.0, 1.0)
+
+
+def reference_uniqueness(X, metric: str) -> float:
+    """100 * distinct / C(n, 2) of the pairwise values rounded to 7 decimals,
+    counted by np.unique."""
+    values = reference_pairwise_metric(X, metric)
+    return 100.0 * len(np.unique(np.round(values, 7))) / len(values)
+
+
 def reference_sample_similarity(profiles, genres, samples_per_run, runs, seed):
     """Within- and between-genre TSS totals per run, in the documented draw
     order: the four index arrays come from the same `integers` calls, each

@@ -409,7 +409,7 @@ def test_genre_year_means_match_the_reference(tmp_path):
 
 @pytest.mark.parametrize("artifact, column, upstream, stage", [
     ("edges.csv", "year_diff", 2, "centrality"),  # Context.load_graph
-    ("artist_profiles.csv", "c3", 1, "similarity"),  # Context.load_profiles
+    ("artist_profiles.csv", "c3", 1, "similarity"),  # cli._read_profiles
     ("centrality.csv", "ni", 4, "revolution"),  # Context.load_scores
     ("revolution_labels.csv", "label", 7, "report"),  # a label other than the three
 ])
@@ -797,5 +797,5 @@ class TestMemo:
             cfg_path = write_fixture(tmp_path / f"corpus{k}", names={1: f"first artist {k}"})
             run_all(cfg_path, extra=["--out", str(tmp_path / f"out{k}")])
         assert sorted(cli._MEMO) == [
-            ("artist_profiles.csv",), ("centrality.csv",), ("influence_csv",), ("nodes.csv", "edges.csv"),
+            ("centrality.csv",), ("influence_csv",), ("nodes.csv", "edges.csv"),
             ("profiles_projected.csv",), ("profiles_standardized.csv",)]

@@ -1,5 +1,7 @@
 import csv
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -317,6 +319,29 @@ class TestArtistProfiles:
     def test_artist_with_no_songs_absent(self, tmp_path):
         songs = self.make_songs(tmp_path, [song_row(artist_ids="[1]")])
         assert 2 not in build_artist_profiles(songs)
+
+    def test_negative_zeros_match_the_reference(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_table(path, ingest.SONG_COLUMNS, [[ids] + ["-0.0"] * len(ingest.NUMERIC)
+                                                for ids in ("[1, 2]", "[2]", "[3, 1]", "[1]")])
+        profiles = build_artist_profiles(load_songs(path)[0])
+        expected = reference_build_artist_profiles(reference_load_songs(path)[0])
+        assert list(profiles) == list(expected) == [1, 2, 3]
+        for artist, profile in profiles.items():
+            assert profile.tobytes() == expected[artist].tobytes()
+        assert math.copysign(1.0, profiles[1][0]) == -1.0  # sums start from -0.0, not 0.0
+
+    def test_no_entries_by_features_gather(self):
+        entries = 40_000  # one artist a song, 500 artists
+        songs = ingest.SongTable(np.arange(entries, dtype=np.int64) % 500, np.arange(entries + 1, dtype=np.int64),
+                                 np.ones((entries, len(ingest.NUMERIC))))
+        tracemalloc.start()
+        try:
+            build_artist_profiles(songs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < entries * len(FEATURES) * 8  # what one entries x 13 float gather takes
 
 
 def full_row(ids="[7]", **cells):

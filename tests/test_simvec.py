@@ -1,15 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_tss
+from oracles import reference_pairwise_metric, reference_tss, reference_uniqueness
 
 from artistnet.simvec import (
     SimvecError,
+    _pairwise_metric,
     fit_pca,
     project,
     ss,
@@ -280,8 +282,6 @@ class TestUniqueness:
             assert uniqueness(X, metric) == pytest.approx(uniqueness(X[perm], metric))
 
     def test_condensed_matches_scalar(self, rng):
-        from artistnet.simvec import _pairwise_metric
-
         X = rng.normal(size=(12, 4))
         condensed = _pairwise_metric(X, "tss")
         k = 0
@@ -289,3 +289,28 @@ class TestUniqueness:
             for j in range(i + 1, 12):
                 assert condensed[k] == pytest.approx(tss(X[i], X[j]).tss, rel=1e-9)
                 k += 1
+
+    @pytest.mark.parametrize("n", [2, 3, 129, 500, 777])  # from 129 rows on, a block ends inside a row
+    def test_blocked_matches_the_all_pairs_reference(self, n):
+        X = np.random.default_rng(n).normal(size=(n, 9))
+        X[0] = 0.0
+        X[-1] = X[n // 2]  # a repeated row (for n > 2)
+        for metric in ("euclidean", "cosine", "tss"):
+            assert _pairwise_metric(X, metric).tobytes() == reference_pairwise_metric(X, metric).tobytes()
+            assert uniqueness(X, metric) == reference_uniqueness(X, metric)
+
+    def test_unknown_metric_raises(self):
+        with pytest.raises(SimvecError, match="unknown metric"):
+            uniqueness(np.ones((3, 2)), "manhattan")
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "tss"])
+    def test_working_memory_is_bounded(self, metric):
+        # C(500, 2) pairs: all-pairs index arrays alone take 2 MB, the values 1 MB
+        X = np.random.default_rng(3).normal(size=(500, 9))
+        tracemalloc.start()
+        try:
+            uniqueness(X, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
