@@ -9,12 +9,11 @@ a from-scratch random forest for feature importance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from artistnet.graph import GraphError, InfluenceGraph, genre_codes
-from artistnet.ingest import json_text
 from artistnet.simvec import tss_rows
 
 DEFAULT_ALPHA = 0.8
@@ -45,9 +44,6 @@ class AuthenticitySummary:
     fraction_extreme: float
     alpha: float
     mode: str
-
-    def to_json(self) -> str:
-        return json_text(asdict(self))
 
 
 def average_extreme_distance(values, mode: str = "pair_mean") -> float:
@@ -82,11 +78,12 @@ def _ad_rows(X: np.ndarray, mode: str) -> np.ndarray:
 def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
                  alpha: float = DEFAULT_ALPHA, mode: str = "pair_mean"):
     """Extreme-distribution score per follower with >= 2 profiled
-    influencers; returns (scores, summary). One `tss_rows` call scores every
-    (follower, influencer) pair, ascending by follower, then influencer id;
-    each follower's values are min-max mapped over its own influencers (all
-    0 when they tie); AD and stdev are taken for a block of followers with
-    the same influencer count at a time."""
+    influencers; returns (scores, summary). Followers with the same
+    influencer count n are taken a block at a time (at most 2**16 pairs of
+    values a block): one `tss_rows` call scores the block's (follower,
+    influencer) pairs, ascending by follower, then influencer id; each
+    follower's n values are min-max mapped over its own influencers (all 0
+    when they tie), and AD and stdev are taken of the mapped rows."""
     ids = g.node_ids()
     profiled = np.array([i in profiles for i in ids], dtype=bool)
     order = np.lexsort((g.src, g.indices))  # in-edges, ascending by (follower, influencer)
@@ -95,29 +92,29 @@ def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
     eligible = profiled & (count >= 2)
     excluded = int(np.sum(profiled & ~eligible & (np.bincount(follower, minlength=len(ids)) > 0)))
     pair = profiled[source] & eligible[follower]
-    follower, source = follower[pair], source[pair]
+    source = source[pair][np.argsort(count[follower[pair]], kind="stable")]  # by count, then (follower, influencer)
     nodes = np.flatnonzero(eligible)
     n_in = count[nodes]
-    start = np.cumsum(n_in) - n_in  # of each follower's run of pairs
-    ad, stdev, mapped = np.empty(len(nodes)), np.empty(len(nodes)), np.empty(0)
-    if len(nodes):
-        vectors = np.array([profiles[ids[k]] for k in np.flatnonzero(profiled)], dtype=float)
-        row = np.cumsum(profiled) - 1  # dense index -> row of `vectors`
-        t, s, _ = tss_rows(vectors[row[follower]], vectors[row[source]])
-        v = t * s
-        lo = np.repeat(np.minimum.reduceat(v, start), n_in)
-        span = np.repeat(np.maximum.reduceat(v, start), n_in) - lo
-        mapped = (v - lo) / np.where(span == 0.0, 1.0, span)  # tied values map to 0
+    vectors = np.array([profiles[ids[k]] for k in np.flatnonzero(profiled)], dtype=float)
+    row = np.cumsum(profiled) - 1  # dense index -> row of `vectors`
+    ad, stdev, mapped, done = np.empty(len(nodes)), np.empty(len(nodes)), [None] * len(nodes), 0
     for n in np.flatnonzero(np.bincount(n_in)).tolist():  # the distinct counts, ascending
         members = np.flatnonzero(n_in == n)
         step = max(1, 2**16 // (n * (n - 1) // 2))  # followers a block: at most 2**16 pairs
         for b in range(0, len(members), step):
             rows = members[b:b + step]
-            X = mapped[start[rows, None] + np.arange(n)]
+            pairs = source[done:done + n * len(rows)]
+            done += len(pairs)
+            t, s, _ = tss_rows(vectors[np.repeat(row[nodes[rows]], n)], vectors[row[pairs]])
+            v = (t * s).reshape(len(rows), n)
+            lo = v.min(axis=1, keepdims=True)
+            span = v.max(axis=1, keepdims=True) - lo
+            X = (v - lo) / np.where(span == 0.0, 1.0, span)  # tied values map to 0
             ad[rows], stdev[rows] = _ad_rows(X, mode), np.std(X, axis=1)
-    flat, bounds = mapped.tolist(), start.tolist() + [len(mapped)]
-    scores = [AuthenticityScore(ids[k], flat[bounds[r]:bounds[r + 1]], a, a >= alpha, sd)
-              for r, (k, a, sd) in enumerate(zip(nodes.tolist(), ad.tolist(), stdev.tolist()))]
+            for r, x in zip(rows.tolist(), X.tolist()):
+                mapped[r] = x
+    scores = [AuthenticityScore(ids[k], x, a, a >= alpha, sd)
+              for k, x, a, sd in zip(nodes.tolist(), mapped, ad.tolist(), stdev.tolist())]
     fraction = sum(s.extreme for s in scores) / len(scores) if scores else 0.0
     return scores, AuthenticitySummary(len(scores), excluded, fraction, alpha, mode)
 
@@ -135,10 +132,6 @@ class ElasticNetFit:
     iterations: int
     converged: bool
     objective_history: list[float] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json_text({"intercept": self.intercept, "coefficients": self.coefficients.tolist(), "lambda": self.lam,
-                          "alpha_mix": self.alpha_mix, "iterations": self.iterations, "converged": self.converged})
 
 
 def elastic_net_objective(X, y, intercept, beta, lam, alpha_mix) -> float:
@@ -210,7 +203,9 @@ def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit
     """Pick lambda from the grid by validation MSE on a tail split."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
+    n = len(y)
+    if n == 0:
+        raise AuthRevError("no rows to fit the elastic net on")
     cut = max(1, int(round(n * (1.0 - VAL_FRACTION))))
     Xt, yt = X[:cut], y[:cut]
     Xv, yv = X[cut:], y[cut:]
@@ -386,12 +381,6 @@ class ForestModel:
             _route(tree.root, X, np.arange(X.shape[0]), probas)
         return np.asarray(self.classes)[np.argmax(probas, axis=1)]
 
-    def to_json(self) -> str:
-        return json_text({
-            "classes": list(self.classes), "n_trees": len(self.trees), "trees": [t.root for t in self.trees],
-            "feature_importances": self.feature_importances.tolist(), "train_accuracy": self.train_accuracy,
-            "validation_accuracy": self.validation_accuracy, "test_accuracy": self.test_accuracy, "trained": True})
-
 
 def forest_train(X, labels, trees: int = 200, max_depth: int = 8,
                  features_per_split: int | None = None, seed: int = 0,
@@ -408,7 +397,7 @@ def forest_train(X, labels, trees: int = 200, max_depth: int = 8,
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    n, d = X.shape
+    n, d = len(labels), X.shape[-1]  # X is 1-D when it has no rows
     i_train = max(1, int(round(n * split[0])))
     i_val = i_train + max(1, int(round(n * split[1])))
     i_test = i_val + max(1, int(round(n * split[2])))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from artistnet.graph import GraphError, InfluenceGraph, reach_table, reachability_counts
-from artistnet.ingest import write_table
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,3 @@ def top_k(g: InfluenceGraph, k: int, genre: str | None = None):
     scores = node_influence(target)
     return [(s, reachability_counts(target, s.node_id)) for s in scores[:k]]
 
-
-def export_scores_csv(path, g: InfluenceGraph, scores: list[CentralityScores]) -> None:
-    reach, _, two_hop = reach_table(g)
-    first = np.diff(g.indptr).tolist()
-    at = [g._index(s.node_id) for s in scores]
-    write_table(path, ["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
-                       "first_order", "second_order", "total_reach"],
-                ([s.node_id, g.nodes[s.node_id].name, g.nodes[s.node_id].genre, s.lc, s.sc, s.gc,
-                  s.ni, s.rank_ni, first[k], two_hop[k] - first[k], reach[k]] for s, k in zip(scores, at)))

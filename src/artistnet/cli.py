@@ -12,11 +12,12 @@ from the influence table itself.
 A stage reads and writes only through its `Context`, which records each
 file as the stage opens or writes it; after the stage the manifest
 (config snapshot, seed, SHA-256 of every input and output) is updated from
-those records, so it lists exactly what the stage read and wrote. Every
-CSV artifact is written by `ingest.write_table` from Python scalars and
-read back by `ingest.read_columns` as numpy arrays (`.tolist()` where a
-record, key or JSON needs Python values); text and JSON inputs are read by
-`Context.read_text` and `Context.read_json`.
+those records, so it lists exactly what the stage read and wrote. Only the
+Context encodes artifacts: `write_table` writes a CSV table of Python
+scalars by `ingest.write_table`, `write_json` a value or result record by
+`ingest.json_text`, and `write_graph` and `write_scores` the tables that
+`load_graph` and `load_scores` read back (by `ingest.read_columns`, as
+numpy arrays). `read_text` and `read_json` read text and JSON inputs.
 
 The loaders `Context.load_influence`, `load_graph`, `load_profiles` and
 `load_scores` hand a later stage of the process what an earlier one typed
@@ -217,8 +218,22 @@ class Context:
     def write_json(self, name: str, obj) -> None:
         self.write_text(name, ingest.json_text(obj))
 
-    def write_table(self, name: str, header: list[str], rows) -> None:
+    def write_table(self, name: str, header, rows) -> None:
+        """Artifact `name`: column names `header`, then `rows` of Python scalars."""
         ingest.write_table(self.write(name), header, rows)
+
+    def write_graph(self, g: graph.InfluenceGraph) -> None:
+        """nodes.csv and edges.csv of `g`, as `load_graph` reads them."""
+        self.write_table("nodes.csv", NODE_COLUMNS,
+                         ([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items())))
+        self.write_table("edges.csv", EDGE_COLUMNS, g.edge_rows())
+
+    def write_scores(self, g: graph.InfluenceGraph, scores) -> None:
+        """centrality.csv: each of `scores`, in order, with the node's name,
+        genre and (first, second, total) reach, as `load_scores` reads it."""
+        self.write_table("centrality.csv", SCORE_COLUMNS, (
+            [s.node_id, g.nodes[s.node_id].name, g.nodes[s.node_id].genre, s.lc, s.sc, s.gc, s.ni, s.rank_ni,
+             *graph.reachability_counts(g, s.node_id)] for s in scores))
 
     def read_text(self, name: str | Path) -> str:
         """The text of input `name` (see `read`), which must be UTF-8."""
@@ -249,11 +264,9 @@ class Context:
 
     def load_graph(self) -> graph.InfluenceGraph:
         def load(nodes_path, edges_path):
-            ids, names, genres, starts = ingest.read_columns(nodes_path, {
-                "id": int, "name": str, "genre": str, "active_start": int})
+            ids, names, genres, starts = ingest.read_columns(nodes_path, NODE_COLUMNS)
             nodes = list(map(graph.ArtistNode, ids.tolist(), names, genres, starts.tolist()))
-            return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(edges_path, {
-                "from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}))
+            return graph.InfluenceGraph.from_arrays(nodes, *ingest.read_columns(edges_path, EDGE_COLUMNS))
         return self._memo(("nodes.csv", "edges.csv"), load)
 
     def load_profiles(self, name: str, width: int) -> dict[int, np.ndarray]:
@@ -267,6 +280,12 @@ class Context:
             return tuple(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
         return self._memo(("centrality.csv",), load)
 
+
+# The graph tables' columns (removed_edges.csv's too) with their cell types, and centrality.csv's.
+NODE_COLUMNS = {"id": int, "name": str, "genre": str, "active_start": int}
+EDGE_COLUMNS = {"from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}
+SCORE_COLUMNS = ["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
+                 "first_order", "second_order", "total_reach"]
 
 # What `Context._memo` loaded in this process: input names -> (key, value),
 # the key the SHA-256 of each file read and the loader's arguments.
@@ -335,7 +354,7 @@ def stage_ingest(ctx: Context) -> None:
     genres = {a: genre for a, (_, genre, _) in artists.items()}  # as nodes.csv records them
     songs, report = ingest.load_songs(songs_path, known_artist_ids=genres)
     profiles = ingest.build_artist_profiles(songs)
-    ctx.write_text("cleaning_report.json", report.to_json())
+    ctx.write_json("cleaning_report.json", report)
     ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
                     ([a, *p.tolist()] for a, p in profiles.items()))
     ctx.write_table("genre_year_means.csv", genre.YEAR_MEANS_COLUMNS, genre.genre_year_means(songs, genres))
@@ -344,10 +363,8 @@ def stage_ingest(ctx: Context) -> None:
 def stage_graph_build(ctx: Context) -> None:
     g = graph.build_graph(*ctx.load_influence())
     dag, removed = graph.remove_cycles(g)
-    graph.export_nodes_csv(ctx.write("nodes.csv"), dag)
-    graph.export_edges_csv(ctx.write("edges.csv"), dag)
-    ctx.write_table("removed_edges.csv", ["from", "to", "year_diff", "weight"],
-                    ([e.src, e.dst, e.year_diff, e.weight] for e in removed))
+    ctx.write_graph(dag)
+    ctx.write_table("removed_edges.csv", EDGE_COLUMNS, ([e.src, e.dst, e.year_diff, e.weight] for e in removed))
     ctx.write_text("graph.dot", graph.export_dot(dag))
     ctx.write_json("graph_summary.json", {
         "nodes": dag.n_nodes,
@@ -361,7 +378,7 @@ def stage_graph_build(ctx: Context) -> None:
 def stage_centrality(ctx: Context) -> None:
     g = ctx.load_graph()
     scores = centrality.node_influence(g)
-    centrality.export_scores_csv(ctx.write("centrality.csv"), g, scores)
+    ctx.write_scores(g, scores)
     ctx.write_json("year_diff_correlation.json", graph.year_diff_centrality_correlation(g, scores))
 
 
@@ -372,7 +389,7 @@ def stage_similarity(ctx: Context) -> None:
     std = simvec.standardize(X)
     model = simvec.fit_pca(std.vectors, ctx.cfg["pca_k"], means=std.means, stdevs=std.stdevs)
     projected = simvec.project(model, std.vectors)
-    ctx.write_text("pca_model.json", model.to_json())
+    ctx.write_json("pca_model.json", model)
     ctx.write_table("profiles_standardized.csv", _profile_header(X.shape[1]),
                     ([i, *v] for i, v in zip(ids, std.vectors.tolist())))
     ctx.write_table("profiles_projected.csv", _profile_header(ctx.cfg["pca_k"]),
@@ -397,14 +414,12 @@ def stage_genre(ctx: Context) -> None:
 
     sample_cfg = genre.SamplingConfig(**cfg["sampling"], seed=cfg["seed"])
     sim_profiles = {i: v for i, v in projected.items() if i in genres}
-    sim_report = genre.sample_similarity(sim_profiles, genres, sample_cfg)
-    ctx.write_text("genre_similarity_sampling.json", sim_report.to_json())
-    inf_report = genre.sample_influence(g, scores, genres, sample_cfg)
-    ctx.write_text("genre_influence_sampling.json", inf_report.to_json())
+    ctx.write_json("genre_similarity_sampling.json", genre.sample_similarity(sim_profiles, genres, sample_cfg))
+    ctx.write_json("genre_influence_sampling.json", genre.sample_influence(g, scores, genres, sample_cfg))
 
     cluster_profiles = {i: v for i, v in standardized.items() if i in genres}
     dendro = genre.cluster_genres(cluster_profiles, genres, linkage=cfg["cluster"]["linkage"])
-    ctx.write_text("dendrogram.json", dendro.to_json())
+    ctx.write_json("dendrogram.json", dendro)
     ctx.write_text("dendrogram.newick", dendro.to_newick() + "\n")
     cut_k = min(cfg["cluster"]["cut"], len(dendro.leaves))
     flat = dendro.flat_cut(cut_k)
@@ -427,13 +442,16 @@ def stage_authenticity(ctx: Context) -> None:
     auth_scores, summary = authrev.authenticity(g, projected, **cfg["authenticity"])
     ctx.write_table("authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
                     ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores))
-    ctx.write_text("authenticity_summary.json", summary.to_json())
+    ctx.write_json("authenticity_summary.json", summary)
 
     ni = {s.node_id: s.ni for s in scores}
     ids = sorted(i for i in standardized if i in ni)
     X = np.array([standardized[i] for i in ids])
     y = np.array([ni[i] for i in ids])
-    ctx.write_text("elastic_net.json", authrev.elastic_net_grid(X, y, **cfg["elastic_net"]).to_json())
+    fit = authrev.elastic_net_grid(X, y, **cfg["elastic_net"])
+    ctx.write_json("elastic_net.json", {"intercept": fit.intercept, "coefficients": fit.coefficients,
+                                        "lambda": fit.lam, "alpha_mix": fit.alpha_mix,
+                                        "iterations": fit.iterations, "converged": fit.converged})
 
 
 def stage_revolution(ctx: Context) -> None:
@@ -472,7 +490,8 @@ def stage_revolution(ctx: Context) -> None:
         X = np.array([standardized[l.node_id] for l in rows])
         y = np.array([l.label for l in rows])
         model = authrev.forest_train(X, y, **cfg["forest"], seed=cfg["seed"])
-        ctx.write_text("forest_model.json", model.to_json())
+        ctx.write_json("forest_model.json", {**vars(model), "n_trees": len(model.trees),
+                                             "trees": [t.root for t in model.trees], "trained": True})
     except authrev.AuthRevError as exc:
         ctx.write_json("forest_model.json", {"trained": False, "reason": str(exc)})
 

@@ -5,13 +5,13 @@ counts read off the graph's nodes, yearly feature means off the songs."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from artistnet.graph import InfluenceGraph, genre_codes
-from artistnet.ingest import FEATURES, SongTable, json_text
+from artistnet.ingest import FEATURES, SongTable
 from artistnet.simvec import tss_rows
 
 
@@ -50,9 +50,6 @@ class GenreSamplingReport:
     samples_per_run: int = 0
     runs: int = 0
     seed: int = 0
-
-    def to_json(self) -> str:
-        return json_text(asdict(self))
 
 
 def _report(metric: str, within: list[float], between: list[float], cfg: SamplingConfig,
@@ -198,10 +195,6 @@ class Dendrogram:
             return f"({inner}):{node['distance']!r}"
 
         return render(self.tree) + ";"
-
-    def to_json(self) -> str:
-        merges = [[list(a), list(b), d] for a, b, d in self.merges]
-        return json_text({"leaves": self.leaves, "merges": merges, "tree": self.tree})
 
 
 def cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],

@@ -11,8 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from artistnet.ingest import write_table
-
 # Year differences outside this window are discarded before normalization;
 # the lower bound also anchors the max-min transform so weights stay > 0.
 YEAR_DIFF_MIN = -30
@@ -408,15 +406,6 @@ def year_diff_centrality_correlation(g: InfluenceGraph, scores):
         degenerate = bool(np.std(x) == 0.0 or np.std(y) == 0.0)
         out[name] = {"r": 0.0 if degenerate else float(np.corrcoef(x, y)[0, 1]), "degenerate": degenerate}
     return out
-
-
-def export_edges_csv(path, g: InfluenceGraph) -> None:
-    write_table(path, ["from", "to", "year_diff", "weight"], g.edge_rows())
-
-
-def export_nodes_csv(path, g: InfluenceGraph) -> None:
-    write_table(path, ["id", "name", "genre", "active_start"],
-                ([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items())))
 
 
 def export_dot(g: InfluenceGraph) -> str:

@@ -1,9 +1,11 @@
 """Loading and cleaning of the influence and song CSV datasets, and the
-one CSV codec every table goes through: `write_table`, and `read_columns`,
-which types a table with numpy's text reader a block at a time, reading a
-table numpy rejects with the csv module (`read_numbered`); `json_text` is
-the text of every JSON artifact. Cleaned songs are one `SongTable`, held
-in memory only: the `ingest` stage writes what is read off it (artist
+artifact codec: `write_table` and `read_columns` for every table (the
+reader types a table with numpy's text reader a block at a time, reading a
+table numpy rejects with the csv module, `read_numbered`), and `json_text`
+for every JSON file, which encodes a dataclass by its fields and an ndarray
+as a list. Only `cli.Context` calls the two encoders; the analysis modules
+return values and records. Cleaned songs are one `SongTable`, held in
+memory only: the `ingest` stage writes what is read off it (artist
 profiles and genre-by-year feature means)."""
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,9 +104,6 @@ class CleaningReport:
     columns_dropped: list[str] = field(default_factory=lambda: list(DROPPED_COLUMNS))
     rows_flagged_unlinked: int = 0
 
-    def to_json(self) -> str:
-        return json_text(asdict(self))
-
 
 def write_table(path, header, rows) -> None:
     """Write `header` and `rows` as CSV in the dialect of every artifact:
@@ -121,9 +120,15 @@ def write_table(path, header, rows) -> None:
         w.writerows(rows)
 
 
+def _plain(obj):
+    """The JSON value of an ndarray or dataclass (`fields` raises TypeError for other values)."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def json_text(obj) -> str:
-    """`obj` as the text of a JSON artifact: keys sorted, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`obj` as the text of a JSON artifact: keys sorted, two-space indent,
+    a dataclass as the object of its fields and an ndarray as a list."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _picks(path, header: list[str], columns) -> list[int]:

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from artistnet.ingest import json_text
-
 DEFAULT_COMPONENTS = 9
 ANGLE_OFFSET_DEG = 10.0
 PAIR_BLOCK = 8192  # pairs `uniqueness` scores at a time, so its row copies stay small
@@ -61,9 +59,6 @@ class PcaModel:
     stdevs: np.ndarray
     components: np.ndarray  # (k, d), orthonormal rows, eigenvalue-descending
     explained_variance: np.ndarray  # (k,)
-
-    def to_json(self) -> str:
-        return json_text({name: array.tolist() for name, array in vars(self).items()})
 
 
 def fit_pca(vectors, k: int, means=None, stdevs=None) -> PcaModel:

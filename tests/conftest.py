@@ -17,6 +17,12 @@ def empty_memo():
     cli._MEMO.clear()
 
 
+def stage_context(out, command: str) -> cli.Context:
+    """A context over out_dir `out` for the stage of `command`, writing the
+    artifacts that stage declares as it does."""
+    return cli.Context({"out_dir": str(out)}, next(s for s in cli.STAGES if s.command == command))
+
+
 def make_graph(n, edges, genres=None):
     """Graph with nodes 0..n-1 and (src, dst[, weight]) edges; year_diff is
     synthesized from node ids so it is always populated."""

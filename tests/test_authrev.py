@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from artistnet.authrev import (
     semantic_match,
 )
 from artistnet.centrality import CentralityScores
+from artistnet.ingest import json_text
 
 
 class TestAverageExtremeDistance:
@@ -163,6 +165,30 @@ class TestAuthenticityMatchesReference:
         g, profiles = case
         assert outcome(authenticity, g, profiles, alpha, mode) == outcome(
             reference_authenticity, g, profiles, alpha, mode)
+
+    def test_follower_blocks(self):
+        """Followers of 40 and of 41 influencers, interleaved by id: each
+        count's followers span several blocks (84 and 79 followers a block)."""
+        rng = np.random.default_rng(8)
+        edges = [(int(s), 60 + f) for f in range(300) for s in rng.choice(60, 40 + f % 2, replace=False)]
+        g = make_graph(360, edges)
+        profiles = {i: rng.normal(size=9) for i in range(360)}
+        assert outcome(authenticity, g, profiles, 0.8, "pair_mean") == outcome(
+            reference_authenticity, g, profiles, 0.8, "pair_mean")
+
+    def test_working_memory_is_bounded(self):
+        # 1,000 followers of 40 influencers: scoring the 40,000 pairs at once
+        # takes 12 MiB; a block of 84 followers, 3,360 pairs, far less.
+        rng = np.random.default_rng(9)
+        g = make_graph(1060, [(int(s), 60 + f) for f in range(1000) for s in rng.choice(60, 40, replace=False)])
+        profiles = {i: rng.normal(size=9) for i in range(1060)}
+        tracemalloc.start()
+        try:
+            authenticity(g, profiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestElasticNet:
@@ -419,7 +445,7 @@ class TestForestMatchesReference:
         kw = dict(trees=3, max_depth=max_depth, features_per_split=features,
                   seed=seed, split=(0.5, 0.2, 0.2))
         got, want = forest_train(X, y, **kw), reference_forest_train(X, y, **kw)
-        assert got.to_json() == want.to_json()
+        assert json_text(got) == json_text(want)
 
     def test_no_split_leaves_an_empty_side(self):
         # Adjacent floats whose midpoint rounds up onto the column's largest
@@ -431,12 +457,12 @@ class TestForestMatchesReference:
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
 
-        json.loads(model.to_json(), parse_constant=reject)
+        json.loads(json_text(model), parse_constant=reject)
 
     def test_no_features_grows_leaves(self):
         X, y = np.zeros((20, 0)), np.array(["a", "b"] * 10)
         kw = dict(trees=2, split=(0.5, 0.2, 0.2))
-        assert forest_train(X, y, **kw).to_json() == reference_forest_train(X, y, **kw).to_json()
+        assert json_text(forest_train(X, y, **kw)) == json_text(reference_forest_train(X, y, **kw))
 
     def test_seeded_paper_shape(self):
         # 382 rows x 13 features, two classes, rounded so that values tie.
@@ -445,6 +471,6 @@ class TestForestMatchesReference:
         y = np.where(X[:, 0] + X[:, 5] + rng.normal(scale=1.5, size=382) > 0, "major", "non_major")
         kw = dict(trees=20, max_depth=8, seed=5, split=(0.8, 0.1, 0.09))
         got, want = forest_train(X, y, **kw), reference_forest_train(X, y, **kw)
-        assert got.to_json() == want.to_json()
+        assert json_text(got) == json_text(want)
         assert (got.train_accuracy, got.validation_accuracy, got.test_accuracy) == (
             want.train_accuracy, want.validation_accuracy, want.test_accuracy)

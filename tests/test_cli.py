@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stage_context
 from oracles import artist_id_tuples, edges_of, reference_genre_feature_trend
 
 from artistnet import centrality, genre, graph, ingest
@@ -242,13 +243,12 @@ def test_graph_artifacts_round_trip_awkward_names(tmp_path):
     nodes = [graph.ArtistNode(i, name, f"genre, {name}", 1950 + i) for i, name in enumerate(names)]
     edges = [graph.InfluenceEdge(0, 1, 1, 0.5), graph.InfluenceEdge(1, 2, 1, 0.25)]
     g = graph.InfluenceGraph(nodes, edges)
-    graph.export_nodes_csv(tmp_path / "nodes.csv", g)
-    graph.export_edges_csv(tmp_path / "edges.csv", g)
+    stage_context(tmp_path, "graph build").write_graph(g)
     back = reader(tmp_path).load_graph()
     assert back.nodes == g.nodes
     assert edges_of(back) == edges_of(g)
     scores = centrality.node_influence(g)
-    centrality.export_scores_csv(tmp_path / "centrality.csv", g, scores)
+    stage_context(tmp_path, "centrality").write_scores(g, scores)
     assert reader(tmp_path).load_scores() == tuple(scores)
     with open(tmp_path / "centrality.csv", newline="", encoding="utf-8") as fh:
         assert {r["name"] for r in csv.DictReader(fh)} == set(names)
@@ -291,12 +291,11 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
 def test_empty_weight_round_trips_and_blocks_decycling(tmp_path):
     nodes = [graph.ArtistNode(i, f"a{i}", "g", 1950) for i in range(3)]
     g = graph.InfluenceGraph(nodes, [graph.InfluenceEdge(1, 2, 1, 0.5), graph.InfluenceEdge(0, 1, 1, None)])
-    graph.export_nodes_csv(tmp_path / "nodes.csv", g)
-    graph.export_edges_csv(tmp_path / "edges.csv", g)
+    stage_context(tmp_path, "graph build").write_graph(g)
     text = (tmp_path / "edges.csv").read_text(encoding="utf-8")
     assert text == "from,to,year_diff,weight\n0,1,1,\n1,2,1,0.5\n"
     back = reader(tmp_path).load_graph()
-    graph.export_edges_csv(tmp_path / "edges.csv", back)
+    stage_context(tmp_path, "graph build").write_graph(back)
     assert (tmp_path / "edges.csv").read_text(encoding="utf-8") == text
     with pytest.raises(graph.GraphError, match="requires normalized weights"):
         graph.remove_cycles(back)
@@ -370,6 +369,26 @@ def test_forest_trains_at_the_default_split(tmp_path):
     model = json.loads((out / "forest_model.json").read_text())
     assert model["trained"] is True and model["n_trees"] == 10
     assert json.loads((out / "report.json").read_text())["forest"]["trained"] is True
+
+
+def test_no_graph_artist_has_a_profile(tmp_path, capsys):
+    """Songs that list only artists missing from the influence table: the
+    elastic net has no row to fit, and the forest none to train on."""
+    cfg_path = write_random_fixture(tmp_path, n=30)
+    rng = np.random.default_rng(13)
+    ingest.write_table(tmp_path / "songs.csv", ingest.SONG_COLUMNS, (
+        [f"[{i}]", *rng.uniform(0, 1, 4).tolist(), -float(rng.uniform(1, 30)), i % 12,
+         *rng.uniform(0, 1, 6).tolist(), 1900 + k, 0, 1] for i in range(1000, 1020) for k in range(2)))
+    for stage in STAGES[:4]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    capsys.readouterr()
+    for stage in ("genre", "authenticity"):
+        assert main([stage, "--config", str(cfg_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert main(["revolution", "--config", str(cfg_path)]) == 0
+    assert json.loads((tmp_path / "out" / "forest_model.json").read_text()) == {
+        "trained": False, "reason": "split fractions exceed the dataset"}
 
 
 def test_genre_year_means_match_the_reference(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from artistnet.genre import (
     sample_similarity,
 )
 from artistnet.graph import InfluenceGraph
-from artistnet.ingest import FEATURES, NUMERIC, SongTable
+from artistnet.ingest import FEATURES, NUMERIC, SongTable, json_text
 from artistnet.simvec import tss, tss_rows
 
 
@@ -247,8 +248,7 @@ class TestClusterGenres:
         newick = dendro.to_newick()
         assert newick.endswith(";")
         assert "'a'" in newick
-        import json
-        tree = json.loads(dendro.to_json())
+        tree = json.loads(json_text(dendro))
         assert sorted(tree["leaves"]) == ["a", "b", "c"]
 
     def test_newick_escapes_apostrophes(self):

@@ -7,10 +7,11 @@ manifest.json must equal the one recorded in tests/golden_digests.json.
 Those bytes depend on numpy's BLAS dots and `eigh`, so the file records
 the Python and numpy versions it was made with, and a mismatch fails.
 
-The same runs check two properties of the CSV codec: numpy's reader
+The same runs check properties of the artifact codec: numpy's reader
 types every table (the csv module's path, kept for tables numpy rejects,
-is made to fail), and the writers hand `write_table` only Python str, int,
-float and None cells.
+is made to fail), every table is written by `ingest.write_table` from
+Python str, int, float and None cells, and every JSON file is the text of
+`ingest.json_text`.
 
 Two more check the process: a run in a fresh interpreter never imports
 numpy.ma, and two pipelines in one process, the second reusing every table
@@ -39,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import run as bench  # noqa: E402
 from gen import generate  # noqa: E402
 
-from artistnet import centrality, graph, ingest  # noqa: E402
+from artistnet import ingest  # noqa: E402
 from artistnet.cli import STAGES, main  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -131,19 +132,31 @@ def test_two_pipelines_in_one_process_match_a_fresh_process(name, tmp_path):
 
 
 def test_writers_hand_csv_python_scalars(tmp_path, monkeypatch):
-    cells = {}
-    write_table = ingest.write_table
+    """Every declared table of a pipeline is written by `ingest.write_table`,
+    from Python scalars, and every declared JSON file is a text that
+    `ingest.json_text` returned: patching the codec in `ingest` alone sees
+    every artifact, so no other module holds a copy of an encoder."""
+    cells, texts = {}, set()
+    write_table, json_text = ingest.write_table, ingest.json_text
 
     def recording(path, header, rows):
         rows = [list(row) for row in rows]
         cells[Path(path).name] = {type(v).__name__ for row in rows for v in row}
         write_table(path, header, rows)
-    for module in (ingest, graph, centrality):
-        monkeypatch.setattr(module, "write_table", recording)
+
+    def recording_json(obj):
+        texts.add(json_text(obj))
+        return json_text(obj)
+    monkeypatch.setattr(ingest, "write_table", recording)
+    monkeypatch.setattr(ingest, "json_text", recording_json)
     out_digests("paper", tmp_path)
-    assert set(cells) == {name for stage in STAGES for name in stage.writes if name.endswith(".csv")}
+    declared = {name for stage in STAGES for name in stage.writes}
+    assert set(cells) == {name for name in declared if name.endswith(".csv")}
     assert {name: kinds - {"str", "int", "float", "NoneType"} for name, kinds in cells.items()} == (
         dict.fromkeys(cells, set()))
+    json_files = {name for name in declared if name.endswith(".json")}
+    assert {name for name in json_files if (tmp_path / "out" / name).read_text(encoding="utf-8") in texts} == (
+        json_files)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_rows, make_graph, random_digraph
+from conftest import graph_from_rows, make_graph, random_digraph, stage_context
 from oracles import (brute_reachable, edges_of, reference_bfs_distances, reference_graph_build,
                      reference_load_influence, reference_remove_cycles, to_nx)
 
@@ -17,8 +17,6 @@ from artistnet.graph import (
     InfluenceEdge,
     InfluenceGraph,
     export_dot,
-    export_edges_csv,
-    export_nodes_csv,
     is_acyclic,
     reach_table,
     reachability_counts,
@@ -438,11 +436,10 @@ class TestCorrelation:
             year_diff_centrality_correlation(g, scores)
 
 
-def exported(tmp_path, export, *args) -> str:
-    """The exact text an artifact writer puts in its file."""
-    path = tmp_path / "export.csv"
-    export(path, *args)
-    return path.read_bytes().decode("utf-8")
+def exported(tmp_path, g) -> dict[str, str]:
+    """The exact text of nodes.csv and edges.csv as `graph build` writes them for `g`."""
+    stage_context(tmp_path, "graph build").write_graph(g)
+    return {name: (tmp_path / name).read_bytes().decode("utf-8") for name in ("nodes.csv", "edges.csv")}
 
 
 class TestExports:
@@ -450,14 +447,13 @@ class TestExports:
         edges = [(0, 2, 0.5), (0, 1, 0.25), (1, 2, 1.0)]
         a = make_graph(3, edges)
         b = make_graph(3, list(reversed(edges)))
-        assert exported(tmp_path, export_edges_csv, a) == exported(tmp_path, export_edges_csv, b)
-        assert exported(tmp_path, export_nodes_csv, a) == exported(tmp_path, export_nodes_csv, b)
-        assert exported(tmp_path, export_edges_csv, a) == (
+        assert exported(tmp_path, a) == exported(tmp_path, b)
+        assert exported(tmp_path, a)["edges.csv"] == (
             "from,to,year_diff,weight\n0,1,1,0.25\n0,2,2,0.5\n1,2,1,1.0\n")
 
     def test_plain_names_are_not_quoted(self, tmp_path):
         g = make_graph(2, [(0, 1, 0.5)], genres={1: "Jazz"})
-        assert exported(tmp_path, export_nodes_csv, g) == (
+        assert exported(tmp_path, g)["nodes.csv"] == (
             "id,name,genre,active_start\n0,artist0,Pop/Rock,1950\n1,artist1,Jazz,1951\n"
         )
 
