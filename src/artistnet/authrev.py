@@ -31,7 +31,6 @@ class AuthRevError(Exception):
 @dataclass
 class AuthenticityScore:
     node_id: int
-    in_similarities: list[float]  # per-node min-max mapped TSS values
     ad: float
     extreme: bool
     stdev: float
@@ -97,7 +96,7 @@ def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
     n_in = count[nodes]
     vectors = np.array([profiles[ids[k]] for k in np.flatnonzero(profiled)], dtype=float)
     row = np.cumsum(profiled) - 1  # dense index -> row of `vectors`
-    ad, stdev, mapped, done = np.empty(len(nodes)), np.empty(len(nodes)), [None] * len(nodes), 0
+    ad, stdev, done = np.empty(len(nodes)), np.empty(len(nodes)), 0
     for n in np.flatnonzero(np.bincount(n_in)).tolist():  # the distinct counts, ascending
         members = np.flatnonzero(n_in == n)
         step = max(1, 2**16 // (n * (n - 1) // 2))  # followers a block: at most 2**16 pairs
@@ -111,10 +110,8 @@ def authenticity(g: InfluenceGraph, profiles: dict[int, np.ndarray],
             span = v.max(axis=1, keepdims=True) - lo
             X = (v - lo) / np.where(span == 0.0, 1.0, span)  # tied values map to 0
             ad[rows], stdev[rows] = _ad_rows(X, mode), np.std(X, axis=1)
-            for r, x in zip(rows.tolist(), X.tolist()):
-                mapped[r] = x
-    scores = [AuthenticityScore(ids[k], x, a, a >= alpha, sd)
-              for k, x, a, sd in zip(nodes.tolist(), mapped, ad.tolist(), stdev.tolist())]
+    scores = [AuthenticityScore(ids[k], a, a >= alpha, sd)
+              for k, a, sd in zip(nodes.tolist(), ad.tolist(), stdev.tolist())]
     fraction = sum(s.extreme for s in scores) / len(scores) if scores else 0.0
     return scores, AuthenticitySummary(len(scores), excluded, fraction, alpha, mode)
 

@@ -230,10 +230,14 @@ class Context:
 
     def write_scores(self, g: graph.InfluenceGraph, scores) -> None:
         """centrality.csv: each of `scores`, in order, with the node's name,
-        genre and (first, second, total) reach, as `load_scores` reads it."""
+        genre and (first, second, total) reach, as `load_scores` reads it
+        (see `graph.reachability_counts`)."""
+        reach, _, two_hop = graph.reach_table(g)
+        counts = {i: (first, near - first, total) for i, first, near, total in
+                  zip(g.node_ids(), np.diff(g.indptr).tolist(), two_hop, reach)}
         self.write_table("centrality.csv", SCORE_COLUMNS, (
             [s.node_id, g.nodes[s.node_id].name, g.nodes[s.node_id].genre, s.lc, s.sc, s.gc, s.ni, s.rank_ni,
-             *graph.reachability_counts(g, s.node_id)] for s in scores))
+             *counts[s.node_id]] for s in scores))
 
     def read_text(self, name: str | Path) -> str:
         """The text of input `name` (see `read`), which must be UTF-8."""

@@ -1,13 +1,12 @@
 """Weighted directed influence network: construction (self-loops and edges
 outside a year-difference window dropped, max-min normalized weights),
-cycle removal, and reachability. A graph keeps its edges once, as arrays in
-CSR order."""
+cycle removal by one rank rule, and reachability. A graph keeps its edges
+once, as arrays in CSR order, and every traversal reads those arrays."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +14,7 @@ import numpy as np
 # the lower bound also anchors the max-min transform so weights stay > 0.
 YEAR_DIFF_MIN = -30
 YEAR_DIFF_MAX = 80
-# Sources per pass of `reach_table`'s bit-parallel BFS: 16 uint64 words a
+# Targets per pass of `reach_table`'s bit-parallel BFS: 16 uint64 words a
 # node, so one level gathers at most E * 128 bytes.
 BFS_CHUNK = 1024
 
@@ -53,9 +52,8 @@ class InfluenceGraph:
     dense index of the sorted node ids, ascending by (src, dst): edge j runs
     from dense node `src[j]` to `indices[j]` with `year_diff[j]` and
     `weight[j]` (NaN for an unweighted edge), and the out-edges of dense node
-    k are positions `indptr[k]:indptr[k + 1]`. Traversals read these arrays
-    and `_in_csr`, the in-adjacency in the same form, built on first use;
-    `edge_rows` walks the edges by id.
+    k are positions `indptr[k]:indptr[k + 1]`. Every traversal reads these
+    arrays, backward ones too; `edge_rows` walks the edges by id.
 
     `from_arrays` is the one constructor that checks edges; `InfluenceGraph(
     nodes, edges)` adapts ArtistNode and InfluenceEdge records into it.
@@ -103,12 +101,6 @@ class InfluenceGraph:
         self.weight = np.asarray(weight, np.float64)[order]
         self.indptr = np.searchsorted(self.src, np.arange(len(ids) + 1))
         self._reach_table = None  # filled by reach_table on first use
-
-    @cached_property
-    def _in_csr(self):
-        """(indptr, indices) of the in-adjacency, ascending by (dst, src)."""
-        order = np.lexsort((self.src, self.indices))
-        return np.searchsorted(self.indices[order], np.arange(len(self._ids) + 1)), self.src[order]
 
     @property
     def n_nodes(self) -> int:
@@ -175,16 +167,16 @@ def build_graph(artists: dict[int, tuple[str, str, int]], src: np.ndarray,
                                       int(loop.sum()), int(len(src) - loop.sum() - keep.sum()))
 
 
-def _tarjan_scc(roots, succ: list) -> list[list[int]]:
+def _tarjan_scc(roots, succ: list) -> list[int]:
     """Iterative Tarjan over the dense nodes reachable from `roots` through
-    `succ` (one successor row per dense node); returns SCCs as sorted node
-    lists."""
+    `succ` (one successor row per dense node): the number of each node's
+    SCC, in the order Tarjan completes them, or -1 for a node not reached.
+    A reached node is on Tarjan's stack while its number is -1."""
     index = [-1] * len(succ)
     low = [0] * len(succ)
-    on_stack = [False] * len(succ)
+    comp = [-1] * len(succ)
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    counter = done = 0
 
     for root in roots:
         if index[root] >= 0:
@@ -196,7 +188,6 @@ def _tarjan_scc(roots, succ: list) -> list[list[int]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
             recurse = False
             succs = succ[v]
             for i in range(pi, len(succs)):
@@ -206,164 +197,140 @@ def _tarjan_scc(roots, succ: list) -> list[list[int]]:
                     work.append((w, 0))
                     recurse = True
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
             if recurse:
                 continue
             if low[v] == index[v]:
-                comp = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
+                    comp[w] = done
                     if w == v:
                         break
-                comps.append(sorted(comp))
+                done += 1
             work.pop()
             if work:
                 u = work[-1][0]
                 if low[v] < low[u]:
                     low[u] = low[v]
-    return comps
-
-
-def _split_search(succ, pred, u: int, v: int, members: set[int]):
-    """After deleting (u, v) from the SCC `members`: None if u still reaches
-    v inside it, else (nodes u reaches, nodes that reach v), u's and v's new
-    SCCs. Alternates one pop of a DFS from u along `succ` with one of a DFS
-    from v along `pred` until one finds a node the other has seen; once a
-    side runs dry, u cannot reach v and the other side runs on alone."""
-    fwd, bwd = {u}, {v}
-    fstack, bstack = [u], [v]
-    while fstack and bstack:
-        for stack, seen, other, adj in ((fstack, fwd, bwd, succ), (bstack, bwd, fwd, pred)):
-            for w in adj[stack.pop()]:
-                if w in other:
-                    return None
-                if w not in seen and w in members:
-                    seen.add(w)
-                    stack.append(w)
-    for stack, seen, adj in ((fstack, fwd, succ), (bstack, bwd, pred)):
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen and w in members:
-                    seen.add(w)
-                    stack.append(w)
-    return fwd, bwd
+    return comp
 
 
 def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge]]:
-    """Break every cycle by repeatedly deleting, within each nontrivial
-    strongly connected component, the minimum-weight edge (ties by
-    ascending (weight, src, dst)). Deterministic for a given input.
+    """Break every cycle by one rule: edge e = (u, v) is removed if and only
+    if u and v are strongly connected by the edges whose rank (weight, src,
+    dst) is at least e's, e included. Returns the graph of the kept edges
+    and the removed ones, lightest first. Deterministic for a given input.
 
-    Works in rounds over a worklist of nontrivial SCCs, visited by smallest
-    member. Each SCC holds the CSR positions of its internal edges, sorted
-    once heaviest first, and pops its lightest remaining one off the end.
-    Deleting (u, v) only splits the SCC C that holds it, and C minus (u, v)
-    stays strongly connected if and only if u still reaches v inside it. If
-    not, every node of C still reaches u and v reaches every node of C, so
-    u's new SCC is what u reaches and v's is what reaches v (Fleischer,
-    Hendrickson & Pinar 2000). `_split_search` interleaves both searches: if
-    they meet, C carries over whole; if not, Tarjan runs only on what neither
-    reached, usually little. The largest piece keeps C's edge list and skips
-    edges no longer internal to it; smaller pieces list their live edges.
-    Cost: one Tarjan pass, then O(V_C + E_C) per deletion at worst.
+    These are the edges that repeatedly deleting the lightest edge of each
+    nontrivial strongly connected component removes. Deleting an edge whose
+    ends lie in different SCCs leaves the SCCs as they were. So a run that
+    deletes every edge in ascending rank, counting those whose ends share an
+    SCC at that moment, has the same SCCs as the lightest-edge rounds at
+    every step (by induction over the deletions) and counts the same edges;
+    when e's turn comes in it, the edges left are those ranked at least e's.
+
+    Only edges inside a nontrivial SCC of `g` can be removed, so only those
+    are inserted, heaviest first: edge t at time t. `settle` finds the first
+    time at which each one's ends are strongly connected by divide and
+    conquer over time (the offline incremental SCC method): Tarjan on the
+    edges inserted up to the middle time, their ends contracted to the SCCs
+    before the range; an edge whose ends share an SCC there goes to the
+    earlier half, the rest go to the later half. O(E log E) edge visits.
     """
     if np.isnan(g.weight).any():
         raise GraphError("remove_cycles requires normalized weights")
-    src, dst, bounds = g.src.tolist(), g.indices.tolist(), g.indptr.tolist()
-    succ, pred = _rows(g.indptr, g.indices), _rows(*g._in_csr)
-    rank = np.argsort(np.lexsort((g.indices, g.src, g.weight))).tolist()  # by position
-    live = bytearray(b"\x01") * g.n_edges  # by position: not yet removed
+    comp = np.array(_tarjan_scc(range(g.n_nodes), _rows(g.indptr, g.indices)), np.int64)
+    inner = np.flatnonzero(comp[g.src] == comp[g.indices])  # CSR positions inside an SCC
+    inner = inner[np.lexsort((g.indices[inner], g.src[inner], g.weight[inner]))[::-1]]  # heaviest first
+    src, dst = g.src[inner], g.indices[inner]
+    rep = np.arange(g.n_nodes)  # each node's SCC so far, named by one member
+    gone = np.zeros(len(inner), bool)  # by insertion time: removed
 
-    def scc(members: set[int], inner=None):
-        """Worklist entry: (smallest member, members, internal edge positions
-        heaviest first); `inner` may also hold edges outside `members`."""
-        if inner is None:
-            inner = sorted((p for x in members for p in range(bounds[x], bounds[x + 1])
-                            if live[p] and dst[p] in members), key=rank.__getitem__, reverse=True)
-        return min(members), members, inner
+    def joined(times, k):
+        """Whether the ends of each edge of `times` share an SCC of the first
+        `k` edges of `times`, every end contracted to its SCC in `rep`."""
+        a, b = rep[src[times]], rep[dst[times]]
+        nodes, at = np.unique(np.concatenate([a[:k], b[:k]]), return_inverse=True)
+        order = np.argsort(at[:k], kind="stable")
+        succ = _rows(np.searchsorted(at[:k][order], np.arange(len(nodes) + 1)), at[k:][order])
+        label = -1 - np.arange(g.n_nodes)  # distinct outside the contracted graph
+        label[nodes] = _tarjan_scc(range(len(nodes)), succ)
+        return label[a] == label[b]
 
-    work = [scc(set(c)) for c in _tarjan_scc(range(g.n_nodes), succ) if len(c) > 1]
-    gone: list[int] = []  # positions of removed edges, in removal order
-    while work:
-        carried = []
-        for first, members, inner in sorted(work, key=lambda c: c[0]):
-            p = inner.pop()
-            while src[p] not in members or dst[p] not in members:
-                p = inner.pop()
-            u, v = src[p], dst[p]
-            succ[u].remove(v)
-            pred[v].remove(u)
-            live[p] = 0
-            gone.append(p)
-            sides = _split_search(succ, pred, u, v, members)
-            if sides is None:
-                carried.append((first, members, inner))
-                continue
-            rest = members - sides[0] - sides[1]
-            sub = [()] * len(succ)
-            for x in rest:
-                sub[x] = [w for w in succ[x] if w in rest]
-            pieces = [set(c) for c in _tarjan_scc(rest, sub) if len(c) > 1]
-            pieces += [side for side in sides if len(side) > 1]
-            if pieces:
-                largest = max(pieces, key=len)
-                carried.extend(scc(c, inner if c is largest else None) for c in pieces)
-        work = carried
-    del src, dst, succ, pred, rank  # freed before the new graph is built
+    def settle(lo, hi, times):
+        """Mark in `gone` each edge of `times`, ascending, whose ends first
+        become strongly connected at a time in [lo, hi], as every edge of
+        `times` does. `rep` holds the SCCs at time lo - 1 on entry and at
+        time hi on return."""
+        if lo == hi:  # edge lo merges the SCCs at these edges' ends into one
+            ends = rep[np.concatenate([src[times], dst[times]])]
+            rep[np.isin(rep, ends)] = ends[0]
+            gone[times] = times >= lo
+            return
+        mid = (lo + hi) // 2
+        early = joined(times, np.searchsorted(times, mid, "right"))
+        if early.any():
+            settle(lo, mid, times[early])
+        if not early.all():
+            settle(mid + 1, hi, times[~early])
+
+    if len(inner):
+        settle(0, len(inner) - 1, np.arange(len(inner)))
+    gone = inner[gone][::-1]  # CSR positions, lightest first
     ids = g._id_array
     removed = list(map(InfluenceEdge, ids[g.src[gone]].tolist(), ids[g.indices[gone]].tolist(),
                        g.year_diff[gone].tolist(), g.weight[gone].tolist()))
-    dag = g._with_edges(g.nodes.values(), np.frombuffer(live, bool), g.self_loops_dropped, g.year_window_dropped)
-    return dag, removed
+    keep = np.ones(g.n_edges, bool)
+    keep[gone] = False
+    return g._with_edges(g.nodes.values(), keep, g.self_loops_dropped, g.year_window_dropped), removed
 
 
 def is_acyclic(g: InfluenceGraph) -> bool:
     """True when no strongly connected component has two or more nodes."""
-    return all(len(c) == 1 for c in _tarjan_scc(range(g.n_nodes), _rows(g.indptr, g.indices)))
+    comp = _tarjan_scc(range(g.n_nodes), _rows(g.indptr, g.indices))
+    return len(set(comp)) == len(comp)
 
 
 def reach_table(g: InfluenceGraph) -> list[list[int]]:
     """[reach counts, hop-distance sums, two-hop counts] by dense node, the
     node itself excluded; two-hop counts the nodes at distance 1 or 2.
-    Computed once per graph, by a bit-parallel BFS from BFS_CHUNK sources
-    at a time (Then et al. 2014): bit s of a row says source s reached that
-    node. A level ORs the frontier rows along the in-edges leaving the
-    frontier in one `reduceat` over nonempty per-destination segments (it
-    misreads empty ones), keeps the unseen bits and counts each source's
-    new nodes as column sums. Cost per level: O(E_frontier * BFS_CHUNK / 64).
+    Computed once per graph, by a bit-parallel BFS backward from BFS_CHUNK
+    targets at a time (Then et al. 2014): bit t of a row says that node
+    reaches target t. A level ORs the frontier rows into the sources of the
+    edges entering the frontier, in one `reduceat` over their runs by `src`,
+    the order the CSR arrays already have (only nonempty runs: it misreads
+    empty ones), and keeps the unseen bits. A node's new bits at level L are
+    the targets at distance L from it, so its counts are row popcounts.
+    Cost per level: O(E_frontier * BFS_CHUNK / 64).
     """
     if g._reach_table is None:
         n = len(g._ids)
         table = np.zeros((3, n), np.int64)
-        in_indptr, in_indices = g._in_csr
-        in_dst = np.repeat(np.arange(n), np.diff(in_indptr))
         at = np.empty(n, np.int64)  # row of each frontier node in `rows`, else -1
         for lo in range(0, n, BFS_CHUNK):
             nodes = np.arange(lo, min(n, lo + BFS_CHUNK))  # the frontier, ascending
-            k = len(nodes)
-            rows = np.zeros((k, (k + 63) // 64), "<u8")  # the frontier's bits
-            rows[nodes - lo, (nodes - lo) // 64] = np.left_shift(1, (nodes - lo) % 64).astype("<u8")
-            seen = np.zeros((n, rows.shape[1]), "<u8")
+            k = np.arange(len(nodes))
+            rows = np.zeros((len(k), (len(k) + 63) // 64), np.uint64)  # the frontier's bits
+            rows[k, k // 64] = np.left_shift(1, k % 64).astype(np.uint64)
+            seen = np.zeros((n, rows.shape[1]), np.uint64)
             seen[nodes] = rows
             level = 0
             while len(nodes):
                 level += 1
                 at[:] = -1
                 at[nodes] = np.arange(len(nodes))
-                src = at[in_indices]
-                live = np.flatnonzero(src >= 0)
-                dst = in_dst[live]
-                first = np.flatnonzero(np.diff(dst, prepend=-1))
-                nodes = dst[first]
-                rows = np.bitwise_or.reduceat(rows[src[live]], first) & ~seen[nodes]
+                dst = at[g.indices]
+                live = np.flatnonzero(dst >= 0)
+                src = g.src[live]
+                first = np.flatnonzero(np.diff(src, prepend=-1))
+                nodes = src[first]
+                rows = np.bitwise_or.reduceat(rows[dst[live]], first) & ~seen[nodes]
                 keep = rows.any(1)
                 nodes, rows = nodes[keep], rows[keep]
                 seen[nodes] |= rows
-                count = np.unpackbits(rows.view("<u1"), axis=1, bitorder="little").sum(0, np.int64)[:k]
-                table[:, lo:lo + k] += count * np.array([[1], [level], [level <= 2]])
+                count = np.bitwise_count(rows).sum(1, np.int64)
+                table[:, nodes] += count * np.array([[1], [level], [level <= 2]])
         g._reach_table = table.tolist()
     return g._reach_table
 

@@ -170,12 +170,32 @@ def reference_periphery(g) -> dict:
     return out
 
 
+def rank(e) -> tuple:
+    """The order in which decycling weighs edges: ascending (weight, src, dst)."""
+    return e.weight, e.src, e.dst
+
+
 def reference_remove_cycles(g):
     """Round-based decycler: each round takes the SCCs of the whole
     remaining graph and deletes, in every nontrivial SCC visited by smallest
     member, its minimum (weight, src, dst) edge. Returns (remaining edges
     by key, removed edges in deletion order)."""
     return _decycle(g.node_ids(), edges_of(g))
+
+
+def reference_rank_suffix_decycle(g) -> list:
+    """The edges the decycling rule removes, in ascending rank: e = (u, v)
+    when u and v share a networkx SCC of the edges ranked at least e's, e
+    included. One SCC pass per edge."""
+    ranked = sorted(edges_of(g).values(), key=rank)
+    removed = []
+    for k, e in enumerate(ranked):
+        dg = nx.DiGraph()
+        dg.add_nodes_from(g.node_ids())
+        dg.add_edges_from((f.src, f.dst) for f in ranked[k:])
+        if any(e.src in c and e.dst in c for c in nx.strongly_connected_components(dg)):
+            removed.append(e)
+    return removed
 
 
 def _decycle(node_ids, edges: dict):
@@ -259,11 +279,12 @@ def reference_normalize_weights(edges):
 
 def reference_graph_build(rows, out) -> None:
     """`graph build`'s five artifacts, written under `out` by the record
-    pipeline: build, normalize, the round-based decycler, and writers that
-    walk the records."""
+    pipeline: build, normalize, the round-based decycler (its removed edges
+    written in ascending rank), and writers that walk the records."""
     nodes, edges, self_loops = reference_build_graph(rows)
     weighted, window = reference_normalize_weights(edges)
     kept, removed = _decycle(sorted(nodes), {(e.src, e.dst): e for e in weighted})
+    removed.sort(key=rank)
     header = ["from", "to", "year_diff", "weight"]
     write_table(out / "nodes.csv", ["id", "name", "genre", "active_start"],
                 ([i, n.name, n.genre, n.active_start] for i, n in sorted(nodes.items())))
@@ -410,7 +431,6 @@ def reference_authenticity(g, profiles, alpha=0.8, mode="pair_mean"):
         scores.append(
             AuthenticityScore(
                 node_id=node,
-                in_similarities=mapped,
                 ad=ad,
                 extreme=ad >= alpha,
                 stdev=float(np.std(mapped)),

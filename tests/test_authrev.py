@@ -76,9 +76,9 @@ class TestAuthenticity:
         assert summary.eligible == 1
         (s,) = scores
         assert s.node_id == 2
-        # min-max of two distinct values is always {0, 1} -> ad 1, extreme
-        assert sorted(s.in_similarities) == [0.0, 1.0]
+        # min-max of two distinct values is always {0, 1} -> ad 1, stdev 0.5
         assert s.ad == 1.0
+        assert s.stdev == 0.5
         assert s.extreme
 
     def test_identical_similarities_map_to_zero(self):
@@ -86,8 +86,8 @@ class TestAuthenticity:
         v = np.array([2.0, 3.0])
         profiles = {0: v.copy(), 1: v.copy(), 2: np.array([1.0, 1.0])}
         scores, _ = authenticity(g, profiles)
-        assert scores[0].in_similarities == [0.0, 0.0]
         assert scores[0].ad == 0.0
+        assert scores[0].stdev == 0.0
         assert not scores[0].extreme
 
     def test_single_influencer_excluded(self):
@@ -99,10 +99,11 @@ class TestAuthenticity:
         assert summary.fraction_extreme == 0.0
 
     def test_unprofiled_influencer_ignored(self):
-        g = make_graph(4, [(0, 3, 0.5), (1, 3, 0.5), (2, 3, 0.5)])
         profiles = {0: np.ones(2), 1: np.full(2, 2.0), 3: np.zeros(2)}
-        scores, _ = authenticity(g, profiles)
-        assert len(scores[0].in_similarities) == 2
+        with_2 = authenticity(make_graph(4, [(0, 3, 0.5), (1, 3, 0.5), (2, 3, 0.5)]), profiles)
+        without_2 = authenticity(make_graph(4, [(0, 3, 0.5), (1, 3, 0.5)]), profiles)
+        assert with_2 == without_2
+        assert with_2[1].eligible == 1
 
     def test_alpha_threshold(self):
         g = make_graph(3, [(0, 2, 0.5), (1, 2, 0.5)])
@@ -152,8 +153,7 @@ def outcome(fn, *args):
     except AuthRevError as exc:
         return str(exc)
     bits = lambda v: (type(v), np.float64(v).tobytes())
-    return ([(s.node_id, bits(s.ad), bits(s.stdev), s.extreme, [bits(v) for v in s.in_similarities])
-             for s in scores],
+    return ([(s.node_id, bits(s.ad), bits(s.stdev), s.extreme) for s in scores],
             {k: bits(v) if isinstance(v, float) else v for k, v in summary.__dict__.items()})
 
 

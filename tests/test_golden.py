@@ -21,7 +21,9 @@ A change that alters artifact bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each changed artifact in CHANGES.md.
+which prints each (workload, artifact) whose digest changed, and any change
+of the recorded versions, before it rewrites the file; list each changed
+artifact in CHANGES.md.
 """
 
 import hashlib
@@ -164,5 +166,14 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: out_digests(name, Path(tmp) / name) for name in WORKLOADS}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"workloads": {}}
+    recorded = {k: old.get(k) for k in versions()}
+    if recorded != versions():
+        print(f"versions: {recorded} -> {versions()}")
+    for name in WORKLOADS:
+        before = old["workloads"].get(name, {})
+        for artifact in sorted(before.keys() | digests[name].keys()):
+            if before.get(artifact) != digests[name].get(artifact):
+                print(f"{name}: {artifact}")
     GOLDEN.write_text(json.dumps({**versions(), "seed": SEED, "workloads": digests},
                                  indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_rows, make_graph, random_digraph, stage_context
-from oracles import (brute_reachable, edges_of, reference_bfs_distances, reference_graph_build,
-                     reference_load_influence, reference_remove_cycles, to_nx)
+from oracles import (brute_reachable, edges_of, rank, reference_bfs_distances, reference_graph_build,
+                     reference_load_influence, reference_rank_suffix_decycle, reference_remove_cycles,
+                     to_nx)
 
 from artistnet import cli, graph, ingest
 from artistnet.centrality import CentralityScores, node_influence
@@ -237,65 +238,64 @@ class TestRemoveCycles:
 
     @settings(max_examples=300, deadline=None)
     @given(weighted_digraphs())
+    def test_removes_exactly_what_the_rule_says(self, g):
+        _, removed = remove_cycles(g)
+        assert removed == reference_rank_suffix_decycle(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_digraphs())
     def test_matches_reference_decycler(self, g):
-        dag, removed = remove_cycles(g)
-        kept, expected = reference_remove_cycles(g)
-        assert removed == expected
-        assert edges_of(dag) == kept
+        self.assert_matches_reference(g)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_time_ordered_graph_matches_reference_decycler(self, seed):
-        g = time_ordered_graph(seed)
-        dag, removed = remove_cycles(g)
-        kept, expected = reference_remove_cycles(g)
-        assert removed == expected
-        assert edges_of(dag) == kept
-
-    # One graph per outcome of the two-sided search. Each graph is one SCC
-    # whose lightest edge is (0, 1); `split_after_deleting` shows what the
-    # search finds when that edge goes, and the decycler must still agree
-    # with the round-based reference.
-    @staticmethod
-    def split_after_deleting(g, u, v):
-        succ, pred = graph._rows(g.indptr, g.indices), graph._rows(*g._in_csr)
-        succ[u].remove(v)
-        pred[v].remove(u)
-        return graph._split_search(succ, pred, u, v, set(range(g.n_nodes)))
+        self.assert_matches_reference(time_ordered_graph(seed))
 
     def assert_matches_reference(self, g):
+        """The round-based reference removes the same edges, listed here in
+        ascending rank, and keeps the same DAG."""
         dag, removed = remove_cycles(g)
         kept, expected = reference_remove_cycles(g)
-        assert removed == expected
+        assert removed == sorted(expected, key=rank)
         assert edges_of(dag) == kept
         assert is_acyclic(dag)
 
+    # Each of the next four graphs is one SCC whose lightest edge is (0, 1),
+    # and deleting that edge leaves a different remainder: still one SCC,
+    # or u's side, v's side and what lies on neither.
+
     def test_searches_meet(self):
-        # 0 still reaches 1 through 2: the SCC carries over whole.
+        # 0 still reaches 1 through 2: the SCC stays whole.
         g = make_graph(4, [(0, 1, 0.1), (0, 2, 0.5), (2, 1, 0.5), (1, 3, 0.5), (3, 0, 0.5)])
-        assert self.split_after_deleting(g, 0, 1) is None
         self.assert_matches_reference(g)
 
     def test_forward_runs_out_first(self):
-        # 0 has no other out-edge; the backward search from 1 still has
-        # 3 and 4 to find after the forward one stops.
+        # 0 has no other out-edge: 0 alone, {1, 2, 3, 4} still an SCC.
         g = make_graph(5, [(0, 1, 0.1), (1, 2, 0.5), (2, 1, 0.5), (2, 3, 0.5), (3, 2, 0.5),
                            (3, 4, 0.5), (4, 3, 0.3), (4, 0, 0.5)])
-        assert self.split_after_deleting(g, 0, 1) == ({0}, {1, 2, 3, 4})
         self.assert_matches_reference(g)
 
     def test_backward_runs_out_first(self):
-        # 1 has no other in-edge; the forward search from 0 still has 3
-        # and 4 to find after the backward one stops, and (1, 0) is left
-        # on no cycle although it is C's next-lightest edge.
+        # 1 has no other in-edge: 1 alone, {0, 2, 3, 4} still an SCC, and
+        # (1, 0) is left on no cycle although it is the next-lightest edge.
         g = make_graph(5, [(0, 1, 0.1), (1, 0, 0.2), (0, 2, 0.5), (2, 3, 0.5), (3, 4, 0.3),
                            (4, 0, 0.5)])
-        assert self.split_after_deleting(g, 0, 1) == ({0, 2, 3, 4}, {1})
         self.assert_matches_reference(g)
 
     def test_leftover_goes_through_tarjan(self):
-        # 1 -> {2, 3} -> 0: the 2-cycle {2, 3} is in neither search's set.
+        # 1 -> {2, 3} -> 0: the 2-cycle {2, 3} is on neither 0's side nor 1's.
         g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.5), (2, 3, 0.5), (3, 2, 0.4), (3, 0, 0.5)])
-        assert self.split_after_deleting(g, 0, 1) == ({0}, {1})
+        self.assert_matches_reference(g)
+
+    def test_cycle_through_a_heavier_scc(self):
+        # Heaviest first, {4, 5} and {1, 2} form in the first half of the
+        # insertion times; 0 -> 1, 2 -> 3 -> 0 closes a cycle only through
+        # {1, 2}, so the later half sees it only with 1 and 2 contracted.
+        g = make_graph(6, [(4, 5, 0.9), (5, 4, 0.9), (1, 2, 0.9), (2, 1, 0.9), (0, 1, 0.5),
+                           (2, 3, 0.5), (3, 0, 0.4), (0, 3, 0.1)])
+        _, removed = remove_cycles(g)
+        assert [(e.src, e.dst) for e in removed] == [(0, 3), (3, 0), (1, 2), (4, 5)]
+        assert removed == reference_rank_suffix_decycle(g)
         self.assert_matches_reference(g)
 
     def test_deterministic(self):
