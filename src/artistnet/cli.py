@@ -229,15 +229,10 @@ class Context:
         self.write_table("edges.csv", EDGE_COLUMNS, g.edge_rows())
 
     def write_scores(self, g: graph.InfluenceGraph, scores) -> None:
-        """centrality.csv: each of `scores`, in order, with the node's name,
-        genre and (first, second, total) reach, as `load_scores` reads it
-        (see `graph.reachability_counts`)."""
-        reach, _, two_hop = graph.reach_table(g)
-        counts = {i: (first, near - first, total) for i, first, near, total in
-                  zip(g.node_ids(), np.diff(g.indptr).tolist(), two_hop, reach)}
+        """centrality.csv: each of `scores` in order, its fields with the
+        node's name and genre in `g` after its id, as `load_scores` reads it."""
         self.write_table("centrality.csv", SCORE_COLUMNS, (
-            [s.node_id, g.nodes[s.node_id].name, g.nodes[s.node_id].genre, s.lc, s.sc, s.gc, s.ni, s.rank_ni,
-             *counts[s.node_id]] for s in scores))
+            [i, g.nodes[i].name, g.nodes[i].genre, *rest] for i, *rest in (vars(s).values() for s in scores)))
 
     def read_text(self, name: str | Path) -> str:
         """The text of input `name` (see `read`), which must be UTF-8."""
@@ -279,17 +274,16 @@ class Context:
 
     def load_scores(self) -> tuple[centrality.CentralityScores, ...]:
         def load(path):
-            cols = ingest.read_columns(path, {
-                "node_id": int, "lc": float, "sc": float, "gc": float, "ni": float, "rank_ni": int})
-            return tuple(map(centrality.CentralityScores, *(c.tolist() for c in cols)))
+            ids, _, _, *cols = ingest.read_columns(path, SCORE_COLUMNS)
+            return tuple(map(centrality.CentralityScores, ids.tolist(), *(c.tolist() for c in cols)))
         return self._memo(("centrality.csv",), load)
 
 
 # The graph tables' columns (removed_edges.csv's too) with their cell types, and centrality.csv's.
 NODE_COLUMNS = {"id": int, "name": str, "genre": str, "active_start": int}
 EDGE_COLUMNS = {"from": int, "to": int, "year_diff": int, "weight": ingest.optional_float}
-SCORE_COLUMNS = ["node_id", "name", "genre", "lc", "sc", "gc", "ni", "rank_ni",
-                 "first_order", "second_order", "total_reach"]
+SCORE_COLUMNS = {"node_id": int, "name": str, "genre": str, "lc": float, "sc": float, "gc": float,
+                 "ni": float, "rank_ni": int, "first_order": int, "second_order": int, "total_reach": int}
 
 # What `Context._memo` loaded in this process: input names -> (key, value),
 # the key the SHA-256 of each file read and the loader's arguments.
@@ -382,8 +376,9 @@ def stage_graph_build(ctx: Context) -> None:
 def stage_centrality(ctx: Context) -> None:
     g = ctx.load_graph()
     scores = centrality.node_influence(g)
+    correlation = centrality.year_diff_centrality_correlation(g, scores)
     ctx.write_scores(g, scores)
-    ctx.write_json("year_diff_correlation.json", graph.year_diff_centrality_correlation(g, scores))
+    ctx.write_json("year_diff_correlation.json", correlation)
 
 
 def stage_similarity(ctx: Context) -> None:
@@ -444,15 +439,15 @@ def stage_authenticity(ctx: Context) -> None:
     scores = ctx.load_scores()
 
     auth_scores, summary = authrev.authenticity(g, projected, **cfg["authenticity"])
-    ctx.write_table("authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
-                    ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores))
-    ctx.write_json("authenticity_summary.json", summary)
-
     ni = {s.node_id: s.ni for s in scores}
     ids = sorted(i for i in standardized if i in ni)
     X = np.array([standardized[i] for i in ids])
     y = np.array([ni[i] for i in ids])
     fit = authrev.elastic_net_grid(X, y, **cfg["elastic_net"])
+
+    ctx.write_table("authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
+                    ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores))
+    ctx.write_json("authenticity_summary.json", summary)
     ctx.write_json("elastic_net.json", {"intercept": fit.intercept, "coefficients": fit.coefficients,
                                         "lambda": fit.lam, "alpha_mix": fit.alpha_mix,
                                         "iterations": fit.iterations, "converged": fit.converged})

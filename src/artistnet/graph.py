@@ -1,7 +1,8 @@
 """Weighted directed influence network: construction (self-loops and edges
 outside a year-difference window dropped, max-min normalized weights),
-cycle removal by one rank rule, and reachability. A graph keeps its edges
-once, as arrays in CSR order, and every traversal reads those arrays."""
+cycle removal by one rank rule, and each node's reach, hop-distance and
+two-hop counts (`reach_table`). A graph keeps its edges once, as arrays in
+CSR order, and every traversal reads those arrays."""
 
 from __future__ import annotations
 
@@ -100,7 +101,6 @@ class InfluenceGraph:
         self.year_diff = np.asarray(year_diff, np.int64)[order]
         self.weight = np.asarray(weight, np.float64)[order]
         self.indptr = np.searchsorted(self.src, np.arange(len(ids) + 1))
-        self._reach_table = None  # filled by reach_table on first use
 
     @property
     def n_nodes(self) -> int:
@@ -295,7 +295,7 @@ def is_acyclic(g: InfluenceGraph) -> bool:
 def reach_table(g: InfluenceGraph) -> list[list[int]]:
     """[reach counts, hop-distance sums, two-hop counts] by dense node, the
     node itself excluded; two-hop counts the nodes at distance 1 or 2.
-    Computed once per graph, by a bit-parallel BFS backward from BFS_CHUNK
+    Computed anew on each call, by a bit-parallel BFS backward from BFS_CHUNK
     targets at a time (Then et al. 2014): bit t of a row says that node
     reaches target t. A level ORs the frontier rows into the sources of the
     edges entering the frontier, in one `reduceat` over their runs by `src`,
@@ -304,75 +304,38 @@ def reach_table(g: InfluenceGraph) -> list[list[int]]:
     the targets at distance L from it, so its counts are row popcounts.
     Cost per level: O(E_frontier * BFS_CHUNK / 64).
     """
-    if g._reach_table is None:
-        n = len(g._ids)
-        table = np.zeros((3, n), np.int64)
-        at = np.empty(n, np.int64)  # row of each frontier node in `rows`, else -1
-        for lo in range(0, n, BFS_CHUNK):
-            nodes = np.arange(lo, min(n, lo + BFS_CHUNK))  # the frontier, ascending
-            k = np.arange(len(nodes))
-            rows = np.zeros((len(k), (len(k) + 63) // 64), np.uint64)  # the frontier's bits
-            rows[k, k // 64] = np.left_shift(1, k % 64).astype(np.uint64)
-            seen = np.zeros((n, rows.shape[1]), np.uint64)
-            seen[nodes] = rows
-            level = 0
-            while len(nodes):
-                level += 1
-                at[:] = -1
-                at[nodes] = np.arange(len(nodes))
-                dst = at[g.indices]
-                live = np.flatnonzero(dst >= 0)
-                src = g.src[live]
-                first = np.flatnonzero(np.diff(src, prepend=-1))
-                nodes = src[first]
-                rows = np.bitwise_or.reduceat(rows[dst[live]], first) & ~seen[nodes]
-                keep = rows.any(1)
-                nodes, rows = nodes[keep], rows[keep]
-                seen[nodes] |= rows
-                count = np.bitwise_count(rows).sum(1, np.int64)
-                table[:, nodes] += count * np.array([[1], [level], [level <= 2]])
-        g._reach_table = table.tolist()
-    return g._reach_table
-
-
-def reachability_counts(g: InfluenceGraph, node: int) -> tuple[int, int, int]:
-    """(first_order, second_order, total) affected-node counts.
-
-    first_order: direct out-neighbors; second_order: distinct nodes adjacent
-    from first-order nodes, excluding the node and its first-order set;
-    total: all nodes reachable from the node (excluding itself).
-    """
-    k = g._index(node)
-    first = int(g.indptr[k + 1] - g.indptr[k])
-    reach, _, two_hop = reach_table(g)
-    return first, two_hop[k] - first, reach[k]
+    n = len(g._ids)
+    table = np.zeros((3, n), np.int64)
+    at = np.empty(n, np.int64)  # row of each frontier node in `rows`, else -1
+    for lo in range(0, n, BFS_CHUNK):
+        nodes = np.arange(lo, min(n, lo + BFS_CHUNK))  # the frontier, ascending
+        k = np.arange(len(nodes))
+        rows = np.zeros((len(k), (len(k) + 63) // 64), np.uint64)  # the frontier's bits
+        rows[k, k // 64] = np.left_shift(1, k % 64).astype(np.uint64)
+        seen = np.zeros((n, rows.shape[1]), np.uint64)
+        seen[nodes] = rows
+        level = 0
+        while len(nodes):
+            level += 1
+            at[:] = -1
+            at[nodes] = np.arange(len(nodes))
+            dst = at[g.indices]
+            live = np.flatnonzero(dst >= 0)
+            src = g.src[live]
+            first = np.flatnonzero(np.diff(src, prepend=-1))
+            nodes = src[first]
+            rows = np.bitwise_or.reduceat(rows[dst[live]], first) & ~seen[nodes]
+            keep = rows.any(1)
+            nodes, rows = nodes[keep], rows[keep]
+            seen[nodes] |= rows
+            count = np.bitwise_count(rows).sum(1, np.int64)
+            table[:, nodes] += count * np.array([[1], [level], [level <= 2]])
+    return table.tolist()
 
 
 def genre_codes(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
     """(sorted distinct genres, the index in them of each dense node's genre)."""
     return np.unique(np.array([g.nodes[i].genre for i in g._ids], object), return_inverse=True)
-
-
-def year_diff_centrality_correlation(g: InfluenceGraph, scores):
-    """Pearson correlation between each node's mean incident-edge year_diff
-    and each of its centrality columns (lc, sc, gc, ni), over the scored
-    nodes that have an edge. Returns {column: {"r": float, "degenerate":
-    bool}}; a column or mean without variance is degenerate, with r 0.0.
-    """
-    by_id = {s.node_id: s for s in scores}
-    ends = np.concatenate([g.src, g.indices])
-    count = np.bincount(ends, minlength=g.n_nodes)
-    mean = np.bincount(ends, np.tile(g.year_diff, 2), g.n_nodes) / np.maximum(count, 1)
-    dense = [k for k in np.flatnonzero(count).tolist() if g._ids[k] in by_id]
-    if len(dense) < 3:
-        raise GraphError("need at least 3 nodes with incident edges")
-    x = mean[dense]
-    out = {}
-    for name in ("lc", "sc", "gc", "ni"):
-        y = np.array([getattr(by_id[g._ids[k]], name) for k in dense])
-        degenerate = bool(np.std(x) == 0.0 or np.std(y) == 0.0)
-        out[name] = {"r": 0.0 if degenerate else float(np.corrcoef(x, y)[0, 1]), "degenerate": degenerate}
-    return out
 
 
 def export_dot(g: InfluenceGraph) -> str:

@@ -88,6 +88,11 @@ def brute_reachable(dg: nx.DiGraph, node) -> int:
     return len(nx.descendants(dg, node))
 
 
+def brute_second_order(dg: nx.DiGraph, node) -> int:
+    """Nodes at distance exactly 2 from `node`."""
+    return sum(d == 2 for d in nx.single_source_shortest_path_length(dg, node, cutoff=2).values())
+
+
 def succ_rows(g) -> list[list[int]]:
     """Successor rows by dense node, as Python lists, sliced from the CSR
     arrays `indptr` and `indices`."""
@@ -134,9 +139,10 @@ def reference_node_influence(g) -> list[CentralityScores]:
     """node_influence node by node: cluster rank, semi-local spread and
     closeness of each node from its successor rows (`succ_rows`) and the hop
     distances of `reference_bfs_distances`, integer sums taken in Python and
-    the float steps written as the per-node formulas; then dense ranks by
-    descending NI, sorted by (rank, id). Raises the library's GraphError for
-    a graph with one node."""
+    the float steps written as the per-node formulas; its reach counts the
+    nodes at distance 1, at distance 2 and at any distance; then dense ranks
+    by descending NI, sorted by (rank, id). Raises the library's GraphError
+    for a graph with one node."""
     succ, ids, n = succ_rows(g), g.node_ids(), g.n_nodes
     hops = [list(reference_bfs_distances(g, i).values()) for i in ids]
     two_hop = [sum(d <= 2 for d in dist) for dist in hops]
@@ -148,13 +154,14 @@ def reference_node_influence(g) -> list[CentralityScores]:
         if n < 2:
             raise GraphError("out_closeness needs at least 2 nodes")
         gc = (len(hops[k]) / (n - 1)) ** 2 / sum(hops[k]) if hops[k] else 0.0
-        raw.append((i, lc, sc, gc, (math.exp(gc) - 1.0) * lc * sc))
+        reach = {"first_order": hops[k].count(1), "second_order": hops[k].count(2), "total_reach": len(hops[k])}
+        raw.append((i, lc, sc, gc, (math.exp(gc) - 1.0) * lc * sc, reach))
     raw.sort(key=lambda t: (-t[4], t[0]))
     scores, rank, prev_ni = [], 0, None
-    for i, lc, sc, gc, ni in raw:
+    for i, lc, sc, gc, ni, reach in raw:
         if ni != prev_ni:
             rank, prev_ni = rank + 1, ni
-        scores.append(CentralityScores(node_id=i, lc=lc, sc=sc, gc=gc, ni=ni, rank_ni=rank))
+        scores.append(CentralityScores(node_id=i, lc=lc, sc=sc, gc=gc, ni=ni, rank_ni=rank, **reach))
     return scores
 
 

@@ -17,13 +17,15 @@ from oracles import (
 from artistnet.authrev import periphery_scores
 
 from artistnet.centrality import (
+    CentralityScores,
     cluster_rank,
     node_influence,
     out_closeness,
     semi_local,
     top_k,
+    year_diff_centrality_correlation,
 )
-from artistnet.graph import ArtistNode, GraphError, InfluenceGraph, remove_cycles
+from artistnet.graph import ArtistNode, GraphError, InfluenceEdge, InfluenceGraph, remove_cycles
 
 
 class TestClusterRank:
@@ -158,9 +160,9 @@ def test_ni_monotone_in_each_component():
 class TestTopK:
     def test_single_edge(self):
         g = make_graph(2, [(0, 1)])
-        result = top_k(g, 1)
-        assert result[0][0].node_id == 0
-        assert result[0][1] == (1, 0, 1)
+        (s,) = top_k(g, 1)
+        assert s.node_id == 0
+        assert (s.first_order, s.second_order, s.total_reach) == (1, 0, 1)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -178,21 +180,20 @@ class TestTopK:
             key=lambda t: (-t[0], t[1]),
         )
         got = top_k(g, 3)
-        assert [s.node_id for s, _ in got] == [i for _, i in expected[:3]]
+        assert [s.node_id for s in got] == [i for _, i in expected[:3]]
 
     def test_genre_subgraph_without_edges(self):
         genres = {0: "A", 1: "B", 2: "A", 3: "A"}
         g = make_graph(4, [(0, 1), (1, 2), (1, 3)], genres=genres)
-        got = [(s.node_id, s.ni, s.rank_ni, counts) for s, counts in top_k(g, 3, genre="A")]
-        assert got == [(0, 0.0, 1, (0, 0, 0)), (2, 0.0, 1, (0, 0, 0)), (3, 0.0, 1, (0, 0, 0))]
+        got = [(s.node_id, s.ni, s.rank_ni, s.first_order, s.second_order, s.total_reach)
+               for s in top_k(g, 3, genre="A")]
+        assert got == [(0, 0.0, 1, 0, 0, 0), (2, 0.0, 1, 0, 0, 0), (3, 0.0, 1, 0, 0, 0)]
 
     def test_subnet_depends_only_on_induced_subgraph(self):
         genres = {0: "A", 1: "A", 2: "A", 3: "B"}
         small = make_graph(3, [(0, 1), (1, 2)], genres=genres)
         big = make_graph(4, [(0, 1), (1, 2), (3, 0), (3, 1)], genres=genres)
-        small_scores = [(s.ni, s.node_id) for s, _ in top_k(small, 3, genre="A")]
-        big_scores = [(s.ni, s.node_id) for s, _ in top_k(big, 3, genre="A")]
-        assert small_scores == big_scores
+        assert top_k(small, 3, genre="A") == top_k(big, 3, genre="A")
 
 
 def relabeled(g, rng, genres=("Zydeco", "Blues", "Pop/Rock")):
@@ -220,7 +221,8 @@ def test_whole_graph_columns_match_per_node_reference_bitwise(kind, seed):
         g, _ = remove_cycles(g)
     g = relabeled(g, rng)
     got, want = node_influence(g), reference_node_influence(g)
-    assert [(s.node_id, s.rank_ni) for s in got] == [(s.node_id, s.rank_ni) for s in want]
+    ints = lambda s: (s.node_id, s.rank_ni, s.first_order, s.second_order, s.total_reach)
+    assert list(map(ints, got)) == list(map(ints, want))
     for name in ("lc", "sc", "gc", "ni"):
         assert bits([getattr(s, name) for s in got]) == bits([getattr(s, name) for s in want])
     per_node = [(cluster_rank(g, s.node_id), semi_local(g, s.node_id), out_closeness(g, s.node_id))
@@ -245,3 +247,47 @@ def test_fewer_than_two_nodes():
             score(make_graph(1, []))
         assert score(InfluenceGraph([], [])) == []
     assert node_influence(make_graph(2, [])) == reference_node_influence(make_graph(2, []))
+
+
+class TestCorrelation:
+    def test_perfect_correlation(self):
+        # Chain 0 -> 1 -> 2 -> 3 with year differences 1, 2, 3: the mean
+        # incident year_diff of nodes 0..3 is 1, 1.5, 2.5 and 3.
+        edges = [InfluenceEdge(0, 1, 1, 0.5), InfluenceEdge(1, 2, 2, 0.5), InfluenceEdge(2, 3, 3, 0.5)]
+        g = InfluenceGraph([ArtistNode(i, f"a{i}", "g", 1950) for i in range(4)], edges)
+        means = {0: 1.0, 1: 1.5, 2: 2.5, 3: 3.0}
+        scores = [CentralityScores(node_id=i, lc=m, sc=2 * m, gc=m + 1, ni=-m) for i, m in means.items()]
+        result = year_diff_centrality_correlation(g, scores)
+        for col, r in (("lc", 1.0), ("sc", 1.0), ("gc", 1.0), ("ni", -1.0)):
+            assert result[col]["r"] == pytest.approx(r)
+            assert not result[col]["degenerate"]
+
+    def test_degenerate_constant_columns(self):
+        g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
+        scores = [CentralityScores(node_id=i, lc=1.0, sc=1.0, gc=1.0, ni=1.0) for i in range(4)]
+        result = year_diff_centrality_correlation(g, scores)
+        assert result["ni"] == {"r": 0.0, "degenerate": True}
+
+    def test_independent_columns_near_zero(self):
+        rng = np.random.default_rng(42)
+        n = 1000
+        nodes = [ArtistNode(i, f"a{i}", "g", 1950) for i in range(n)]
+        edges = [
+            InfluenceEdge(i, (i + 1) % n, int(rng.integers(-20, 60)), 0.5)
+            for i in range(n - 1)
+        ]
+        g = InfluenceGraph(nodes, edges)
+        scores = [
+            CentralityScores(node_id=i, lc=float(rng.random()), sc=float(rng.random()),
+                             gc=float(rng.random()), ni=float(rng.random()))
+            for i in range(n)
+        ]
+        result = year_diff_centrality_correlation(g, scores)
+        for col in ("lc", "sc", "gc", "ni"):
+            assert abs(result[col]["r"]) < 0.1
+
+    def test_too_few_nodes(self):
+        g = make_graph(2, [(0, 1, 0.5)])
+        scores = [CentralityScores(node_id=i, lc=0, sc=0, gc=0, ni=0) for i in range(2)]
+        with pytest.raises(GraphError):
+            year_diff_centrality_correlation(g, scores)

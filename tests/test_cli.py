@@ -371,9 +371,23 @@ def test_forest_trains_at_the_default_split(tmp_path):
     assert json.loads((out / "report.json").read_text())["forest"]["trained"] is True
 
 
+def assert_fails_leaving_nothing(cfg_path: Path, capsys, command: str) -> None:
+    """Stage `command` exits 3 with one line, and none of its artifacts nor
+    a manifest entry for it is in out_dir."""
+    capsys.readouterr()
+    assert main(command.split() + ["--config", str(cfg_path)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    stage = next(s for s in cli.STAGES if s.command == command)
+    out = json.loads(cfg_path.read_text())["out_dir"]
+    assert [name for name in stage.writes if (Path(out) / name).exists()] == []
+    assert stage.name not in json.loads((Path(out) / "manifest.json").read_text())["stages"]
+
+
 def test_no_graph_artist_has_a_profile(tmp_path, capsys):
     """Songs that list only artists missing from the influence table: the
-    elastic net has no row to fit, and the forest none to train on."""
+    elastic net has no row to fit, and the forest none to train on. The
+    failing stages leave nothing behind."""
     cfg_path = write_random_fixture(tmp_path, n=30)
     rng = np.random.default_rng(13)
     ingest.write_table(tmp_path / "songs.csv", ingest.SONG_COLUMNS, (
@@ -381,14 +395,37 @@ def test_no_graph_artist_has_a_profile(tmp_path, capsys):
          *rng.uniform(0, 1, 6).tolist(), 1900 + k, 0, 1] for i in range(1000, 1020) for k in range(2)))
     for stage in STAGES[:4]:
         assert main(stage + ["--config", str(cfg_path)]) == 0, stage
-    capsys.readouterr()
     for stage in ("genre", "authenticity"):
-        assert main([stage, "--config", str(cfg_path)]) == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert_fails_leaving_nothing(cfg_path, capsys, stage)
     assert main(["revolution", "--config", str(cfg_path)]) == 0
     assert json.loads((tmp_path / "out" / "forest_model.json").read_text()) == {
         "trained": False, "reason": "split fractions exceed the dataset"}
+
+
+def test_failed_centrality_leaves_no_artifact(tmp_path, capsys):
+    """One influence edge gives two nodes, too few for the year-difference
+    correlation: nothing of the stage is written."""
+    cfg_path = write_fixture(tmp_path)
+    ingest.write_table(tmp_path / "influence.csv", ingest.INFLUENCE_COLUMNS,
+                       [[1, "a", "rock", 1950, 2, "b", "rock", 1960]])
+    assert main(["graph", "build", "--config", str(cfg_path)]) == 0
+    assert_fails_leaving_nothing(cfg_path, capsys, "centrality")
+
+
+def test_centrality_stage_runs_one_reach_table(tmp_path, monkeypatch):
+    """Scores, reach counts and the correlation of a stage come from one BFS."""
+    cfg_path = write_fixture(tmp_path)
+    assert main(["graph", "build", "--config", str(cfg_path)]) == 0
+    calls, reach_table = [], graph.reach_table
+
+    def counted(g):
+        calls.append(g)
+        return reach_table(g)
+
+    monkeypatch.setattr(graph, "reach_table", counted)
+    monkeypatch.setattr(centrality, "reach_table", counted)
+    assert main(["centrality", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_genre_year_means_match_the_reference(tmp_path):

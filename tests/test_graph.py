@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_rows, make_graph, random_digraph, stage_context
-from oracles import (brute_reachable, edges_of, rank, reference_bfs_distances, reference_graph_build,
-                     reference_load_influence, reference_rank_suffix_decycle, reference_remove_cycles,
-                     to_nx)
+from oracles import (brute_reachable, brute_second_order, edges_of, rank, reference_bfs_distances,
+                     reference_graph_build, reference_load_influence, reference_rank_suffix_decycle,
+                     reference_remove_cycles, to_nx)
 
 from artistnet import cli, graph, ingest
-from artistnet.centrality import CentralityScores, node_influence
+from artistnet.centrality import node_influence
 from artistnet.graph import (
     ArtistNode,
     GraphError,
@@ -20,9 +20,7 @@ from artistnet.graph import (
     export_dot,
     is_acyclic,
     reach_table,
-    reachability_counts,
     remove_cycles,
-    year_diff_centrality_correlation,
 )
 
 
@@ -306,29 +304,32 @@ class TestRemoveCycles:
         assert edges_of(a[0]) == edges_of(b[0])
 
 
+def reach_of(g) -> dict:
+    """{id: (first_order, second_order, total_reach)} off the records of
+    `node_influence`."""
+    return {s.node_id: (s.first_order, s.second_order, s.total_reach) for s in node_influence(g)}
+
+
 class TestReachability:
     def test_chain(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert reachability_counts(g, 0) == (1, 1, 3)
+        assert reach_of(g)[0] == (1, 1, 3)
 
     def test_sink(self):
         g = make_graph(2, [(0, 1)])
-        assert reachability_counts(g, 1) == (0, 0, 0)
+        assert reach_of(g)[1] == (0, 0, 0)
 
     def test_star(self):
         g = make_graph(6, [(0, i) for i in range(1, 6)])
-        assert reachability_counts(g, 0) == (5, 0, 5)
-
-    def test_unknown_id(self):
-        with pytest.raises(GraphError):
-            reachability_counts(make_graph(2, [(0, 1)]), 99)
+        assert reach_of(g)[0] == (5, 0, 5)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_total_matches_transitive_closure(self, seed):
         g, _ = remove_cycles(random_digraph(np.random.default_rng(1000 + seed)))
         dg = to_nx(g)
-        for node in g.node_ids():
-            assert reachability_counts(g, node)[2] == brute_reachable(dg, node)
+        for node, (first, second, total) in reach_of(g).items():
+            assert (first, second, total) == (
+                dg.out_degree(node), brute_second_order(dg, node), brute_reachable(dg, node)), node
 
 
 @st.composite
@@ -382,58 +383,6 @@ class TestReachTable:
         monkeypatch.setattr(graph, "BFS_CHUNK", chunk)
         for seed in range(3):
             self.assert_matches_reference(seeded_digraph(70, seed))
-
-    def test_computed_once_per_graph(self):
-        g = make_graph(3, [(0, 1), (1, 2)])
-        assert reach_table(g) is reach_table(g)
-
-
-class TestCorrelation:
-    def scores_for(self, g):
-        return node_influence(g)
-
-    def test_perfect_correlation(self):
-        # Chain 0 -> 1 -> 2 -> 3 with year differences 1, 2, 3: the mean
-        # incident year_diff of nodes 0..3 is 1, 1.5, 2.5 and 3.
-        edges = [InfluenceEdge(0, 1, 1, 0.5), InfluenceEdge(1, 2, 2, 0.5), InfluenceEdge(2, 3, 3, 0.5)]
-        g = InfluenceGraph([ArtistNode(i, f"a{i}", "g", 1950) for i in range(4)], edges)
-        means = {0: 1.0, 1: 1.5, 2: 2.5, 3: 3.0}
-        scores = [CentralityScores(node_id=i, lc=m, sc=2 * m, gc=m + 1, ni=-m) for i, m in means.items()]
-        result = year_diff_centrality_correlation(g, scores)
-        for col, r in (("lc", 1.0), ("sc", 1.0), ("gc", 1.0), ("ni", -1.0)):
-            assert result[col]["r"] == pytest.approx(r)
-            assert not result[col]["degenerate"]
-
-    def test_degenerate_constant_columns(self):
-        g = make_graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
-        scores = [CentralityScores(node_id=i, lc=1.0, sc=1.0, gc=1.0, ni=1.0) for i in range(4)]
-        result = year_diff_centrality_correlation(g, scores)
-        assert result["ni"] == {"r": 0.0, "degenerate": True}
-
-    def test_independent_columns_near_zero(self):
-        rng = np.random.default_rng(42)
-        from artistnet.graph import InfluenceGraph, ArtistNode
-        n = 1000
-        nodes = [ArtistNode(i, f"a{i}", "g", 1950) for i in range(n)]
-        edges = [
-            InfluenceEdge(i, (i + 1) % n, int(rng.integers(-20, 60)), 0.5)
-            for i in range(n - 1)
-        ]
-        g = InfluenceGraph(nodes, edges)
-        scores = [
-            CentralityScores(node_id=i, lc=float(rng.random()), sc=float(rng.random()),
-                             gc=float(rng.random()), ni=float(rng.random()))
-            for i in range(n)
-        ]
-        result = year_diff_centrality_correlation(g, scores)
-        for col in ("lc", "sc", "gc", "ni"):
-            assert abs(result[col]["r"]) < 0.1
-
-    def test_too_few_nodes(self):
-        g = make_graph(2, [(0, 1, 0.5)])
-        scores = [CentralityScores(node_id=i, lc=0, sc=0, gc=0, ni=0) for i in range(2)]
-        with pytest.raises(GraphError):
-            year_diff_centrality_correlation(g, scores)
 
 
 def exported(tmp_path, g) -> dict[str, str]:
