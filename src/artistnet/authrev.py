@@ -230,10 +230,6 @@ def periphery_scores(g: InfluenceGraph, node_ids) -> dict[int, float]:
     return {i: share[g._index(i)] for i in node_ids}
 
 
-def periphery_score(g: InfluenceGraph, node: int) -> float:
-    return periphery_scores(g, [node])[node]
-
-
 def _normalize_text(text: str) -> str:
     return " ".join(text.split()).lower()
 

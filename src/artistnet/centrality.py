@@ -3,18 +3,18 @@
 Three components over the acyclic influence graph, all read in the
 out-direction (influence flows influencer -> follower):
 
-* cluster_rank (LC): out-neighborhood degree sum damped by 10^(-c) where
-  c is the directed out-clustering coefficient.
-* semi_local (SC): two-hop spread, summing next-nearest-neighborhood
+* `lc` (LC, ClusterRank): out-neighborhood degree sum damped by 10^(-c)
+  where c is the directed out-clustering coefficient.
+* `sc` (SC, semi-local): two-hop spread, summing next-nearest-neighborhood
   sizes over out-neighbors of out-neighbors.
-* out_closeness (GC): reachability-corrected closeness
+* `gc` (GC, out-closeness): reachability-corrected closeness
   (reachable/(N-1))^2 / (sum of hop distances).
 
-The composite score is NI = (e^GC - 1) * LC * SC. `_columns` computes all
-three for every node at once from the CSR arrays and one `graph.reach_table`
-(exact counts from one BFS), listing each two-hop path once; its sums are
-integers, exact in float64, and its float steps run on Python floats, node
-by node. Each per-node function computes all of it and reads one entry.
+The composite score is NI = (e^GC - 1) * LC * SC, the record's `ni`.
+`_columns` computes all three for every node at once from the CSR arrays
+and one `graph.reach_table` (exact counts from one BFS), listing each
+two-hop path once; its sums are integers, exact in float64, and its float
+steps run on Python floats, node by node.
 
 Each scored node also carries its reach off the same table: first order
 (its out-degree), second order (nodes at distance exactly 2) and total
@@ -66,20 +66,6 @@ def _columns(g: InfluenceGraph) -> tuple[list, ...]:
         lc.append(10.0 ** (-c) * s if d else 0.0)
         gc.append((r / (n - 1)) ** 2 / h if r else 0.0)
     return lc, sc, gc, deg.tolist(), (two_hop - deg).tolist(), reach
-
-
-def cluster_rank(g: InfluenceGraph, node: int) -> float:
-    return _columns(g)[0][g._index(node)]
-
-
-def semi_local(g: InfluenceGraph, node: int) -> float:
-    return _columns(g)[1][g._index(node)]
-
-
-def out_closeness(g: InfluenceGraph, node: int) -> float:
-    if g.n_nodes < 2:
-        raise GraphError("out_closeness needs at least 2 nodes")
-    return _columns(g)[2][g._index(node)]
 
 
 def node_influence(g: InfluenceGraph) -> list[CentralityScores]:

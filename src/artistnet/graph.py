@@ -80,9 +80,8 @@ class InfluenceGraph:
     def _build(self, nodes, src, dst, year_diff, weight, self_loops_dropped, year_window_dropped):
         self.nodes: dict[int, ArtistNode] = {n.id: n for n in nodes}
         self.self_loops_dropped, self.year_window_dropped = self_loops_dropped, year_window_dropped
-        self._ids = sorted(self.nodes)
-        self._pos = {i: k for k, i in enumerate(self._ids)}
-        self._id_array = ids = np.array(self._ids, np.int64)
+        self._id_array = ids = np.array(sorted(self.nodes), np.int64)
+        self._pos = {i: k for k, i in enumerate(ids.tolist())}
         src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
         s, d = np.searchsorted(ids, src), np.searchsorted(ids, dst)  # dense, if known
         order = np.lexsort((d, s))  # stable: of two equal edges, the later sorts second
@@ -111,7 +110,7 @@ class InfluenceGraph:
         return len(self.indices)
 
     def node_ids(self) -> list[int]:
-        return list(self._ids)
+        return self._id_array.tolist()
 
     def _index(self, i: int) -> int:
         """Dense index of node id `i`."""
@@ -137,7 +136,7 @@ class InfluenceGraph:
         """Induced subgraph on `keep_ids`."""
         keep = set(keep_ids)
         inside = np.isin(self._id_array, np.fromiter(keep, np.int64, len(keep)))
-        return self._with_edges([self.nodes[i] for i in self._ids if i in keep],
+        return self._with_edges([self.nodes[i] for i in self._id_array[inside].tolist()],
                                 inside[self.src] & inside[self.indices])
 
 
@@ -304,7 +303,7 @@ def reach_table(g: InfluenceGraph) -> list[list[int]]:
     the targets at distance L from it, so its counts are row popcounts.
     Cost per level: O(E_frontier * BFS_CHUNK / 64).
     """
-    n = len(g._ids)
+    n = g.n_nodes
     table = np.zeros((3, n), np.int64)
     at = np.empty(n, np.int64)  # row of each frontier node in `rows`, else -1
     for lo in range(0, n, BFS_CHUNK):
@@ -335,7 +334,7 @@ def reach_table(g: InfluenceGraph) -> list[list[int]]:
 
 def genre_codes(g: InfluenceGraph) -> tuple[np.ndarray, np.ndarray]:
     """(sorted distinct genres, the index in them of each dense node's genre)."""
-    return np.unique(np.array([g.nodes[i].genre for i in g._ids], object), return_inverse=True)
+    return np.unique(np.array([g.nodes[i].genre for i in g.node_ids()], object), return_inverse=True)
 
 
 def export_dot(g: InfluenceGraph) -> str:

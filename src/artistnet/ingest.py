@@ -311,7 +311,9 @@ def load_influence(path) -> tuple[dict[int, tuple[str, str, int]], np.ndarray, n
         text += np.column_stack(block).reshape(-1, 2)[mention[lo:hi] - 2 * row].tolist()
         row += len(block[0])
     artists = {i: (n, g, s) for i, (n, g), s in zip(ids, text, start)}
-    pairs = np.sort(np.unique(np.column_stack([a, b]), axis=0, return_index=True)[1])
+    # Stable sort: a repeated pair follows its first occurrence. Ids are >= 0 here, so -1 opens a run.
+    order = np.lexsort((b, a))
+    pairs = np.sort(order[(np.diff(a[order], prepend=-1) != 0) | (np.diff(b[order], prepend=-1) != 0)])
     return artists, a[pairs], b[pairs]
 
 

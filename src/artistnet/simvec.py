@@ -104,8 +104,9 @@ def project(model: PcaModel, v) -> np.ndarray:
 
 # The kernel matches the two-vector formula bitwise: each row dot is one
 # BLAS dot call, as np.dot on the rows is (einsum and (X * Y).sum(1) differ
-# in the last ulp), and acos and sin are the math module's, mapped over
-# Python floats (np.arccos differs in the last ulp).
+# in the last ulp); acos is the math module's, mapped over Python floats
+# (np.arccos differs in the last ulp), and np.sin calls the C library's sin,
+# as math.sin does.
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ Y[:, :, None]).reshape(-1)
 
@@ -133,7 +134,7 @@ def tss_rows(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cosine = np.clip(_row_dots(A, B) / np.where(live, prod, 1.0), -1.0, 1.0)
     theta = np.where(live, np.degrees(_libm(math.acos, cosine)) + ANGLE_OFFSET_DEG,
                      ANGLE_OFFSET_DEG)
-    ts_ = np.where(live, prod * np.abs(_libm(math.sin, np.radians(theta))) / 2.0, 0.0)
+    ts_ = np.where(live, prod * np.abs(np.sin(np.radians(theta))) / 2.0, 0.0)
     D = A - B
     ed_md = np.sqrt(_row_dots(D, D)) + np.abs(mag_a - mag_b)
     # float_power calls the C library's pow, as Python's float ** 2 does;

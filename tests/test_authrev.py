@@ -18,10 +18,11 @@ from artistnet.authrev import (
     elastic_net_objective,
     forest_train,
     label_revolutionaries,
-    periphery_score,
+    periphery_scores,
     semantic_match,
 )
 from artistnet.centrality import CentralityScores
+from artistnet.graph import GraphError
 from artistnet.ingest import json_text
 
 
@@ -268,15 +269,19 @@ class TestElasticNet:
 class TestPeriphery:
     def test_all_same_genre(self):
         g = make_graph(3, [(0, 1, 0.5), (0, 2, 0.5)], {0: "a", 1: "a", 2: "a"})
-        assert periphery_score(g, 0) == 0.0
+        assert periphery_scores(g, [0]) == {0: 0.0}
 
     def test_mixed(self):
         g = make_graph(3, [(0, 1, 0.5), (0, 2, 0.5)], {0: "a", 1: "a", 2: "b"})
-        assert periphery_score(g, 0) == 0.5
+        assert periphery_scores(g, [0]) == {0: 0.5}
 
     def test_sink_is_zero(self):
         g = make_graph(2, [(0, 1, 0.5)], {0: "a", 1: "b"})
-        assert periphery_score(g, 1) == 0.0
+        assert periphery_scores(g, [1]) == {1: 0.0}
+
+    def test_unknown_id(self):
+        with pytest.raises(GraphError, match=r"^unknown node id 5$"):
+            periphery_scores(make_graph(2, [(0, 1, 0.5)]), [5])
 
 
 class TestSemanticMatch:

@@ -18,68 +18,66 @@ from artistnet.authrev import periphery_scores
 
 from artistnet.centrality import (
     CentralityScores,
-    cluster_rank,
     node_influence,
-    out_closeness,
-    semi_local,
     top_k,
     year_diff_centrality_correlation,
 )
 from artistnet.graph import ArtistNode, GraphError, InfluenceEdge, InfluenceGraph, remove_cycles
 
 
+def record(g, node) -> CentralityScores:
+    """The `node_influence(g)` record of `node`."""
+    return next(s for s in node_influence(g) if s.node_id == node)
+
+
 class TestClusterRank:
     def test_sink_is_zero(self):
         g = make_graph(2, [(0, 1)])
-        assert cluster_rank(g, 1) == 0.0
+        assert record(g, 1).lc == 0.0
 
     def test_no_edges_among_neighbors(self):
         # 0 -> {1, 2}; 1 -> 3; 2 is a sink; c_0 = 0
         g = make_graph(4, [(0, 1), (0, 2), (1, 3)])
-        assert cluster_rank(g, 0) == pytest.approx(3.0)
+        assert record(g, 0).lc == pytest.approx(3.0)
 
     def test_edge_among_neighbors(self):
         # adding 1 -> 2 makes c_0 = 1/2 and raises neighbor degree sum
         g = make_graph(4, [(0, 1), (0, 2), (1, 3), (1, 2)])
         expected = brute_cluster_rank(to_nx(g), 0)
-        assert cluster_rank(g, 0) == pytest.approx(expected, rel=1e-12)
+        assert record(g, 0).lc == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(10 ** -0.5 * ((2 + 1) + (0 + 1)))
-
-    def test_unknown_id(self):
-        with pytest.raises(GraphError):
-            cluster_rank(make_graph(2, [(0, 1)]), 5)
 
 
 class TestSemiLocal:
     def test_chain(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert semi_local(g, 0) == 1.0
+        assert record(g, 0).sc == 1.0
 
     def test_sink_is_zero(self):
         g = make_graph(2, [(0, 1)])
-        assert semi_local(g, 1) == 0.0
+        assert record(g, 1).sc == 0.0
 
     def test_star_center_is_zero(self):
         g = make_graph(6, [(0, i) for i in range(1, 6)])
-        assert semi_local(g, 0) == 0.0
+        assert record(g, 0).sc == 0.0
 
 
 class TestOutCloseness:
     def test_chain(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert out_closeness(g, 0) == pytest.approx(1 / 3)
+        assert record(g, 0).gc == pytest.approx(1 / 3)
 
     def test_sink_is_zero(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert out_closeness(g, 2) == 0.0
+        assert record(g, 2).gc == 0.0
 
     def test_star_center(self):
         g = make_graph(6, [(0, i) for i in range(1, 6)])
-        assert out_closeness(g, 0) == pytest.approx(0.2)
+        assert record(g, 0).gc == pytest.approx(0.2)
 
     def test_single_node_errors(self):
         with pytest.raises(GraphError):
-            out_closeness(make_graph(1, []), 0)
+            node_influence(make_graph(1, []))
 
 
 class TestNodeInfluence:
@@ -128,13 +126,13 @@ def test_oracle_equivalence_random_dags(seed):
     """All four scores match the independent brute-force evaluator."""
     g, _ = remove_cycles(random_digraph(np.random.default_rng(seed)))
     dg = to_nx(g)
-    for node in g.node_ids():
-        assert cluster_rank(g, node) == pytest.approx(brute_cluster_rank(dg, node), rel=1e-12)
-        assert semi_local(g, node) == pytest.approx(brute_semi_local(dg, node), rel=1e-12)
-        assert out_closeness(g, node) == pytest.approx(brute_out_closeness(dg, node), rel=1e-12)
     by_id = {s.node_id: s for s in node_influence(g)}
     for node in g.node_ids():
-        assert by_id[node].ni == pytest.approx(brute_node_influence(dg, node), rel=1e-12)
+        s = by_id[node]
+        assert s.lc == pytest.approx(brute_cluster_rank(dg, node), rel=1e-12)
+        assert s.sc == pytest.approx(brute_semi_local(dg, node), rel=1e-12)
+        assert s.gc == pytest.approx(brute_out_closeness(dg, node), rel=1e-12)
+        assert s.ni == pytest.approx(brute_node_influence(dg, node), rel=1e-12)
 
 
 def test_scores_nonnegative_on_random_graphs():
@@ -212,9 +210,9 @@ def bits(values) -> list[int]:
 @pytest.mark.parametrize("kind", ["cyclic", "decycled", "wide"])
 @pytest.mark.parametrize("seed", range(15))
 def test_whole_graph_columns_match_per_node_reference_bitwise(kind, seed):
-    """node_influence, the per-node functions and periphery_scores give the
-    same bits as the node-by-node references, on cyclic, decycled and
-    denser (up to 60 nodes) multi-genre graphs."""
+    """node_influence and periphery_scores give the same bits as the
+    node-by-node references, on cyclic, decycled and denser (up to 60
+    nodes) multi-genre graphs."""
     rng = np.random.default_rng(seed)
     g = random_digraph(rng, max_nodes=60 if kind == "wide" else 12)
     if kind == "decycled":
@@ -225,9 +223,6 @@ def test_whole_graph_columns_match_per_node_reference_bitwise(kind, seed):
     assert list(map(ints, got)) == list(map(ints, want))
     for name in ("lc", "sc", "gc", "ni"):
         assert bits([getattr(s, name) for s in got]) == bits([getattr(s, name) for s in want])
-    per_node = [(cluster_rank(g, s.node_id), semi_local(g, s.node_id), out_closeness(g, s.node_id))
-                for s in got]
-    assert bits(per_node) == bits([(s.lc, s.sc, s.gc) for s in got])
     ids = g.node_ids()
     expected = reference_periphery(g)
     assert bits(list(periphery_scores(g, ids).values())) == bits([expected[i] for i in ids])

@@ -412,6 +412,19 @@ def test_failed_centrality_leaves_no_artifact(tmp_path, capsys):
     assert_fails_leaving_nothing(cfg_path, capsys, "centrality")
 
 
+def test_score_of_an_unknown_node_is_a_data_error(tmp_path, capsys):
+    """A centrality.csv row whose node is not in nodes.csv, as a score left
+    from an earlier graph is, stops `revolution` with one line naming it."""
+    cfg_path = write_fixture(tmp_path)
+    for stage in STAGES[:4]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    with open(tmp_path / "out" / "centrality.csv", "a", encoding="utf-8") as fh:
+        fh.write("999999999,ghost,rock,0.0,0.0,0.0,0.0,11,0,0,0\n")
+    capsys.readouterr()
+    assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: unknown node id 999999999\n"
+
+
 def test_centrality_stage_runs_one_reach_table(tmp_path, monkeypatch):
     """Scores, reach counts and the correlation of a stage come from one BFS."""
     cfg_path = write_fixture(tmp_path)
