@@ -223,11 +223,19 @@ def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit
 
 
 def periphery_scores(g: InfluenceGraph, node_ids) -> dict[int, float]:
-    """{id: fraction of its out-edges into another genre, 0 for a sink} of `node_ids`."""
+    """{id: fraction of its out-edges into another genre, 0 for a sink} of
+    `node_ids`, each id found in the graph's sorted ids. Raises GraphError
+    naming the first id given that is not a node."""
     _, code = genre_codes(g)
     cross = np.bincount(g.src, code[g.src] != code[g.indices], g.n_nodes)
-    share = (cross / np.maximum(np.diff(g.indptr), 1)).tolist()
-    return {i: share[g._index(i)] for i in node_ids}
+    share = cross / np.maximum(np.diff(g.indptr), 1)
+    node_ids = list(node_ids)
+    asked = np.array(node_ids, np.int64)
+    row = np.searchsorted(g._id_array, asked)
+    unknown = np.flatnonzero(np.searchsorted(g._id_array, asked, "right") == row)
+    if len(unknown):
+        raise GraphError(f"unknown node id {node_ids[unknown[0]]}")
+    return dict(zip(node_ids, share[row].tolist()))
 
 
 def _normalize_text(text: str) -> str:

@@ -40,12 +40,6 @@ class InfluenceEdge:
     weight: float | None = None  # normalized to (0, 1]
 
 
-def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
-    """The rows of a CSR adjacency as Python lists, one per dense node."""
-    flat, bounds = indices.tolist(), indptr.tolist()
-    return [flat[bounds[k]:bounds[k + 1]] for k in range(len(bounds) - 1)]
-
-
 class InfluenceGraph:
     """Immutable directed graph over artist nodes, its edges stored once.
 
@@ -81,7 +75,6 @@ class InfluenceGraph:
         self.nodes: dict[int, ArtistNode] = {n.id: n for n in nodes}
         self.self_loops_dropped, self.year_window_dropped = self_loops_dropped, year_window_dropped
         self._id_array = ids = np.array(sorted(self.nodes), np.int64)
-        self._pos = {i: k for k, i in enumerate(ids.tolist())}
         src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
         s, d = np.searchsorted(ids, src), np.searchsorted(ids, dst)  # dense, if known
         order = np.lexsort((d, s))  # stable: of two equal edges, the later sorts second
@@ -111,13 +104,6 @@ class InfluenceGraph:
 
     def node_ids(self) -> list[int]:
         return self._id_array.tolist()
-
-    def _index(self, i: int) -> int:
-        """Dense index of node id `i`."""
-        try:
-            return self._pos[i]
-        except KeyError:
-            raise GraphError(f"unknown node id {i}") from None
 
     def edge_rows(self):
         """(src id, dst id, year_diff, weight or None) of each edge,
@@ -166,52 +152,50 @@ def build_graph(artists: dict[int, tuple[str, str, int]], src: np.ndarray,
                                       int(loop.sum()), int(len(src) - loop.sum() - keep.sum()))
 
 
-def _tarjan_scc(roots, succ: list) -> list[int]:
-    """Iterative Tarjan over the dense nodes reachable from `roots` through
-    `succ` (one successor row per dense node): the number of each node's
-    SCC, in the order Tarjan completes them, or -1 for a node not reached.
-    A reached node is on Tarjan's stack while its number is -1."""
-    index = [-1] * len(succ)
-    low = [0] * len(succ)
-    comp = [-1] * len(succ)
+def _tarjan_scc(indptr: list[int], indices: list[int]) -> list[int]:
+    """Iterative Tarjan over every node of a CSR adjacency given as Python
+    lists: the successors of dense node v are `indices[indptr[v]:indptr[v +
+    1]]`, visited in that order. Returns the number of each node's SCC, in
+    the order Tarjan completes them. A visited node is on Tarjan's stack
+    while its number is -1; a frame of `work` is (node, next edge position)."""
+    n = len(indptr) - 1
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
     stack: list[int] = []
     counter = done = 0
 
-    for root in roots:
+    for root in range(n):
         if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        work = [(root, indptr[root])]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, j = work[-1]
+            if j == indptr[v]:  # first visit: a resumed frame is past its first edge
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-            recurse = False
-            succs = succ[v]
-            for i in range(pi, len(succs)):
-                w = succs[i]
-                if index[w] < 0:
+            for i in range(j, indptr[v + 1]):
+                w = indices[i]
+                if index[w] < 0:  # descend to w; v resumes after edge i
                     work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                    work.append((w, indptr[w]))
                     break
                 if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    comp[w] = done
-                    if w == v:
-                        break
-                done += 1
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            else:  # every successor of v is done
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        if w == v:
+                            break
+                    done += 1
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comp
 
 
@@ -236,10 +220,12 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
     edges inserted up to the middle time, their ends contracted to the SCCs
     before the range; an edge whose ends share an SCC there goes to the
     earlier half, the rest go to the later half. O(E log E) edge visits.
+    Tarjan, like every traversal, walks CSR arrays: the graph's own, then
+    each contracted graph's, built by one `searchsorted`.
     """
     if np.isnan(g.weight).any():
         raise GraphError("remove_cycles requires normalized weights")
-    comp = np.array(_tarjan_scc(range(g.n_nodes), _rows(g.indptr, g.indices)), np.int64)
+    comp = np.array(_tarjan_scc(g.indptr.tolist(), g.indices.tolist()), np.int64)
     inner = np.flatnonzero(comp[g.src] == comp[g.indices])  # CSR positions inside an SCC
     inner = inner[np.lexsort((g.indices[inner], g.src[inner], g.weight[inner]))[::-1]]  # heaviest first
     src, dst = g.src[inner], g.indices[inner]
@@ -252,9 +238,9 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
         a, b = rep[src[times]], rep[dst[times]]
         nodes, at = np.unique(np.concatenate([a[:k], b[:k]]), return_inverse=True)
         order = np.argsort(at[:k], kind="stable")
-        succ = _rows(np.searchsorted(at[:k][order], np.arange(len(nodes) + 1)), at[k:][order])
+        indptr = np.searchsorted(at[:k][order], np.arange(len(nodes) + 1))
         label = -1 - np.arange(g.n_nodes)  # distinct outside the contracted graph
-        label[nodes] = _tarjan_scc(range(len(nodes)), succ)
+        label[nodes] = _tarjan_scc(indptr.tolist(), at[k:][order].tolist())
         return label[a] == label[b]
 
     def settle(lo, hi, times):
@@ -287,7 +273,7 @@ def remove_cycles(g: InfluenceGraph) -> tuple[InfluenceGraph, list[InfluenceEdge
 
 def is_acyclic(g: InfluenceGraph) -> bool:
     """True when no strongly connected component has two or more nodes."""
-    comp = _tarjan_scc(range(g.n_nodes), _rows(g.indptr, g.indices))
+    comp = _tarjan_scc(g.indptr.tolist(), g.indices.tolist())
     return len(set(comp)) == len(comp)
 
 

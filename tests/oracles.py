@@ -103,8 +103,8 @@ def succ_rows(g) -> list[list[int]]:
 def reference_bfs_distances(g, node) -> dict:
     """Unweighted hop distances from `node` along out-edges (node excluded),
     by one level-by-level BFS over the graph's successor rows."""
-    start = g._index(node)
     succ, ids = succ_rows(g), g.node_ids()
+    start = ids.index(node)
     dist = {start: 0}
     frontier = [start]
     hops = 0

@@ -22,7 +22,7 @@ from artistnet.authrev import (
     semantic_match,
 )
 from artistnet.centrality import CentralityScores
-from artistnet.graph import GraphError
+from artistnet.graph import ArtistNode, GraphError, InfluenceEdge, InfluenceGraph
 from artistnet.ingest import json_text
 
 
@@ -282,6 +282,26 @@ class TestPeriphery:
     def test_unknown_id(self):
         with pytest.raises(GraphError, match=r"^unknown node id 5$"):
             periphery_scores(make_graph(2, [(0, 1, 0.5)]), [5])
+
+    def sparse_graph(self):
+        """Ids 10, 20, 30, 40, so an id is not its row: 10 and 20 in genre a, 30 and 40 in b."""
+        nodes = [ArtistNode(i, f"a{i}", "a" if i < 30 else "b", 1950) for i in (40, 10, 30, 20)]
+        pairs = [(10, 20), (10, 30), (20, 30), (40, 10), (40, 20), (40, 30)]
+        return InfluenceGraph(nodes, [InfluenceEdge(s, d, 1, 0.5) for s, d in pairs])
+
+    def test_ids_in_any_order_and_repeated(self):
+        g = self.sparse_graph()
+        one_at_a_time = {i: periphery_scores(g, [i])[i] for i in (10, 20, 30, 40)}
+        assert one_at_a_time == {10: 0.5, 20: 1.0, 30: 0.0, 40: 2 / 3}
+        asked = [40, 20, 10, 40, 30]
+        assert periphery_scores(g, asked) == {i: one_at_a_time[i] for i in asked}
+        assert list(periphery_scores(g, asked)) == [40, 20, 10, 30]
+
+    def test_first_unknown_id_is_named(self):
+        g = self.sparse_graph()
+        for asked, named in [([20, 25, 10, 99, -4], 25), ([99, 25], 99), ([-4, 40, 99], -4), ([0], 0)]:
+            with pytest.raises(GraphError, match=rf"^unknown node id {named}$"):
+                periphery_scores(g, asked)
 
 
 class TestSemanticMatch:

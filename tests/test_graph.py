@@ -1,5 +1,7 @@
 import json
+import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,7 +231,6 @@ class TestRemoveCycles:
         dag, removed = remove_cycles(g)
         assert is_acyclic(dag)
         # no removed edge outside a nontrivial SCC of the input
-        import networkx as nx
         sccs = [c for c in nx.strongly_connected_components(to_nx(g)) if len(c) > 1]
         for e in removed:
             assert any(e.src in c and e.dst in c for c in sccs)
@@ -383,6 +384,45 @@ class TestReachTable:
         monkeypatch.setattr(graph, "BFS_CHUNK", chunk)
         for seed in range(3):
             self.assert_matches_reference(seeded_digraph(70, seed))
+
+
+def scc_groups(g) -> set[frozenset]:
+    """The node ids of each SCC that `_tarjan_scc` numbers over the graph's CSR arrays."""
+    groups = {}
+    for i, c in zip(g.node_ids(), graph._tarjan_scc(g.indptr.tolist(), g.indices.tolist())):
+        groups.setdefault(c, set()).add(i)
+    return {frozenset(c) for c in groups.values()}
+
+
+class TestTarjanScc:
+    def assert_matches_networkx(self, g):
+        dg = to_nx(g)
+        assert scc_groups(g) == {frozenset(c) for c in nx.strongly_connected_components(dg)}
+        assert is_acyclic(g) == nx.is_directed_acyclic_graph(dg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_matches_networkx(self, g):
+        self.assert_matches_networkx(g)
+
+    def test_isolated_node_sink_and_cycles(self):
+        # 0 is isolated, 1 <-> 2 is a 2-cycle, 3 -> 4 -> 5 -> 3 a 3-cycle, 6 a sink.
+        g = make_graph(7, [(1, 2), (2, 1), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)])
+        assert scc_groups(g) == {frozenset({0}), frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6})}
+        self.assert_matches_networkx(g)
+
+    # The walk keeps its own stack, so depth far past the recursion limit is fine.
+
+    def test_long_cycle_is_one_component(self):
+        n = 50_000
+        assert sys.getrecursionlimit() < n
+        assert set(graph._tarjan_scc(list(range(n + 1)), list(range(1, n)) + [0])) == {0}
+
+    def test_long_path_is_all_singletons(self):
+        n = 50_000
+        assert sys.getrecursionlimit() < n
+        comp = graph._tarjan_scc(list(range(n)) + [n - 1], list(range(1, n)))
+        assert len(set(comp)) == n
 
 
 def exported(tmp_path, g) -> dict[str, str]:
