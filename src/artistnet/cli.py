@@ -41,6 +41,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,39 +69,78 @@ class DependencyError(Exception):
         super().__init__(f"missing artifact {artifact}; run `artistnet {producer}` first")
 
 
-DEFAULT_CONFIG = {
-    "influence_csv": None,
-    "songs_csv": None,
-    "out_dir": "out",
-    "seed": 0,
-    "pca_k": simvec.DEFAULT_COMPONENTS,
-    "uniqueness_cap": 500,
-    "sampling": {"samples_per_run": 2500, "runs": 20},
-    "authenticity": {"alpha": 0.8, "mode": "pair_mean"},
-    "elastic_net": {"lambda_grid": [0.001, 0.01, 0.1, 1.0], "alpha_mix": 0.5},
-    "forest": {"trees": 200, "max_depth": 8, "split": [0.10, 0.05, 0.05]},
-    "thresholds": {"genre_matrix_prune": 0.05, "periphery": 0.5},
-    "cluster": {"linkage": "average", "cut": 5},
-    "phrases_file": None,
-    "bios_dir": None,
+# The kinds of rule a config field has: each a test of the field's value and
+# the message for a value that fails it. (A JSON true is not a number.)
+def _integer(lo: int, hi: float = math.inf):
+    return (lambda v: type(v) is int and lo <= v <= hi,
+            f"must be an integer >= {lo}" if hi == math.inf else f"must be an integer in [{lo}, {hi}]")
+
+
+def _number(lo: float, hi: float):
+    return lambda v: type(v) in (int, float) and lo <= v <= hi, f"must be a number in [{lo}, {hi}]"
+
+
+def _one_of(*choices: str):
+    return lambda v: v in choices, f"must be {' or '.join(choices)}"
+
+
+_PATH = (lambda v: type(v) is str and v != "", "required path missing or not a string")
+_OPTIONAL_PATH = (lambda v: v is None or type(v) is str, "must be a path string or null")
+_LAMBDA_GRID = (lambda v: type(v) is list and v != [] and all(type(l) in (int, float) and l >= 0 for l in v),
+                "must be a nonempty list of numbers >= 0")
+_SPLIT = (lambda v: type(v) is list and len(v) == 3 and all(type(x) in (int, float) and 0 < x < 1 for x in v)
+          and math.fsum(v) <= 1, "must be three fractions summing to <= 1")
+
+# Every config field, by dotted name (section.key), with its default and its rule.
+FIELDS = {
+    "influence_csv": (None, _PATH),
+    "songs_csv": (None, _PATH),
+    "out_dir": ("out", _PATH),
+    "seed": (0, _integer(0)),
+    "pca_k": (simvec.DEFAULT_COMPONENTS, _integer(1, 13)),
+    "uniqueness_cap": (500, _integer(2)),
+    "sampling.samples_per_run": (2500, _integer(1)),
+    "sampling.runs": (20, _integer(1)),
+    "authenticity.alpha": (0.8, _number(0, 2)),
+    "authenticity.mode": ("pair_mean", _one_of("pair_mean", "unbounded")),
+    "elastic_net.lambda_grid": ([0.001, 0.01, 0.1, 1.0], _LAMBDA_GRID),
+    "elastic_net.alpha_mix": (0.5, _number(0, 1)),
+    "forest.trees": (200, _integer(1)),
+    "forest.max_depth": (8, _integer(1)),
+    "forest.split": ([0.10, 0.05, 0.05], _SPLIT),
+    "thresholds.genre_matrix_prune": (0.05, _number(0, 1)),
+    "thresholds.periphery": (0.5, _number(0, 1)),
+    "cluster.linkage": ("average", _one_of("average", "ward")),
+    "cluster.cut": (5, _integer(1)),
+    "phrases_file": (None, _OPTIONAL_PATH),
+    "bios_dir": (None, _OPTIONAL_PATH),
 }
+
+DEFAULT_CONFIG: dict = {}  # FIELDS' defaults, each dotted field in its section
+for _name, (_default, _) in FIELDS.items():
+    _section, _, _key = _name.rpartition(".")
+    (DEFAULT_CONFIG.setdefault(_section, {}) if _section else DEFAULT_CONFIG)[_key] = _default
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """`base` updated from `override`, nested objects merged key by key; a
-    key `base` has no default for is an error naming its dotted path."""
+    """`base` updated from `override`, sections merged key by key; an unknown
+    key, or a section that is not an object, is an error naming its path."""
     out = dict(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(prefix + key, "unknown field")
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, f"{prefix}{key}.")
-        else:
-            out[key] = value
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(prefix + key, "must be an object")
+            value = _merge(base[key], value, f"{prefix}{key}.")
+        out[key] = value
     return out
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, **overrides) -> dict:
+    """The config file at `path` over DEFAULT_CONFIG, then the paths set by
+    ARTISTNET_INFLUENCE_CSV, ARTISTNET_SONGS_CSV and ARTISTNET_OUT_DIR, then
+    the top-level `overrides` not None; each field checked by its rule."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             user = json.load(fh)
@@ -113,59 +153,13 @@ def load_config(path: str) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("<file>", "config root must be an object")
     cfg = _merge(DEFAULT_CONFIG, user)
-    # Environment overrides for paths only.
-    for env, key in (
-        ("ARTISTNET_INFLUENCE_CSV", "influence_csv"),
-        ("ARTISTNET_SONGS_CSV", "songs_csv"),
-        ("ARTISTNET_OUT_DIR", "out_dir"),
-    ):
-        if os.environ.get(env):
-            cfg[key] = os.environ[env]
-    _validate_config(cfg)
-    return cfg
-
-
-def _require(cond, field, message):
-    if not cond:
-        raise ConfigError(field, message)
-
-
-def _is_number(v, lo: float = 0.0, hi: float = float("inf")) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v <= hi
-
-
-# Integer fields with their least value, and number fields with their range.
-_INT_FIELDS = {"seed": 0, "pca_k": 1, "uniqueness_cap": 2, "sampling.samples_per_run": 1,
-               "sampling.runs": 1, "forest.trees": 1, "forest.max_depth": 1, "cluster.cut": 1}
-_NUMBER_FIELDS = {"pca_k": (1, 13), "authenticity.alpha": (0, 2), "elastic_net.alpha_mix": (0, 1),
-                  "thresholds.genre_matrix_prune": (0, 1), "thresholds.periphery": (0, 1)}
-
-
-def _validate_config(cfg: dict) -> None:
     for key in ("influence_csv", "songs_csv", "out_dir"):
-        _require(cfg[key] and isinstance(cfg[key], str), key, "required path missing or not a string")
-    for key in ("phrases_file", "bios_dir"):
-        _require(cfg[key] is None or isinstance(cfg[key], str), key, "must be a path string or null")
-    for section in ("sampling", "authenticity", "elastic_net", "forest", "thresholds", "cluster"):
-        _require(isinstance(cfg[section], dict), section, "must be an object")
-    for name, lo in _INT_FIELDS.items():
-        v = functools.reduce(dict.get, name.split("."), cfg)
-        _require(isinstance(v, int) and _is_number(v, lo), name, f"must be an integer >= {lo}")
-    for name, (lo, hi) in _NUMBER_FIELDS.items():
-        v = functools.reduce(dict.get, name.split("."), cfg)
-        _require(_is_number(v, lo, hi), name, f"must be a number in [{lo}, {hi}]")
-    _require(cfg["authenticity"]["mode"] in ("pair_mean", "unbounded"), "authenticity.mode",
-             "must be pair_mean or unbounded")
-    grid = cfg["elastic_net"]["lambda_grid"]
-    _require(isinstance(grid, list) and grid and all(_is_number(l) for l in grid),
-             "elastic_net.lambda_grid", "must be a nonempty list of numbers >= 0")
-    split = cfg["forest"]["split"]
-    _require(
-        isinstance(split, list) and len(split) == 3
-        and all(_is_number(x) and 0 < x < 1 for x in split) and sum(split) <= 1.0,
-        "forest.split", "must be three fractions summing to <= 1",
-    )
-    _require(cfg["cluster"]["linkage"] in ("average", "ward"), "cluster.linkage", "must be average or ward")
+        cfg[key] = os.environ.get(f"ARTISTNET_{key.upper()}") or cfg[key]
+    cfg = _merge(cfg, {key: value for key, value in overrides.items() if value is not None})
+    for name, (_, (test, message)) in FIELDS.items():
+        if not test(functools.reduce(dict.get, name.split("."), cfg)):
+            raise ConfigError(name, message)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +334,13 @@ def _profile_header(width: int) -> list[str]:
 
 def _read_profiles(path: Path, width: int) -> dict[int, np.ndarray]:
     """Artist id -> vector of the first `width` columns of the profile table
-    at `path`; the vectors are the rows of one matrix."""
+    at `path` (the rows of one matrix); a repeated id is a data error."""
     ids, *values = ingest.read_columns(path, dict.fromkeys(_profile_header(width), float) | {"artist_id": int})
-    return dict(zip(ids.tolist(), np.column_stack(values)))
+    profiles = dict(zip(ids.tolist(), np.column_stack(values)))
+    if len(profiles) < len(ids):
+        unique, counts = np.unique(ids, return_counts=True)
+        raise ingest.IngestError(f"{path}: duplicate artist_id {unique[counts > 1][0]}")
+    return profiles
 
 
 def stage_ingest(ctx: Context) -> None:
@@ -595,14 +593,8 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.out:
-            cfg["out_dir"] = args.out
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed", "must be nonnegative")
-            cfg["seed"] = args.seed
-        if args.threads is not None and args.threads < 1:
+        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
+        if args.threads < 1:
             raise ConfigError("threads", "must be >= 1")
         ctx = Context(cfg, args.stage)
         ctx.out.mkdir(parents=True, exist_ok=True)

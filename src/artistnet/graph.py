@@ -65,14 +65,19 @@ class InfluenceGraph:
                     year_window_dropped: int = 0) -> InfluenceGraph:
         """Graph over ArtistNode records and edge columns in any order: ids,
         year differences and weights (NaN for none). Raises GraphError
-        naming the first edge, in input order, that is a self-loop, touches
-        an unknown node or repeats an earlier edge."""
+        naming the first node id that repeats an earlier one, else the first
+        edge that is a self-loop, touches an unknown node or repeats an
+        earlier edge, each in input order."""
         g = cls.__new__(cls)
         g._build(nodes, src, dst, year_diff, weight, self_loops_dropped, year_window_dropped)
         return g
 
     def _build(self, nodes, src, dst, year_diff, weight, self_loops_dropped, year_window_dropped):
-        self.nodes: dict[int, ArtistNode] = {n.id: n for n in nodes}
+        self.nodes: dict[int, ArtistNode] = {}
+        for n in nodes:
+            if n.id in self.nodes:
+                raise GraphError(f"duplicate node id {n.id}")
+            self.nodes[n.id] = n
         self.self_loops_dropped, self.year_window_dropped = self_loops_dropped, year_window_dropped
         self._id_array = ids = np.array(sorted(self.nodes), np.int64)
         src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)

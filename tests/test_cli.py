@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -288,6 +289,49 @@ def test_all_stages_on_adversarial_names_and_genres(tmp_path):
     assert {r["genre"] for r in tables["genre_year_means.csv"]} == {*ADVERSARIAL_GENRES, "__all__"}
 
 
+# The public song table's columns, in its order: names, ids, the features, release date and title.
+PUBLIC_SONG_COLUMNS = [
+    "artist_names", "artist_ids", "danceability", "energy", "valence", "tempo", "loudness", "mode",
+    "key", "acousticness", "instrumentalness", "liveness", "speechiness", "explicit", "duration_ms",
+    "popularity", "year", "release_date", "song_title (censored)"]
+
+
+def test_public_song_layout_gives_the_same_artifacts(tmp_path):
+    """The fixture's songs, some of them by two artists, in the public
+    19-column layout (names and titles holding commas, quotes and non-ASCII
+    text) give every artifact the 16-column layout gives."""
+    cfg_path = write_fixture(tmp_path)
+    songs = tmp_path / "songs.csv"
+    with songs.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for k, row in enumerate(rows[::3]):
+        row[0] = f"[{row[0][1:-1]}, {20 - k}]"
+    with songs.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    names = ["['Björk', 'Sly & the \"Family\" Stone']", "['Earth, Wind & Fire']", "['Motörhead']"]
+    titles = ['Don\'t Stop, "Believin\'"', "Ça plane pour moi", "Song, with a comma"]
+    public = tmp_path / "public"
+    public.mkdir()
+    with (public / "songs.csv").open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(PUBLIC_SONG_COLUMNS)
+        for k, row in enumerate(rows):
+            cells = dict(zip(header, row))
+            cells |= {"artist_names": names[k % 3], "release_date": f"{cells['year']}-01-0{k % 9 + 1}",
+                      "song_title (censored)": titles[k % 3]}
+            w.writerow([cells[c] for c in PUBLIC_SONG_COLUMNS])
+    public_cfg = public / "config.json"
+    public_cfg.write_text(cfg_path.read_text())
+    configure(public_cfg, songs_csv=str(public / "songs.csv"), out_dir=str(public / "out"))
+    run_all(cfg_path)
+    run_all(public_cfg)
+    out = tmp_path / "out"
+    assert sorted(p.name for p in (public / "out").iterdir()) == sorted(p.name for p in out.iterdir())
+    for path in out.iterdir():
+        if path.name != "manifest.json":
+            assert (public / "out" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_empty_weight_round_trips_and_blocks_decycling(tmp_path):
     nodes = [graph.ArtistNode(i, f"a{i}", "g", 1950) for i in range(3)]
     g = graph.InfluenceGraph(nodes, [graph.InfluenceEdge(1, 2, 1, 0.5), graph.InfluenceEdge(0, 1, 1, None)])
@@ -382,6 +426,24 @@ def assert_fails_leaving_nothing(cfg_path: Path, capsys, command: str) -> None:
     out = json.loads(cfg_path.read_text())["out_dir"]
     assert [name for name in stage.writes if (Path(out) / name).exists()] == []
     assert stage.name not in json.loads((Path(out) / "manifest.json").read_text())["stages"]
+
+
+@pytest.mark.parametrize("artifact, row, upstream, commands, message", [
+    ("nodes.csv", "5,someone else,jazz,1990", 2, ["centrality"], "duplicate node id 5"),
+    ("profiles_standardized.csv", "7" + ",0.0" * 13, 4, ["authenticity", "revolution"],
+     "{path}: duplicate artist_id 7"),
+])
+def test_repeated_id_in_an_artifact_is_a_data_error(tmp_path, capsys, artifact, row, upstream, commands,
+                                                    message):
+    cfg_path = write_fixture(tmp_path)
+    for argv in STAGES[:upstream]:
+        assert main(argv + ["--config", str(cfg_path)]) == 0, argv
+    path = tmp_path / "out" / artifact
+    path.write_text(path.read_text() + row + "\n")
+    for command in commands:
+        assert main([command, "--config", str(cfg_path)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert_fails_leaving_nothing(cfg_path, capsys, command)
 
 
 def test_no_graph_artist_has_a_profile(tmp_path, capsys):
@@ -773,6 +835,96 @@ class TestConfigErrors:
         cfg_path.write_text(json.dumps(data))
         assert main(["ingest", "--config", str(cfg_path)]) == 2
         assert "sampling.runs" in capsys.readouterr().err
+
+
+# The message of each config field's rule, as `error: config field '<name>': <message>` prints it.
+FIELD_MESSAGES = {
+    "influence_csv": "required path missing or not a string",
+    "songs_csv": "required path missing or not a string",
+    "out_dir": "required path missing or not a string",
+    "seed": "must be an integer >= 0",
+    "pca_k": "must be an integer in [1, 13]",
+    "uniqueness_cap": "must be an integer >= 2",
+    "sampling.samples_per_run": "must be an integer >= 1",
+    "sampling.runs": "must be an integer >= 1",
+    "authenticity.alpha": "must be a number in [0, 2]",
+    "authenticity.mode": "must be pair_mean or unbounded",
+    "elastic_net.lambda_grid": "must be a nonempty list of numbers >= 0",
+    "elastic_net.alpha_mix": "must be a number in [0, 1]",
+    "forest.trees": "must be an integer >= 1",
+    "forest.max_depth": "must be an integer >= 1",
+    "forest.split": "must be three fractions summing to <= 1",
+    "thresholds.genre_matrix_prune": "must be a number in [0, 1]",
+    "thresholds.periphery": "must be a number in [0, 1]",
+    "cluster.linkage": "must be average or ward",
+    "cluster.cut": "must be an integer >= 1",
+    "phrases_file": "must be a path string or null",
+    "bios_dir": "must be a path string or null",
+}
+
+# The defaults of every config field; a change to one must change this copy too.
+DEFAULTS = {
+    "influence_csv": None,
+    "songs_csv": None,
+    "out_dir": "out",
+    "seed": 0,
+    "pca_k": 9,
+    "uniqueness_cap": 500,
+    "sampling": {"samples_per_run": 2500, "runs": 20},
+    "authenticity": {"alpha": 0.8, "mode": "pair_mean"},
+    "elastic_net": {"lambda_grid": [0.001, 0.01, 0.1, 1.0], "alpha_mix": 0.5},
+    "forest": {"trees": 200, "max_depth": 8, "split": [0.10, 0.05, 0.05]},
+    "thresholds": {"genre_matrix_prune": 0.05, "periphery": 0.5},
+    "cluster": {"linkage": "average", "cut": 5},
+    "phrases_file": None,
+    "bios_dir": None,
+}
+
+
+def leaves(config: dict, prefix: str = "") -> list[str]:
+    """The dotted names of the non-object values of `config`, in order."""
+    return [name for key, value in config.items()
+            for name in (leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key])]
+
+
+class TestConfigFields:
+    def test_defaults(self):
+        assert cli.DEFAULT_CONFIG == DEFAULTS
+        assert leaves(cli.DEFAULT_CONFIG) == list(cli.FIELDS) == list(FIELD_MESSAGES)
+
+    @pytest.mark.parametrize("value", [True, {}], ids=["bool", "object"])
+    @pytest.mark.parametrize("name", list(FIELD_MESSAGES))
+    def test_wrong_typed_field_is_named(self, tmp_path, capsys, monkeypatch, name, value):
+        for var in ("ARTISTNET_INFLUENCE_CSV", "ARTISTNET_SONGS_CSV", "ARTISTNET_OUT_DIR"):
+            monkeypatch.delenv(var, raising=False)
+        cfg_path = write_fixture(tmp_path)
+        data = json.loads(cfg_path.read_text())
+        *sections, leaf = name.split(".")
+        functools.reduce(lambda d, k: d.setdefault(k, {}), sections, data)[leaf] = value
+        cfg_path.write_text(json.dumps(data))
+        assert main(["ingest", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config field '{name}': {FIELD_MESSAGES[name]}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, name", [(["--seed", "-1"], "seed"), (["--out", ""], "out_dir")])
+    def test_flag_is_checked_by_its_field_rule(self, tmp_path, capsys, flags, name):
+        cfg_path = write_fixture(tmp_path)
+        assert main(["ingest", "--config", str(cfg_path), *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config field '{name}': {FIELD_MESSAGES[name]}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("split", [[0.34, 0.56, 0.1], [0.33, 0.56, 0.11], [0.5, 0.25, 0.25]])
+    def test_split_summing_to_one_is_accepted(self, tmp_path, split):
+        cfg_path = write_fixture(tmp_path)
+        configure(cfg_path, forest={"split": split})
+        assert cli.load_config(str(cfg_path))["forest"]["split"] == split
+
+    @pytest.mark.parametrize("split", [[0.34, 0.56, 0.11], [0.5, 0.5, 1e-9]])
+    def test_split_over_one_is_refused(self, tmp_path, split):
+        cfg_path = write_fixture(tmp_path)
+        configure(cfg_path, forest={"split": split})
+        with pytest.raises(cli.ConfigError, match="'forest.split': must be three fractions summing to <= 1"):
+            cli.load_config(str(cfg_path))
 
 
 class TestOverrides:

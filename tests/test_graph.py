@@ -140,6 +140,16 @@ class TestValidation:
             InfluenceGraph(self.nodes, [InfluenceEdge(s, d, d - s, 0.5) for s, d in pairs])
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("records", [True, False], ids=["records", "arrays"])
+    def test_names_the_first_repeated_node_id(self, records):
+        nodes = self.nodes + [ArtistNode(3, "other", "h", 1960), ArtistNode(1, "a1", "g", 1950)]
+        with pytest.raises(GraphError) as err:
+            if records:
+                InfluenceGraph(nodes, [InfluenceEdge(1, 3, 2, 0.5)])
+            else:
+                InfluenceGraph.from_arrays(nodes, [1], [3], [2], [0.5])
+        assert str(err.value) == "duplicate node id 3"
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10))
     def test_matches_a_loop_over_the_edges(self, pairs):
