@@ -9,15 +9,15 @@ profiles and the genre-by-year feature means, each artist's genre taken
 from the influence table), and `graph build` builds the influence graph
 from the influence table itself.
 
-A stage reads and writes only through its `Context`, which records each
-file as the stage opens or writes it; after the stage the manifest
-(config snapshot, seed, SHA-256 of every input and output) is updated from
-those records, so it lists exactly what the stage read and wrote. Only the
-Context encodes artifacts: `write_table` writes a CSV table of Python
-scalars by `ingest.write_table`, `write_json` a value or result record by
-`ingest.json_text`, and `write_graph` and `write_scores` the tables that
-`load_graph` and `load_scores` read back (by `ingest.read_columns`, as
-numpy arrays). `read_text` and `read_json` read text and JSON inputs.
+A stage reads only through its `Context`, which records each file as the
+stage opens it, and writes nothing: it returns all of its artifacts,
+`{name: value}`. `main` refuses names that are not the stage's `writes`,
+then `write_artifacts`, the one encoder of artifacts, writes each by its
+name's suffix, and the manifest (config snapshot, seed, SHA-256 of every
+input and output) is updated. So a stage that fails writes nothing, and
+an earlier run's files stay as they were. Table rows are generators, made
+only while the table is written. `graph_tables` and `score_table` lay out
+the tables that `load_graph` and `load_scores` read back.
 
 The loaders `Context.load_influence`, `load_graph`, `load_profiles` and
 `load_scores` hand a later stage of the process what an earlier one typed
@@ -29,9 +29,10 @@ gains: a command line runs one stage per process.
 
 Exit codes: 0 success, 2 config error (including a config file that is
 not UTF-8 JSON, a configured input file or directory that does not exist,
-and an unknown config key), 3 data error (in an input, an artifact or the
-manifest: a bad or missing cell, text that is not UTF-8, JSON that does not
-parse), 4 missing upstream artifact.
+an out_dir that cannot be a directory, and an unknown config key), 3 data
+error (in an input, an artifact or the manifest: a bad or missing cell,
+text that is not UTF-8, JSON that does not parse), 4 missing upstream
+artifact.
 """
 
 from __future__ import annotations
@@ -167,14 +168,13 @@ def load_config(path: str, **overrides) -> dict:
 
 
 class Context:
-    """One stage's access to the run: the config, the files it reads and
-    the artifacts it writes, each recorded for the manifest as it goes."""
+    """One stage's access to the run: the config and the files it reads,
+    each recorded for the manifest as the stage opens it."""
 
-    def __init__(self, cfg: dict, stage: Stage):
-        self.cfg, self.stage = cfg, stage
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
         self.out = Path(cfg["out_dir"])
         self.inputs: list[Path] = []
-        self.outputs: list[Path] = []
         self.digests: dict[Path, str] = {}
 
     def read(self, name: str | Path) -> Path:
@@ -197,36 +197,6 @@ class Context:
         if path.is_file():
             self.inputs.append(path)
         return path
-
-    def write(self, name: str) -> Path:
-        """Path of artifact `name`, one of the stage's declared `writes`."""
-        if name not in self.stage.writes:
-            raise RuntimeError(f"stage {self.stage.command} does not declare {name} in its writes")
-        path = self.out / name
-        self.outputs.append(path)
-        return path
-
-    def write_text(self, name: str, text: str) -> None:
-        self.write(name).write_text(text, encoding="utf-8")
-
-    def write_json(self, name: str, obj) -> None:
-        self.write_text(name, ingest.json_text(obj))
-
-    def write_table(self, name: str, header, rows) -> None:
-        """Artifact `name`: column names `header`, then `rows` of Python scalars."""
-        ingest.write_table(self.write(name), header, rows)
-
-    def write_graph(self, g: graph.InfluenceGraph) -> None:
-        """nodes.csv and edges.csv of `g`, as `load_graph` reads them."""
-        self.write_table("nodes.csv", NODE_COLUMNS,
-                         ([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items())))
-        self.write_table("edges.csv", EDGE_COLUMNS, g.edge_rows())
-
-    def write_scores(self, g: graph.InfluenceGraph, scores) -> None:
-        """centrality.csv: each of `scores` in order, its fields with the
-        node's name and genre in `g` after its id, as `load_scores` reads it."""
-        self.write_table("centrality.csv", SCORE_COLUMNS, (
-            [i, g.nodes[i].name, g.nodes[i].genre, *rest] for i, *rest in (vars(s).values() for s in scores)))
 
     def read_text(self, name: str | Path) -> str:
         """The text of input `name` (see `read`), which must be UTF-8."""
@@ -279,6 +249,31 @@ EDGE_COLUMNS = {"from": int, "to": int, "year_diff": int, "weight": ingest.optio
 SCORE_COLUMNS = {"node_id": int, "name": str, "genre": str, "lc": float, "sc": float, "gc": float,
                  "ni": float, "rank_ni": int, "first_order": int, "second_order": int, "total_reach": int}
 
+
+def graph_tables(g: graph.InfluenceGraph) -> dict:
+    """nodes.csv and edges.csv of `g`, as `Context.load_graph` reads them."""
+    nodes = ([i, n.name, n.genre, n.active_start] for i, n in sorted(g.nodes.items()))
+    return {"nodes.csv": (NODE_COLUMNS, nodes), "edges.csv": (EDGE_COLUMNS, g.edge_rows())}
+
+
+def score_table(g: graph.InfluenceGraph, scores) -> tuple:
+    """centrality.csv: each of `scores` in order, its fields with the node's
+    name and genre in `g` after its id, as `Context.load_scores` reads it."""
+    return SCORE_COLUMNS, ([i, g.nodes[i].name, g.nodes[i].genre, *rest]
+                           for i, *rest in (vars(s).values() for s in scores))
+
+
+def write_artifacts(out: Path, artifacts: dict) -> None:
+    """Write each artifact into `out`, encoded by its name's suffix: a .csv
+    value is (header, rows of Python scalars) for `ingest.write_table`, a
+    .json value goes through `ingest.json_text`, any other value is text."""
+    for name, value in artifacts.items():
+        if name.endswith(".csv"):
+            ingest.write_table(out / name, *value)
+        else:
+            (out / name).write_text(ingest.json_text(value) if name.endswith(".json") else value, encoding="utf-8")
+
+
 # What `Context._memo` loaded in this process: input names -> (key, value),
 # the key the SHA-256 of each file read and the loader's arguments.
 _MEMO: dict[tuple, tuple] = {}
@@ -311,17 +306,17 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _update_manifest(ctx: Context, manifest: dict) -> None:
+def _update_manifest(ctx: Context, stage: Stage, manifest: dict) -> None:
     """Record the stage's run in `manifest` and write it to out_dir."""
     manifest.setdefault("stages", {})
     manifest["config_snapshot"] = ctx.cfg
-    manifest["stages"][ctx.stage.name] = {
+    manifest["stages"][stage.name] = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": ctx.cfg["seed"],
         "inputs": {str(p): ctx.digest(p) for p in sorted(ctx.inputs)},
-        "outputs": {p.name: ctx.digest(p) for p in sorted(ctx.outputs)},
+        "outputs": {name: ctx.digest(ctx.out / name) for name in sorted(stage.writes)},
     }
-    (ctx.out / "manifest.json").write_text(ingest.json_text(manifest), encoding="utf-8")
+    write_artifacts(ctx.out, {"manifest.json": manifest})
 
 
 # ---------------------------------------------------------------------------
@@ -343,65 +338,60 @@ def _read_profiles(path: Path, width: int) -> dict[int, np.ndarray]:
     return profiles
 
 
-def stage_ingest(ctx: Context) -> None:
+def _profile_table(ids, vectors, width: int) -> tuple:
+    """A profile table of `width` columns: each id with its vector (a numpy
+    row), as `_read_profiles` reads it."""
+    return _profile_header(width), ([i, *v.tolist()] for i, v in zip(ids, vectors))
+
+
+def stage_ingest(ctx: Context) -> dict:
     ctx.read("influence_csv")  # checked before songs_csv
     songs_path = ctx.read("songs_csv")
     artists, _, _ = ctx.load_influence()
     genres = {a: genre for a, (_, genre, _) in artists.items()}  # as nodes.csv records them
     songs, report = ingest.load_songs(songs_path, known_artist_ids=genres)
     profiles = ingest.build_artist_profiles(songs)
-    ctx.write_json("cleaning_report.json", report)
-    ctx.write_table("artist_profiles.csv", _profile_header(len(ingest.FEATURES)),
-                    ([a, *p.tolist()] for a, p in profiles.items()))
-    ctx.write_table("genre_year_means.csv", genre.YEAR_MEANS_COLUMNS, genre.genre_year_means(songs, genres))
+    return {"cleaning_report.json": report,
+            "artist_profiles.csv": _profile_table(profiles, profiles.values(), len(ingest.FEATURES)),
+            "genre_year_means.csv": (genre.YEAR_MEANS_COLUMNS, genre.genre_year_means(songs, genres))}
 
 
-def stage_graph_build(ctx: Context) -> None:
+def stage_graph_build(ctx: Context) -> dict:
     g = graph.build_graph(*ctx.load_influence())
     dag, removed = graph.remove_cycles(g)
-    ctx.write_graph(dag)
-    ctx.write_table("removed_edges.csv", EDGE_COLUMNS, ([e.src, e.dst, e.year_diff, e.weight] for e in removed))
-    ctx.write_text("graph.dot", graph.export_dot(dag))
-    ctx.write_json("graph_summary.json", {
-        "nodes": dag.n_nodes,
-        "edges": dag.n_edges,
-        "edges_dropped_year_window": dag.year_window_dropped,
-        "edges_removed_in_decycle": len(removed),
-        "self_loops_dropped": dag.self_loops_dropped,
-    })
+    return graph_tables(dag) | {
+        "removed_edges.csv": (EDGE_COLUMNS, ([e.src, e.dst, e.year_diff, e.weight] for e in removed)),
+        "graph.dot": graph.export_dot(dag),
+        "graph_summary.json": {"nodes": dag.n_nodes, "edges": dag.n_edges,
+                               "edges_dropped_year_window": dag.year_window_dropped,
+                               "edges_removed_in_decycle": len(removed),
+                               "self_loops_dropped": dag.self_loops_dropped},
+    }
 
 
-def stage_centrality(ctx: Context) -> None:
+def stage_centrality(ctx: Context) -> dict:
     g = ctx.load_graph()
     scores = centrality.node_influence(g)
-    correlation = centrality.year_diff_centrality_correlation(g, scores)
-    ctx.write_scores(g, scores)
-    ctx.write_json("year_diff_correlation.json", correlation)
+    return {"centrality.csv": score_table(g, scores),
+            "year_diff_correlation.json": centrality.year_diff_centrality_correlation(g, scores)}
 
 
-def stage_similarity(ctx: Context) -> None:
+def stage_similarity(ctx: Context) -> dict:
     raw = _read_profiles(ctx.read("artist_profiles.csv"), len(ingest.FEATURES))  # not held: no later stage reads it
     ids = sorted(raw)
     X = np.array([raw[i] for i in ids])
     std = simvec.standardize(X)
     model = simvec.fit_pca(std.vectors, ctx.cfg["pca_k"], means=std.means, stdevs=std.stdevs)
     projected = simvec.project(model, std.vectors)
-    ctx.write_json("pca_model.json", model)
-    ctx.write_table("profiles_standardized.csv", _profile_header(X.shape[1]),
-                    ([i, *v] for i, v in zip(ids, std.vectors.tolist())))
-    ctx.write_table("profiles_projected.csv", _profile_header(ctx.cfg["pca_k"]),
-                    ([i, *v] for i, v in zip(ids, projected.tolist())))
     cap = min(ctx.cfg["uniqueness_cap"], len(ids))
-    sample = projected[:cap]
-    uniq = {
-        metric: simvec.uniqueness(sample, metric)
-        for metric in ("euclidean", "cosine", "tss")
-    }
-    uniq["n_vectors"] = cap
-    ctx.write_json("uniqueness.json", uniq)
+    uniq = {metric: simvec.uniqueness(projected[:cap], metric) for metric in ("euclidean", "cosine", "tss")}
+    return {"pca_model.json": model,
+            "profiles_standardized.csv": _profile_table(ids, std.vectors, X.shape[1]),
+            "profiles_projected.csv": _profile_table(ids, projected, ctx.cfg["pca_k"]),
+            "uniqueness.json": uniq | {"n_vectors": cap}}
 
 
-def stage_genre(ctx: Context) -> None:
+def stage_genre(ctx: Context) -> dict:
     cfg = ctx.cfg
     g = ctx.load_graph()
     projected = ctx.load_profiles("profiles_projected.csv", cfg["pca_k"])
@@ -410,26 +400,28 @@ def stage_genre(ctx: Context) -> None:
     genres = {i: n.genre for i, n in g.nodes.items()}
 
     sample_cfg = genre.SamplingConfig(**cfg["sampling"], seed=cfg["seed"])
-    sim_profiles = {i: v for i, v in projected.items() if i in genres}
-    ctx.write_json("genre_similarity_sampling.json", genre.sample_similarity(sim_profiles, genres, sample_cfg))
-    ctx.write_json("genre_influence_sampling.json", genre.sample_influence(g, scores, genres, sample_cfg))
-
-    cluster_profiles = {i: v for i, v in standardized.items() if i in genres}
-    dendro = genre.cluster_genres(cluster_profiles, genres, linkage=cfg["cluster"]["linkage"])
-    ctx.write_json("dendrogram.json", dendro)
-    ctx.write_text("dendrogram.newick", dendro.to_newick() + "\n")
-    cut_k = min(cfg["cluster"]["cut"], len(dendro.leaves))
-    flat = dendro.flat_cut(cut_k)
-    ctx.write_table("genre_clusters.csv", ["genre", "cluster"], sorted(flat.items()))
+    similarity = genre.sample_similarity({i: v for i, v in projected.items() if i in genres}, genres, sample_cfg)
+    influence = genre.sample_influence(g, scores, sample_cfg)
+    dendro = genre.cluster_genres({i: v for i, v in standardized.items() if i in genres}, genres,
+                                  linkage=cfg["cluster"]["linkage"])
+    flat = dendro.flat_cut(min(cfg["cluster"]["cut"], len(dendro.leaves)))
     debut = genre.debut_counts(g)
-    ctx.write_table("debut_counts.csv", ["genre", "year", "count"],
-                    ([gname, year, count] for (gname, year), count in sorted(debut.items())))
-    cross, selfp = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])
-    ctx.write_table("genre_influence_matrix.csv", ["from_genre", "to_genre", "weight", "self_pair"],
-                    [[gm, gn, w, 0] for gm, gn, w in cross] + [[gm, gn, w, 1] for gm, gn, w in selfp])
+    pairs = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])  # (cross, self)
+    return {
+        "genre_similarity_sampling.json": similarity,
+        "genre_influence_sampling.json": influence,
+        "dendrogram.json": dendro,
+        "dendrogram.newick": dendro.to_newick() + "\n",
+        "genre_clusters.csv": (["genre", "cluster"], sorted(flat.items())),
+        "debut_counts.csv": (["genre", "year", "count"],
+                             ([gname, year, count] for (gname, year), count in sorted(debut.items()))),
+        "genre_influence_matrix.csv": (["from_genre", "to_genre", "weight", "self_pair"],
+                                       ([gm, gn, w, self_pair] for self_pair, rows in enumerate(pairs)
+                                        for gm, gn, w in rows)),
+    }
 
 
-def stage_authenticity(ctx: Context) -> None:
+def stage_authenticity(ctx: Context) -> dict:
     cfg = ctx.cfg
     g = ctx.load_graph()
     projected = ctx.load_profiles("profiles_projected.csv", cfg["pca_k"])
@@ -443,15 +435,15 @@ def stage_authenticity(ctx: Context) -> None:
     y = np.array([ni[i] for i in ids])
     fit = authrev.elastic_net_grid(X, y, **cfg["elastic_net"])
 
-    ctx.write_table("authenticity.csv", ["node_id", "ad", "extreme", "stdev"],
-                    ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores))
-    ctx.write_json("authenticity_summary.json", summary)
-    ctx.write_json("elastic_net.json", {"intercept": fit.intercept, "coefficients": fit.coefficients,
-                                        "lambda": fit.lam, "alpha_mix": fit.alpha_mix,
-                                        "iterations": fit.iterations, "converged": fit.converged})
+    return {"authenticity.csv": (["node_id", "ad", "extreme", "stdev"],
+                                 ([s.node_id, s.ad, int(s.extreme), s.stdev] for s in auth_scores)),
+            "authenticity_summary.json": summary,
+            "elastic_net.json": {"intercept": fit.intercept, "coefficients": fit.coefficients,
+                                 "lambda": fit.lam, "alpha_mix": fit.alpha_mix,
+                                 "iterations": fit.iterations, "converged": fit.converged}}
 
 
-def stage_revolution(ctx: Context) -> None:
+def stage_revolution(ctx: Context) -> dict:
     cfg = ctx.cfg
     g = ctx.load_graph()
     scores = ctx.load_scores()
@@ -471,9 +463,6 @@ def stage_revolution(ctx: Context) -> None:
         keyword_ids, _missing = authrev.semantic_match(phrases, bios)
 
     labels = authrev.label_revolutionaries(scores, periphery, keyword_ids, cfg["thresholds"]["periphery"])
-    ctx.write_table("revolution_labels.csv", ["node_id", "label", "evidence"],
-                    ([l.node_id, l.label, "|".join(l.evidence)]
-                     for l in sorted(labels, key=lambda l: l.node_id)))
 
     # Forest over labeled nodes in a seeded, class-stratified order of their
     # influence ranks, so that every slice keeps the class mix; skipped
@@ -487,10 +476,14 @@ def stage_revolution(ctx: Context) -> None:
         X = np.array([standardized[l.node_id] for l in rows])
         y = np.array([l.label for l in rows])
         model = authrev.forest_train(X, y, **cfg["forest"], seed=cfg["seed"])
-        ctx.write_json("forest_model.json", {**vars(model), "n_trees": len(model.trees),
-                                             "trees": [t.root for t in model.trees], "trained": True})
+        forest = {**vars(model), "n_trees": len(model.trees), "trees": [t.root for t in model.trees],
+                  "trained": True}
     except authrev.AuthRevError as exc:
-        ctx.write_json("forest_model.json", {"trained": False, "reason": str(exc)})
+        forest = {"trained": False, "reason": str(exc)}
+    return {"revolution_labels.csv": (["node_id", "label", "evidence"],
+                                      ([l.node_id, l.label, "|".join(l.evidence)]
+                                       for l in sorted(labels, key=lambda l: l.node_id))),
+            "forest_model.json": forest}
 
 
 def _stratified_order(labels: list[str], seed: int) -> list[int]:
@@ -519,20 +512,20 @@ REPORT_PIECES = {
 REVOLUTION_LABELS = ("major", "non_major", "unlabeled")
 
 
-def stage_report(ctx: Context) -> None:
+def stage_report(ctx: Context) -> dict:
     report = {key: ctx.read_json(name) for name, key in REPORT_PIECES.items()}
     labels, = ingest.read_columns(ctx.read("revolution_labels.csv"), {"label": REVOLUTION_LABELS.index})
     report["revolution_label_counts"] = {l: labels.count(k) for k, l in enumerate(REVOLUTION_LABELS)}
     forest = ctx.read_json("forest_model.json")
     forest.pop("trees", None)  # summaries only in the bundle
     report["forest"] = forest
-    ctx.write_json("report.json", report)
+    return {"report.json": report}
 
 
 @dataclass(frozen=True)
 class Stage:
     command: str  # the words after `artistnet`
-    fn: Callable[[Context], None]
+    fn: Callable[[Context], dict]  # the stage's work: {artifact name: value}, see `write_artifacts`
     writes: tuple[str, ...]  # every artifact the stage writes, on every run
 
     @property
@@ -592,15 +585,23 @@ def _fail(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stage = args.stage
     try:
         cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
         if args.threads < 1:
             raise ConfigError("threads", "must be >= 1")
-        ctx = Context(cfg, args.stage)
-        ctx.out.mkdir(parents=True, exist_ok=True)
+        ctx = Context(cfg)
+        try:
+            ctx.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir", f"cannot make directory {ctx.out} ({exc.strerror})")
         manifest = _read_manifest(ctx.out / "manifest.json")
-        args.stage.fn(ctx)
-        _update_manifest(ctx, manifest)
+        artifacts = stage.fn(ctx)
+        if sorted(artifacts) != sorted(stage.writes):
+            raise RuntimeError(f"stage {stage.command} returned {sorted(artifacts)}, "
+                               f"not its writes {sorted(stage.writes)}")
+        write_artifacts(ctx.out, artifacts)
+        _update_manifest(ctx, stage, manifest)
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except DependencyError as exc:

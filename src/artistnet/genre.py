@@ -126,8 +126,7 @@ def influence_proximity(rank_q: int, rank_p: int) -> float:
     return 1.0 / (1.0 + abs(rank_q - rank_p))
 
 
-def sample_influence(g: InfluenceGraph, scores, genres: dict[int, str],
-                     cfg: SamplingConfig) -> GenreSamplingReport:
+def sample_influence(g: InfluenceGraph, scores, cfg: SamplingConfig) -> GenreSamplingReport:
     """Like sample_similarity but accumulating rank-proximity (IP) rather
     than TSS over the edges, one `integers` call per side and run.
 
@@ -136,9 +135,8 @@ def sample_influence(g: InfluenceGraph, scores, genres: dict[int, str],
     mean(WIP) > mean(TIP).
     """
     rank = {s.node_id: s.rank_ni for s in scores}
-    code: dict[str | None, int] = {}  # each genre's number
-    scored, rank_of, genre_of = np.array([(i in rank, rank.get(i, 0), code.setdefault(genres.get(i), len(code)))
-                                          for i in g.node_ids()], np.int64).reshape(-1, 3).T
+    scored, rank_of = np.array([(i in rank, rank.get(i, 0)) for i in g.node_ids()], np.int64).reshape(-1, 2).T
+    _, genre_of = genre_codes(g)
     keep = (scored[g.src] & scored[g.indices]).astype(bool)
     s, d = g.src[keep], g.indices[keep]  # dense ends of the edges, ascending by (src, dst)
     ips = influence_proximity(rank_of[s], rank_of[d])

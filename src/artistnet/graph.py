@@ -112,9 +112,9 @@ class InfluenceGraph:
 
     def edge_rows(self):
         """(src id, dst id, year_diff, weight or None) of each edge,
-        ascending by (src, dst)."""
+        ascending by (src, dst); the lists are made at the first row."""
         ids = self._id_array
-        return zip(ids[self.src].tolist(), ids[self.indices].tolist(), self.year_diff.tolist(),
+        yield from zip(ids[self.src].tolist(), ids[self.indices].tolist(), self.year_diff.tolist(),
                    [None if math.isnan(w) else w for w in self.weight.tolist()])
 
     def _with_edges(self, nodes, keep: np.ndarray, *dropped) -> InfluenceGraph:

@@ -3,8 +3,8 @@ artifact codec: `write_table` and `read_columns` for every table (the
 reader types a table with numpy's text reader a block at a time, reading a
 table numpy rejects with the csv module, `read_numbered`), and `json_text`
 for every JSON file, which encodes a dataclass by its fields and an ndarray
-as a list. Only `cli.Context` calls the two encoders; the analysis modules
-return values and records. Cleaned songs are one `SongTable`, held in
+as a list. Only `cli.write_artifacts` calls the two encoders; the analysis
+modules return values and records. Cleaned songs are one `SongTable`, held in
 memory only: the `ingest` stage writes what is read off it (artist
 profiles and genre-by-year feature means)."""
 

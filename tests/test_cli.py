@@ -2,15 +2,17 @@ import csv
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import stage_context
 from oracles import artist_id_tuples, edges_of, reference_genre_feature_trend
 
-from artistnet import centrality, genre, graph, ingest
+from artistnet import centrality, genre, graph, ingest, simvec
 from artistnet import cli
 from artistnet.cli import main
 
@@ -93,7 +95,7 @@ STAGES = [
 
 def reader(out: Path) -> cli.Context:
     """A context over `out`, reading artifacts back as the stages do."""
-    return cli.Context({"out_dir": str(out)}, None)
+    return cli.Context({"out_dir": str(out)})
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -244,12 +246,12 @@ def test_graph_artifacts_round_trip_awkward_names(tmp_path):
     nodes = [graph.ArtistNode(i, name, f"genre, {name}", 1950 + i) for i, name in enumerate(names)]
     edges = [graph.InfluenceEdge(0, 1, 1, 0.5), graph.InfluenceEdge(1, 2, 1, 0.25)]
     g = graph.InfluenceGraph(nodes, edges)
-    stage_context(tmp_path, "graph build").write_graph(g)
+    cli.write_artifacts(tmp_path, cli.graph_tables(g))
     back = reader(tmp_path).load_graph()
     assert back.nodes == g.nodes
     assert edges_of(back) == edges_of(g)
     scores = centrality.node_influence(g)
-    stage_context(tmp_path, "centrality").write_scores(g, scores)
+    cli.write_artifacts(tmp_path, {"centrality.csv": cli.score_table(g, scores)})
     assert reader(tmp_path).load_scores() == tuple(scores)
     with open(tmp_path / "centrality.csv", newline="", encoding="utf-8") as fh:
         assert {r["name"] for r in csv.DictReader(fh)} == set(names)
@@ -335,11 +337,11 @@ def test_public_song_layout_gives_the_same_artifacts(tmp_path):
 def test_empty_weight_round_trips_and_blocks_decycling(tmp_path):
     nodes = [graph.ArtistNode(i, f"a{i}", "g", 1950) for i in range(3)]
     g = graph.InfluenceGraph(nodes, [graph.InfluenceEdge(1, 2, 1, 0.5), graph.InfluenceEdge(0, 1, 1, None)])
-    stage_context(tmp_path, "graph build").write_graph(g)
+    cli.write_artifacts(tmp_path, cli.graph_tables(g))
     text = (tmp_path / "edges.csv").read_text(encoding="utf-8")
     assert text == "from,to,year_diff,weight\n0,1,1,\n1,2,1,0.5\n"
     back = reader(tmp_path).load_graph()
-    stage_context(tmp_path, "graph build").write_graph(back)
+    cli.write_artifacts(tmp_path, cli.graph_tables(back))
     assert (tmp_path / "edges.csv").read_text(encoding="utf-8") == text
     with pytest.raises(graph.GraphError, match="requires normalized weights"):
         graph.remove_cycles(back)
@@ -426,6 +428,47 @@ def assert_fails_leaving_nothing(cfg_path: Path, capsys, command: str) -> None:
     out = json.loads(cfg_path.read_text())["out_dir"]
     assert [name for name in stage.writes if (Path(out) / name).exists()] == []
     assert stage.name not in json.loads((Path(out) / "manifest.json").read_text())["stages"]
+
+
+# A kernel each stage calls after it has computed most of its artifacts.
+LATE_KERNELS = [
+    ("ingest", genre, "genre_year_means", ["graph build"]),
+    ("graph build", graph, "export_dot", ["ingest"]),
+    ("similarity", simvec, "uniqueness", ["ingest"]),
+    ("genre", genre, "genre_influence_matrix", ["ingest", "graph build", "centrality", "similarity"]),
+    ("revolution", cli, "_stratified_order", [s.command for s in cli.STAGES[:6]]),
+]
+
+
+def fail_late(monkeypatch, module, kernel: str) -> None:
+    def late(*args, **kwargs):
+        raise ingest.IngestError(f"{kernel} failed")
+    monkeypatch.setattr(module, kernel, late)
+
+
+@pytest.mark.parametrize("command, module, kernel, upstream", LATE_KERNELS, ids=[c[0] for c in LATE_KERNELS])
+def test_failed_stage_writes_nothing(tmp_path, capsys, monkeypatch, command, module, kernel, upstream):
+    cfg_path = write_fixture(tmp_path)
+    for argv in upstream:
+        assert main(argv.split() + ["--config", str(cfg_path)]) == 0, argv
+    fail_late(monkeypatch, module, kernel)
+    assert_fails_leaving_nothing(cfg_path, capsys, command)
+
+
+@pytest.mark.parametrize("command, module, kernel, upstream", LATE_KERNELS, ids=[c[0] for c in LATE_KERNELS])
+def test_failed_rerun_keeps_the_earlier_run(tmp_path, capsys, monkeypatch, command, module, kernel, upstream):
+    """Every artifact and the manifest stay as the earlier run left them
+    (the stage's own artifacts marked, so that a rewrite shows)."""
+    cfg_path = write_fixture(tmp_path)
+    run_all(cfg_path)
+    out = tmp_path / "out"
+    for name in next(s for s in cli.STAGES if s.command == command).writes:
+        (out / name).write_text(f"{name} of the earlier run\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    fail_late(monkeypatch, module, kernel)
+    assert main(command.split() + ["--config", str(cfg_path)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {kernel} failed\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("artifact, row, upstream, commands, message", [
@@ -705,11 +748,21 @@ class TestManifest:
         for stage in cli.STAGES:
             assert sorted(stages[stage.name]["outputs"]) == sorted(stage.writes), stage.command
 
-    def test_undeclared_write_raises(self, tmp_path):
-        ctx = cli.Context({"out_dir": str(tmp_path)}, cli.STAGES[0])
-        with pytest.raises(RuntimeError, match="nodes.csv"):
-            ctx.write("nodes.csv")
-        assert ctx.outputs == []
+    @pytest.mark.parametrize("change", ["undeclared", "missing"])
+    def test_stage_returning_other_than_its_writes_raises(self, tmp_path, monkeypatch, change):
+        """`main` refuses a stage whose returned artifacts are not its
+        declared writes, before anything is written."""
+        cfg_path = write_fixture(tmp_path)
+        stage = cli.STAGES[0]
+        work = stage.fn
+        returned = {
+            "undeclared": lambda ctx: work(ctx) | {"nodes.csv": (cli.NODE_COLUMNS, [])},
+            "missing": lambda ctx: {k: v for k, v in work(ctx).items() if k != "genre_year_means.csv"},
+        }
+        monkeypatch.setitem(vars(stage), "fn", returned[change])
+        with pytest.raises(RuntimeError, match="stage ingest returned .* not its writes"):
+            main(["ingest", "--config", str(cfg_path)])
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestDependencies:
@@ -913,6 +966,16 @@ class TestConfigFields:
         assert capsys.readouterr().err == f"error: config field '{name}': {FIELD_MESSAGES[name]}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")])
+    def test_out_dir_that_cannot_be_a_directory(self, tmp_path, capsys, sub, reason):
+        """--out naming a file, or a path below a file: one line, exit 2."""
+        cfg_path = write_fixture(tmp_path)
+        (tmp_path / "file").write_text("not a directory")
+        out = tmp_path / "file" / sub
+        assert main(["ingest", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config field 'out_dir': cannot make directory {out} ({reason})\n")
+
     @pytest.mark.parametrize("split", [[0.34, 0.56, 0.1], [0.33, 0.56, 0.11], [0.5, 0.25, 0.25]])
     def test_split_summing_to_one_is_accepted(self, tmp_path, split):
         cfg_path = write_fixture(tmp_path)
@@ -925,6 +988,17 @@ class TestConfigFields:
         configure(cfg_path, forest={"split": split})
         with pytest.raises(cli.ConfigError, match="'forest.split': must be three fractions summing to <= 1"):
             cli.load_config(str(cfg_path))
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    """`python -m artistnet.cli` exits with `main`'s code: a missing config
+    file exits 2 with one line."""
+    missing = tmp_path / "missing.json"
+    done = subprocess.run([sys.executable, "-m", "artistnet.cli", "ingest", "--config", str(missing)],
+                          env=os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == cli.EXIT_CONFIG
+    assert done.stderr == f"error: config field '<file>': config file not found: {missing}\n"
 
 
 class TestOverrides:
@@ -987,7 +1061,7 @@ class TestMemo:
     def test_memoized_values_are_read_only(self, tmp_path):
         cfg_path = write_fixture(tmp_path)
         run_all(cfg_path)
-        ctx = cli.Context(cli.load_config(str(cfg_path)), None)
+        ctx = cli.Context(cli.load_config(str(cfg_path)))
         g = ctx.load_graph()
         assert reader(tmp_path / "out").load_graph() is g  # held from the stages
         _, src, dst = ctx.load_influence()

@@ -158,14 +158,14 @@ class TestSampleInfluence:
         g = make_graph(4, [(0, 1, 0.5), (2, 3, 0.5), (0, 2, 0.5), (1, 3, 0.5)], genres)
         scores = scores_with_ranks({0: 1, 1: 2, 2: 3, 3: 4})
         # same-genre edges (0,1) and (2,3) both join consecutive ranks
-        report = sample_influence(g, scores, genres, SamplingConfig(10, 2, seed=5))
+        report = sample_influence(g, scores, SamplingConfig(10, 2, seed=5))
         assert report.within_totals == [5.0, 5.0]
 
     def test_no_cross_genre_edges_flagged(self):
         genres = {0: "a", 1: "a"}
         g = make_graph(2, [(0, 1, 0.5)], genres)
         scores = scores_with_ranks({0: 1, 1: 2})
-        report = sample_influence(g, scores, genres, SamplingConfig(5, 2, seed=0))
+        report = sample_influence(g, scores, SamplingConfig(5, 2, seed=0))
         assert report.between_totals == [0.0, 0.0]
         assert report.flagged_runs == [0, 1]
 
@@ -177,7 +177,7 @@ class TestSampleInfluence:
         g = make_graph(10, edges, genres)
         scores = scores_with_ranks({i: i + 1 for i in range(10)})
         cfg = SamplingConfig(25, 3, seed=123)
-        report = sample_influence(g, scores, genres, cfg)
+        report = sample_influence(g, scores, cfg)
 
         # independent replay of the documented sampling procedure
         rank = {s.node_id: s.rank_ni for s in scores}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_rows, make_graph, random_digraph, stage_context
+from conftest import graph_from_rows, make_graph, random_digraph
 from oracles import (brute_reachable, brute_second_order, edges_of, rank, reference_bfs_distances,
                      reference_graph_build, reference_load_influence, reference_rank_suffix_decycle,
                      reference_remove_cycles, to_nx)
@@ -437,7 +437,7 @@ class TestTarjanScc:
 
 def exported(tmp_path, g) -> dict[str, str]:
     """The exact text of nodes.csv and edges.csv as `graph build` writes them for `g`."""
-    stage_context(tmp_path, "graph build").write_graph(g)
+    cli.write_artifacts(tmp_path, cli.graph_tables(g))
     return {name: (tmp_path / name).read_bytes().decode("utf-8") for name in ("nodes.csv", "edges.csv")}
 
 
