@@ -13,11 +13,12 @@ A stage reads only through its `Context`, which records each file as the
 stage opens it, and writes nothing: it returns all of its artifacts,
 `{name: value}`. `main` refuses names that are not the stage's `writes`,
 then `write_artifacts`, the one encoder of artifacts, writes each by its
-name's suffix, and the manifest (config snapshot, seed, SHA-256 of every
-input and output) is updated. So a stage that fails writes nothing, and
-an earlier run's files stay as they were. Table rows are generators, made
-only while the table is written. `graph_tables` and `score_table` lay out
-the tables that `load_graph` and `load_scores` read back.
+name's suffix and then the manifest (config snapshot, seed, SHA-256 of
+every input and output), each moved into place once all are written. So
+a stage that fails, or a write that fails, leaves an earlier run's files
+as they were. Table rows are iterators, made only while the table is
+written. `graph_tables` and `score_table` lay out the tables that
+`load_graph` and `load_scores` read back.
 
 The loaders `Context.load_influence`, `load_graph`, `load_profiles` and
 `load_scores` hand a later stage of the process what an earlier one typed
@@ -29,10 +30,10 @@ gains: a command line runs one stage per process.
 
 Exit codes: 0 success, 2 config error (including a config file that is
 not UTF-8 JSON, a configured input file or directory that does not exist,
-an out_dir that cannot be a directory, and an unknown config key), 3 data
-error (in an input, an artifact or the manifest: a bad or missing cell,
-text that is not UTF-8, JSON that does not parse), 4 missing upstream
-artifact.
+an out_dir that cannot be a directory or written to, and an unknown config
+key), 3 data error (in an input, an artifact or the manifest: a bad or
+missing cell, text that is not UTF-8, JSON that does not parse), 4
+missing upstream artifact.
 """
 
 from __future__ import annotations
@@ -266,12 +267,28 @@ def score_table(g: graph.InfluenceGraph, scores) -> tuple:
 def write_artifacts(out: Path, artifacts: dict) -> None:
     """Write each artifact into `out`, encoded by its name's suffix: a .csv
     value is (header, rows of Python scalars) for `ingest.write_table`, a
-    .json value goes through `ingest.json_text`, any other value is text."""
-    for name, value in artifacts.items():
-        if name.endswith(".csv"):
-            ingest.write_table(out / name, *value)
-        else:
-            (out / name).write_text(ingest.json_text(value) if name.endswith(".json") else value, encoding="utf-8")
+    .json value goes through `ingest.json_text`, any other value is text; a
+    callable (the manifest's) is called with {name: file} of those written.
+    Files move into place from temporaries in `out` after the last is
+    written, so an OSError (a config error) leaves `out` as it was."""
+    temps: dict[str, Path] = {}
+    try:
+        for name, value in artifacts.items():
+            temps[name] = out / f".{name}.tmp"
+            if (out / name).is_dir():  # os.replace would refuse it, but only after others had moved
+                raise IsADirectoryError(None, "Is a directory")
+            value = value(temps) if callable(value) else value
+            if name.endswith(".csv"):
+                ingest.write_table(temps[name], *value)
+            else:
+                temps[name].write_text(ingest.json_text(value) if name.endswith(".json") else value, encoding="utf-8")
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot write {out / name} ({exc.strerror})") from None
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)  # a temporary left by a failed write
 
 
 # What `Context._memo` loaded in this process: input names -> (key, value),
@@ -298,25 +315,24 @@ def _read_json(path: Path):
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest at `path`, empty if there is none yet; one that does not
-    parse as a JSON object is a data error naming it."""
-    manifest = _read_json(path) if path.exists() else {}
+    """The manifest at `path`, empty if there is no such file (a directory
+    fails its write); one not a JSON object is a data error naming it."""
+    manifest = _read_json(path) if path.is_file() else {}
     if not isinstance(manifest, dict):
         raise ingest.IngestError(f"{path}: not a JSON object")
     return manifest
 
 
-def _update_manifest(ctx: Context, stage: Stage, manifest: dict) -> None:
-    """Record the stage's run in `manifest` and write it to out_dir."""
-    manifest.setdefault("stages", {})
+def _record_run(ctx: Context, stage: Stage, manifest: dict, written: dict[str, Path]) -> dict:
+    """`manifest` with the stage's run recorded, its outputs hashed in `written`."""
     manifest["config_snapshot"] = ctx.cfg
-    manifest["stages"][stage.name] = {
+    manifest.setdefault("stages", {})[stage.name] = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": ctx.cfg["seed"],
         "inputs": {str(p): ctx.digest(p) for p in sorted(ctx.inputs)},
-        "outputs": {name: ctx.digest(ctx.out / name) for name in sorted(stage.writes)},
+        "outputs": {name: ctx.digest(written[name]) for name in sorted(stage.writes)},
     }
-    write_artifacts(ctx.out, {"manifest.json": manifest})
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +616,7 @@ def main(argv=None) -> int:
         if sorted(artifacts) != sorted(stage.writes):
             raise RuntimeError(f"stage {stage.command} returned {sorted(artifacts)}, "
                                f"not its writes {sorted(stage.writes)}")
-        write_artifacts(ctx.out, artifacts)
-        _update_manifest(ctx, stage, manifest)
+        write_artifacts(ctx.out, artifacts | {"manifest.json": functools.partial(_record_run, ctx, stage, manifest)})
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except DependencyError as exc:

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -18,6 +19,20 @@ from artistnet.centrality import CentralityScores
 from artistnet.graph import YEAR_DIFF_MAX, YEAR_DIFF_MIN, ArtistNode, GraphError, InfluenceEdge
 from artistnet.ingest import write_table
 from artistnet.simvec import tss_rows
+
+
+def reference_write_table(path, header, rows) -> None:
+    """`header` and `rows` written by `csv.writer` in the artifact dialect
+    (UTF-8, LF line ends): the reference for `ingest.write_table`, and the
+    writer of tables it refuses, whose rows differ in length."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # csv quotes a field that holds a character of the line terminator,
+        # so records are made with "\r\n" (quoting "\r" as well as "\n")
+        # and written with "\n".
+        sink = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
+        w = csv.writer(sink, lineterminator="\r\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def edges_of(g) -> dict:

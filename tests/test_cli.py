@@ -1,4 +1,5 @@
 import csv
+import errno
 import functools
 import hashlib
 import json
@@ -469,6 +470,51 @@ def test_failed_rerun_keeps_the_earlier_run(tmp_path, capsys, monkeypatch, comma
     assert main(command.split() + ["--config", str(cfg_path)]) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"error: {kernel} failed\n"
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def tree(out: Path) -> dict:
+    """Each path under `out` with its bytes, None for a directory."""
+    return {str(p.relative_to(out)): None if p.is_dir() else p.read_bytes() for p in sorted(out.rglob("*"))}
+
+
+def fail_second_table(monkeypatch):
+    """Make write_table run out of space halfway through the second table."""
+    write_table, calls = ingest.write_table, []
+
+    def failing(path, header, rows):
+        calls.append(path)
+        if len(calls) == 2:
+            Path(path).write_text("half a table", encoding="utf-8")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        write_table(path, header, rows)
+    monkeypatch.setattr(ingest, "write_table", failing)
+
+
+@pytest.mark.parametrize("blocked, reason", [("genre_year_means.csv", "Is a directory"),
+                                             ("manifest.json", "Is a directory"),
+                                             ("genre_year_means.csv", os.strerror(errno.ENOSPC))])
+def test_failed_write_is_one_line_and_leaves_out_dir_as_it_was(tmp_path, capsys, monkeypatch, blocked, reason):
+    """An artifact's write fails (its path, or the manifest's, is a
+    directory, or the disk fills): `ingest` exits 2 with one line naming
+    the file, and out_dir is byte for byte as the earlier run left it, no
+    artifact replaced, no temporary left, the manifest unchanged."""
+    cfg_path = write_fixture(tmp_path)
+    run_all(cfg_path)
+    out = tmp_path / "out"
+    if reason == "Is a directory":
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        (out / blocked / "kept.txt").write_text("kept\n")
+    else:
+        fail_second_table(monkeypatch)
+    for name in cli.STAGES[0].writes:
+        if (out / name).is_file():  # marked, so that a rewrite shows
+            (out / name).write_text(f"{name} of the earlier run\n")
+    before = tree(out)
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config field 'out_dir': cannot write {out / blocked} ({reason})\n"
+    assert tree(out) == before
 
 
 @pytest.mark.parametrize("artifact, row, upstream, commands, message", [

@@ -1,9 +1,11 @@
 """Golden digests: byte-reproducibility across commits.
 
 Each of the four benchmark workloads is generated at its smoke scale
-(bench/gen.py, seed 5, the workload's config) and run through the eight
-stages by `cli.main`; the sha256 of every out_dir file except
-manifest.json must equal the one recorded in tests/golden_digests.json.
+(bench/gen.py, seed 5, the workload's config), and one corpus at the
+paper's scale (`CorpusParams()`, seed 7, the default config, entry
+"full"), and run through the eight stages by `cli.main`; the sha256 of
+every out_dir file except manifest.json must equal the one recorded in
+tests/golden_digests.json.
 Those bytes depend on numpy's BLAS dots and `eigh`, so the file records
 the Python and numpy versions it was made with, and a mismatch fails.
 
@@ -40,7 +42,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import run as bench  # noqa: E402
-from gen import generate  # noqa: E402
+from gen import CorpusParams, generate  # noqa: E402
 
 from artistnet import ingest  # noqa: E402
 from artistnet.cli import STAGES, main  # noqa: E402
@@ -48,6 +50,7 @@ from artistnet.cli import STAGES, main  # noqa: E402
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 5
 WORKLOADS = ("paper", "cyclic", "sampling", "names")
+FULL, FULL_SEED = "full", 7  # the paper's scale, CorpusParams() at seed 7, run with the default config
 
 
 def versions() -> dict:
@@ -55,9 +58,14 @@ def versions() -> dict:
 
 
 def prepare(name: str, work: Path) -> None:
-    """Workload `name`'s corpus at smoke scale and its config, in `work`."""
-    workload = bench.smoke(bench.WORKLOADS[name])
-    generate(workload.corpus, SEED, work)
+    """Workload `name`'s corpus at smoke scale and its config, in `work`;
+    for FULL, the paper-scale corpus and the default config."""
+    if name == FULL:
+        workload = bench.Workload(CorpusParams())
+        generate(workload.corpus, FULL_SEED, work)
+    else:
+        workload = bench.smoke(bench.WORKLOADS[name])
+        generate(workload.corpus, SEED, work)
     (work / "config.json").write_text(json.dumps(bench.config_for(workload)), encoding="utf-8")
 
 
@@ -69,7 +77,7 @@ def digests(out: Path) -> dict:
 
 def out_digests(name: str, work: Path) -> dict:
     """`digests` of out_dir after the eight stages ran on workload `name`
-    at smoke scale in directory `work`, in this process."""
+    (see `prepare`) in directory `work`, in this process."""
     prepare(name, work)
     cwd = os.getcwd()
     os.chdir(work)  # the config's paths are relative, as in the benchmark
@@ -106,7 +114,7 @@ def golden_digests(name: str) -> dict:
     return golden["workloads"][name]
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", WORKLOADS + (FULL,))
 def test_artifacts_match_the_golden_digests(name, tmp_path):
     assert out_digests(name, tmp_path) == golden_digests(name)
 
@@ -141,9 +149,10 @@ def test_writers_hand_csv_python_scalars(tmp_path, monkeypatch):
     cells, texts = {}, set()
     write_table, json_text = ingest.write_table, ingest.json_text
 
-    def recording(path, header, rows):
+    def recording(path, header, rows):  # `path` is a temporary, ".<artifact>.tmp"
         rows = [list(row) for row in rows]
-        cells[Path(path).name] = {type(v).__name__ for row in rows for v in row}
+        name = Path(path).name.removeprefix(".").removesuffix(".tmp")
+        cells[name] = {type(v).__name__ for row in rows for v in row}
         write_table(path, header, rows)
 
     def recording_json(obj):
@@ -165,15 +174,15 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: out_digests(name, Path(tmp) / name) for name in WORKLOADS}
+        digests = {name: out_digests(name, Path(tmp) / name) for name in WORKLOADS + (FULL,)}
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {"workloads": {}}
     recorded = {k: old.get(k) for k in versions()}
     if recorded != versions():
         print(f"versions: {recorded} -> {versions()}")
-    for name in WORKLOADS:
+    for name in WORKLOADS + (FULL,):
         before = old["workloads"].get(name, {})
         for artifact in sorted(before.keys() | digests[name].keys()):
             if before.get(artifact) != digests[name].get(artifact):
                 print(f"{name}: {artifact}")
-    GOLDEN.write_text(json.dumps({**versions(), "seed": SEED, "workloads": digests},
+    GOLDEN.write_text(json.dumps({**versions(), "seed": SEED, "full_seed": FULL_SEED, "workloads": digests},
                                  indent=1, sort_keys=True) + "\n", encoding="utf-8")

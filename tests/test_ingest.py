@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import artist_id_tuples, reference_build_artist_profiles, reference_load_songs
+from oracles import (
+    artist_id_tuples,
+    reference_build_artist_profiles,
+    reference_load_songs,
+    reference_write_table,
+)
 
 from artistnet import ingest
 from artistnet.ingest import (
@@ -236,7 +241,7 @@ class TestLoadSongs:
         # artist_ids last, and a row that stops before it
         p = tmp_path / "songs.csv"
         cells = full_row(loudness="-1")[1:]
-        write_table(p, ingest.NUMERIC + ["artist_ids"], [cells, cells + ["[4]"]])
+        reference_write_table(p, ingest.NUMERIC + ["artist_ids"], [cells, cells + ["[4]"]])
         songs, report = load_songs(p)
         assert artist_id_tuples(songs) == [(4,)]
         assert report.rows_dropped_missing_artist == 1
@@ -404,7 +409,7 @@ class TestSongTableMatchesReference:
     def check(self, rows, known):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "songs.csv"
-            write_table(path, ingest.SONG_COLUMNS, rows)
+            reference_write_table(path, ingest.SONG_COLUMNS, rows)  # some rows short
             outcomes = []
             for load in (load_songs, reference_load_songs):
                 try:
@@ -461,6 +466,21 @@ CELLS = {
 PARSE = {"s": str, "i": int, "f": float, "f?": lambda cell: float(cell) if cell else None}
 
 
+# Cells of the write_table property, by column kind: text with what the
+# csv module treats specially and outer spaces, None, ints beyond int64 and
+# floats whose repr is awkward; and each kind's awkward cells, in turn.
+WRITER_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", " ", "a", "Año", "東京"]),
+                       max_size=4).map("".join) | st.characters(exclude_categories=["Cs"])
+AWKWARD_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-05, 5e-324, 0.1 + 0.2]
+WRITER_EXAMPLES = {"str": ["", " a ", 'say "hi", "bye"', "a\r\nb", "\r", "\n", "Año", "x,"],
+                   "none": [None, ""], "int": [0, -1, 2**63, -2**70], "float": AWKWARD_FLOATS,
+                   "number": [1, 0.5, -2**64, math.nan], "any": ["", None, 0, -0.0, "a,b"]}
+WRITER_COLUMNS = {"str": WRITER_TEXT, "none": st.none() | WRITER_TEXT, "int": st.integers(),
+                  "float": st.floats() | st.sampled_from(AWKWARD_FLOATS),
+                  "number": st.integers() | st.floats(),
+                  "any": st.none() | WRITER_TEXT | st.integers() | st.floats()}
+
+
 class TestTableCodec:
     @pytest.mark.parametrize("artifact", sorted(TABLE_LAYOUTS))
     @settings(max_examples=40, deadline=None)
@@ -486,6 +506,36 @@ class TestTableCodec:
         write_table(path, ["name", "x", "y"], [["a, b", 0.1, None], ['say "hi"\r', 1, 2.5]])
         assert path.read_bytes() == b'name,x,y\n"a, b",0.1,\n"say ""hi""\r",1,2.5\n'
 
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.lists(st.sampled_from(sorted(WRITER_COLUMNS)), min_size=1, max_size=4),
+           n=st.sampled_from([0, 1, 2, 3, 5, ingest.TABLE_BLOCK, ingest.TABLE_BLOCK + 1]), data=st.data())
+    @example(columns=["str"], n=3, data=None)
+    @example(columns=["none"], n=ingest.TABLE_BLOCK + 1, data=None)
+    @example(columns=["float", "int", "str"], n=ingest.TABLE_BLOCK, data=None)
+    def test_same_bytes_as_csv_writer(self, columns, n, data):
+        """write_table against csv.writer (`reference_write_table`) on
+        rectangular tables: a few drawn rows repeated to n rows, so that
+        tables end at and just past a block."""
+        if data is None:  # the awkward cells of each kind, in turn
+            drawn = [[WRITER_EXAMPLES[c][k % len(WRITER_EXAMPLES[c])] for c in columns] for k in range(12)]
+        else:
+            drawn = data.draw(st.lists(st.tuples(*(WRITER_COLUMNS[c] for c in columns)), min_size=1, max_size=6))
+        rows = [drawn[k % len(drawn)] for k in range(n)]
+        header = [f"c{k}" for k in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            write_table(Path(tmp) / "a.csv", header, iter(rows))
+            reference_write_table(Path(tmp) / "b.csv", header, rows)
+            assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [[[1]], [[1, 2, 3]], [[1, 2]] * ingest.TABLE_BLOCK + [[1]], [[1, 2], ()]])
+    def test_ragged_row_raises(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="header's 2"):
+            write_table(tmp_path / "t.csv", ["a", "b"], rows)
+
+    def test_table_of_no_column_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", [], [])
+
     def test_missing_column_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [])
@@ -494,7 +544,7 @@ class TestTableCodec:
 
     def test_missing_cell_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["a", "b", "c"], [[1, 2, 3], [4]])
+        reference_write_table(path, ["a", "b", "c"], [[1, 2, 3], [4]])
         with pytest.raises(IngestError, match=r"t\.csv:3: missing c cell$"):
             read_columns(path, {"a": int, "c": int, "b": int})
 
@@ -539,7 +589,7 @@ class TestReadColumns:
 
     def test_short_row_past_a_block_boundary_is_named(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["a", "b"], [[k, k] for k in range(6)] + [[6]])
+        reference_write_table(path, ["a", "b"], [[k, k] for k in range(6)] + [[6]])
         with pytest.raises(IngestError, match=r"t\.csv:8: missing b cell$"):
             read_columns(path, {"a": int, "b": int})
 
@@ -548,14 +598,14 @@ class TestReadColumns:
         rows = [[k, k] for k in range(7)]
         rows[first], rows[second] = [first, "x"], [second]
         path = tmp_path / "t.csv"
-        write_table(path, ["a", "b"], rows)
+        reference_write_table(path, ["a", "b"], rows)
         message = "bad b cell 'x'" if first < second else "missing b cell"
         with pytest.raises(IngestError, match=rf"t\.csv:{min(first, second) + 2}: {message}$"):
             read_columns(path, {"a": int, "b": int})
 
     def test_bad_cell_is_named_before_a_later_long_row(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["a", "b"], [[0, 0], [1, 1], [2, 2], [3, "x"], [4, 4, 4]])
+        reference_write_table(path, ["a", "b"], [[0, 0], [1, 1], [2, 2], [3, "x"], [4, 4, 4]])
         with pytest.raises(IngestError, match=r"t\.csv:5: bad b cell 'x'$"):
             read_columns(path, {"a": int, "b": int})
 
@@ -594,7 +644,7 @@ PARITY_BAD = st.none() | st.tuples(st.integers(0, 6), st.integers(0, 3), st.samp
 class TestReadColumnsMatchesCsvPath:
     """read_columns, which takes numpy's path wherever numpy accepts a
     table, against the csv module's path alone (`ingest._read_rows`), on
-    tables write_table writes with blank lines and a byte-order mark
+    tables the csv module writes (some rows short or long) with blank lines and a byte-order mark
     added: the same columns cell for cell (floats by their bits), or the
     same error."""
 
@@ -619,7 +669,7 @@ class TestReadColumnsMatchesCsvPath:
             path = Path(tmp) / "t.csv"
             tables = []
             for k in range(len(rows) + 1):
-                write_table(path, header, rows[:k])
+                reference_write_table(path, header, rows[:k])
                 tables.append(path.read_bytes())
             path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(
                 table[len(before):] + b"\n" * (k in blank)
@@ -638,7 +688,7 @@ READ_CELLS = st.text(st.sampled_from(list(',"\r\n ')) | st.characters(exclude_ca
 
 
 class TestReadNumberedMatchesDictReader:
-    """read_numbered against csv.DictReader on tables write_table writes:
+    """read_numbered against csv.DictReader on tables the csv module writes:
     awkward text, empty cells, blank lines (an empty row), short rows,
     rows longer than the header and a header that repeats a name."""
 
@@ -651,7 +701,7 @@ class TestReadNumberedMatchesDictReader:
         expected, got = [], []
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
-            write_table(path, header, rows)
+            reference_write_table(path, header, rows)
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)
                 for row in reader:
