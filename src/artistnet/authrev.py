@@ -18,6 +18,8 @@ from artistnet.simvec import tss_rows
 
 DEFAULT_ALPHA = 0.8
 VAL_FRACTION = 0.2  # the share of rows, at the tail, that elastic_net_grid validates on
+EN_TOL = 1e-7  # elastic_net_fit converges when no coefficient moves this far in a sweep
+EN_MAX_SWEEPS = 10000  # and gives up, unconverged, after this many sweeps
 
 
 class AuthRevError(Exception):
@@ -148,14 +150,13 @@ def _soft_threshold(z: float, gamma: float) -> float:
     return 0.0
 
 
-def elastic_net_fit(X, y, lam: float, alpha_mix: float = 0.5,
-                    tol: float = 1e-7, max_iter: int = 10000) -> ElasticNetFit:
+def elastic_net_fit(X, y, lam: float, alpha_mix: float = 0.5) -> ElasticNetFit:
     """Cyclic coordinate descent with soft-thresholding for
 
         min 1/2 ||y - b0 - X beta||^2 + lam [ (1-a)/2 ||beta||^2 + a ||beta||_1 ]
 
     The intercept is unpenalized. Converges when the largest coefficient
-    change in a sweep drops below tol.
+    change in a sweep drops below EN_TOL, within EN_MAX_SWEEPS sweeps.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -169,9 +170,7 @@ def elastic_net_fit(X, y, lam: float, alpha_mix: float = 0.5,
     intercept = float(np.mean(y))
     resid = y - intercept  # maintained as y - intercept - X @ beta
     history = [elastic_net_objective(X, y, intercept, beta, lam, alpha_mix)]
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, EN_MAX_SWEEPS + 1):
         max_delta = 0.0
         for j in range(d):
             denom = col_sq[j] + lam * (1.0 - alpha_mix)
@@ -190,10 +189,9 @@ def elastic_net_fit(X, y, lam: float, alpha_mix: float = 0.5,
             resid -= shift
             max_delta = max(max_delta, abs(shift))
         history.append(elastic_net_objective(X, y, intercept, beta, lam, alpha_mix))
-        if max_delta < tol:
-            converged = True
+        if max_delta < EN_TOL:
             break
-    return ElasticNetFit(intercept, beta, lam, alpha_mix, sweeps, converged, history)
+    return ElasticNetFit(intercept, beta, lam, alpha_mix, sweeps, bool(max_delta < EN_TOL), history)
 
 
 def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit:
@@ -208,14 +206,12 @@ def elastic_net_grid(X, y, lambda_grid, alpha_mix: float = 0.5) -> ElasticNetFit
     Xv, yv = X[cut:], y[cut:]
     if len(yv) == 0:
         Xv, yv = Xt, yt
-    best = None
-    for lam in lambda_grid:
+
+    def validation_mse(lam) -> float:
         fit = elastic_net_fit(Xt, yt, lam, alpha_mix)
-        pred = fit.intercept + Xv @ fit.coefficients
-        mse = float(np.mean((yv - pred) ** 2))
-        if best is None or mse < best[0]:
-            best = (mse, lam)
-    return elastic_net_fit(X, y, best[1], alpha_mix)
+        return float(np.mean((yv - (fit.intercept + Xv @ fit.coefficients)) ** 2))
+
+    return elastic_net_fit(X, y, min(lambda_grid, key=validation_mse), alpha_mix)  # the first least
 
 
 # ---------------------------------------------------------------------------

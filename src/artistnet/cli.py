@@ -416,10 +416,9 @@ def stage_genre(ctx: Context) -> dict:
     genres = {i: n.genre for i, n in g.nodes.items()}
 
     sample_cfg = genre.SamplingConfig(**cfg["sampling"], seed=cfg["seed"])
-    similarity = genre.sample_similarity({i: v for i, v in projected.items() if i in genres}, genres, sample_cfg)
+    similarity = genre.sample_similarity(projected, genres, sample_cfg)
     influence = genre.sample_influence(g, scores, sample_cfg)
-    dendro = genre.cluster_genres({i: v for i, v in standardized.items() if i in genres}, genres,
-                                  linkage=cfg["cluster"]["linkage"])
+    dendro = genre.cluster_genres(standardized, genres, linkage=cfg["cluster"]["linkage"])
     flat = dendro.flat_cut(min(cfg["cluster"]["cut"], len(dendro.leaves)))
     debut = genre.debut_counts(g)
     pairs = genre.genre_influence_matrix(g, cfg["thresholds"]["genre_matrix_prune"])  # (cross, self)
@@ -469,24 +468,23 @@ def stage_revolution(ctx: Context) -> dict:
     keyword_ids: set[int] = set()
     if cfg["phrases_file"] and cfg["bios_dir"]:
         phrases = [line.strip() for line in ctx.read_text("phrases_file").splitlines() if line.strip()]
-        bios = {}
+        bios: dict[int, Path] = {}
         for path in sorted(ctx.read("bios_dir").glob("*.txt")):
             try:
                 artist = int(path.stem)
             except ValueError:
                 continue
-            bios[artist] = ctx.read_text(path)
-        keyword_ids, _missing = authrev.semantic_match(phrases, bios)
+            if artist in bios:
+                raise ingest.IngestError(f"{bios[artist]} and {path}: two bios of artist {artist}")
+            bios[artist] = path
+        keyword_ids, _missing = authrev.semantic_match(phrases, {i: ctx.read_text(p) for i, p in bios.items()})
 
     labels = authrev.label_revolutionaries(scores, periphery, keyword_ids, cfg["thresholds"]["periphery"])
 
     # Forest over labeled nodes in a seeded, class-stratified order of their
-    # influence ranks, so that every slice keeps the class mix; skipped
-    # (with a recorded reason) when the training slice has one class.
-    by_id = {s.node_id: s for s in scores}
-    labeled = [l for l in labels if l.label != "unlabeled"]
-    labeled.sort(key=lambda l: (by_id[l.node_id].rank_ni, l.node_id))
-    rows = [l for l in labeled if l.node_id in standardized]
+    # influence ranks (`labels` is in rank order), so that every slice keeps
+    # the class mix; skipped (with a recorded reason) on a one-class slice.
+    rows = [l for l in labels if l.label != "unlabeled" and l.node_id in standardized]
     rows = [rows[k] for k in _stratified_order([l.label for l in rows], cfg["seed"])]
     try:
         X = np.array([standardized[l.node_id] for l in rows])

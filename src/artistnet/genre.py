@@ -1,12 +1,13 @@
 """Genre-level analyses: within/between-genre similarity and influence
 sampling, hierarchical genre clustering, and genre time series: debut
-counts read off the graph's nodes, yearly feature means off the songs."""
+counts read off the graph's nodes, yearly feature means off the songs.
+Similarity sampling and clustering read one profile layout, a block of rows
+per genre (`_genre_blocks`); clustering merges on one distance matrix."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -63,11 +64,16 @@ def _report(metric: str, within: list[float], between: list[float], cfg: Samplin
                                samples_per_run=cfg.samples_per_run, runs=cfg.runs, seed=cfg.seed)
 
 
-def _genre_members(ids, genres) -> dict[str, list[int]]:
-    members: dict[str, list[int]] = {}
-    for i in sorted(ids):
-        members.setdefault(genres[i], []).append(i)
-    return members
+def _genre_blocks(profiles: dict[int, np.ndarray], genres: dict[int, str]):
+    """(names, size, P): the sorted genres of the profiled ids, each one's
+    count of ids, and the profiles stacked in (genre, id) order, genre g a
+    block of size[g] rows. An id with no genre is skipped."""
+    blocks: dict[str, list[np.ndarray]] = {}
+    for i in sorted(profiles):
+        if i in genres:
+            blocks.setdefault(genres[i], []).append(profiles[i])
+    names = sorted(blocks)
+    return names, np.array([len(blocks[g]) for g in names]), np.array([v for g in names for v in blocks[g]], float)
 
 
 def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
@@ -89,18 +95,15 @@ def sample_similarity(profiles: dict[int, np.ndarray], genres: dict[int, str],
     running `+=` would. Lower TSS means more similar, so the within-stronger
     verdict is mean(SWG) < mean(SBG).
     """
-    members = _genre_members(profiles.keys(), genres)
-    if len(members) < 2:
+    names, size, P = _genre_blocks(profiles, genres)
+    if len(names) < 2:
         raise GenreError("sampling needs at least 2 genres")
-    excluded = sorted(g for g, m in members.items() if len(m) < 2)
-    blocks = [members[g] for g in sorted(members)]
-    size = np.array([len(m) for m in blocks], np.int64)
+    excluded = [g for g, n in zip(names, size.tolist()) if n < 2]
     start = np.cumsum(size) - size
-    genre_of = np.repeat(np.arange(len(blocks)), size)  # block of each position
+    genre_of = np.repeat(np.arange(len(names)), size)  # block of each position
     within_pool = np.flatnonzero(size[genre_of] >= 2)
     if not len(within_pool):
         raise GenreError("no genre has 2 or more artists")
-    P = np.array([profiles[i] for m in blocks for i in m], dtype=float)
 
     def total_tss(qs: np.ndarray, ps: np.ndarray) -> float:
         t, s, _ = tss_rows(P[qs], P[ps])
@@ -163,27 +166,19 @@ def sample_influence(g: InfluenceGraph, scores, cfg: SamplingConfig) -> GenreSam
 @dataclass
 class Dendrogram:
     leaves: list[str]
-    # (cluster_a, cluster_b, linkage_distance); clusters named by the sorted
-    # tuple of their member genres
+    # (cluster_a, cluster_b, linkage_distance), a cluster named by its sorted tuple of genres
     merges: list[tuple[tuple[str, ...], tuple[str, ...], float]]
     tree: dict  # nested {"name"} leaves / {"children", "distance"} internals
 
     def flat_cut(self, k: int) -> dict[str, int]:
-        """Stop the merge sequence when k clusters remain; genre -> cluster
-        index (clusters numbered by sorted label)."""
+        """The clusters left after the first len(leaves) - k merges; genre ->
+        cluster index (clusters numbered by sorted label)."""
         if not 1 <= k <= len(self.leaves):
             raise GenreError(f"cut size {k} out of range")
-        clusters = {(leaf,): [leaf] for leaf in self.leaves}
-        for a, b, _ in self.merges:
-            if len(clusters) == k:
-                break
-            merged = tuple(sorted(a + b))
-            clusters[merged] = clusters.pop(a) + clusters.pop(b)
-        out = {}
-        for idx, label in enumerate(sorted(clusters)):
-            for genre in clusters[label]:
-                out[genre] = idx
-        return out
+        clusters = {(leaf,) for leaf in self.leaves}
+        for a, b, _ in self.merges[:len(self.leaves) - k]:
+            clusters = clusters - {a, b} | {tuple(sorted(a + b))}
+        return {genre: idx for idx, label in enumerate(sorted(clusters)) for genre in label}
 
     def to_newick(self) -> str:
         def render(node) -> str:
@@ -198,52 +193,46 @@ class Dendrogram:
 def cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],
                    linkage: str = "average") -> Dendrogram:
     """Agglomerative clustering of genre-mean vectors (Euclidean distance,
-    average linkage by default, Ward behind the flag). Ties are broken by
-    lexicographic genre-pair order for determinism."""
-    members = _genre_members(profiles.keys(), genres)
-    means = {g: np.mean([profiles[i] for i in m], axis=0) for g, m in members.items()}
-    names = sorted(means)
+    average linkage by default, Ward behind the flag); an id with no genre
+    is skipped. The working distances (squared for Ward) fill a k x k matrix
+    once; each merge writes the Lance-Williams update into the row and
+    column of its pair's first cluster (Muellner 2011's primitive loop). A
+    cluster keeps the row of its least genre, so row order is label order,
+    and ties go to the first least entry in row-major order: the
+    lexicographically least label pair."""
+    names, size, P = _genre_blocks(profiles, genres)
     if len(names) < 2:
         raise GenreError("clustering needs at least 2 genres")
     if linkage not in ("average", "ward"):
         raise GenreError(f"unknown linkage {linkage!r}")
+    means = [np.mean(block, axis=0) for block in np.split(P, np.cumsum(size[:-1]))]
+    k = len(names)
+    dist = np.full((k, k), np.inf)  # inf on the diagonal, and on the row and column of a merged-away cluster
+    for i in range(k):
+        for j in range(i + 1, k):
+            d2 = float(np.sum((means[i] - means[j]) ** 2))
+            dist[i, j] = dist[j, i] = d2 if linkage == "ward" else d2 ** 0.5
 
-    # Working distances: plain Euclidean for average linkage, squared for
-    # the Ward Lance-Williams update.
-    def base_dist(a, b):
-        d2 = float(np.sum((means[a] - means[b]) ** 2))
-        return d2 if linkage == "ward" else d2 ** 0.5
-
-    labels: list[tuple[str, ...]] = [(n,) for n in names]
-    sizes = {(n,): 1 for n in names}
-    trees: dict[tuple[str, ...], dict] = {(n,): {"name": n} for n in names}
-    dist = {frozenset((a, b)): base_dist(a[0], b[0]) for a, b in combinations(labels, 2)}
-
+    labels = [(n,) for n in names]  # of each row; a label's length is its cluster's size
+    trees = [{"name": n} for n in names]
     merges = []
-    while len(labels) > 1:
-        # the least (distance, pair); `labels` is sorted, so each pair is too
-        d, (a, b) = min((dist[frozenset(pair)], pair) for pair in combinations(labels, 2))
-        merged = tuple(sorted(a + b))
+    for _ in range(k - 1):
+        a, b = divmod(int(np.argmin(dist)), k)  # a < b, as dist is symmetric
+        d = float(dist[a, b])
         report_d = d ** 0.5 if linkage == "ward" else d
-        merges.append((a, b, report_d))
-        trees[merged] = {"children": [trees.pop(a), trees.pop(b)], "distance": report_d}
-        na, nb = sizes.pop(a), sizes.pop(b)
-        sizes[merged] = na + nb
-        labels = [l for l in labels if l not in (a, b)]
-        for other in labels:
-            dak = dist.pop(frozenset((a, other)))
-            dbk = dist.pop(frozenset((b, other)))
-            nk = sizes[other]
-            if linkage == "average":
-                dnew = (na * dak + nb * dbk) / (na + nb)
-            else:  # ward, on squared distances
-                dnew = ((na + nk) * dak + (nb + nk) * dbk - nk * d) / (na + nb + nk)
-            dist[frozenset((merged, other))] = dnew
-        dist.pop(frozenset((a, b)))
-        labels.append(merged)
-        labels.sort()
+        merges.append((labels[a], labels[b], report_d))
+        trees[a] = {"children": [trees[a], trees[b]], "distance": report_d}
+        rest = np.flatnonzero((dist[a] < np.inf) & (dist[b] < np.inf))  # the other live rows
+        na, nb, nk = len(labels[a]), len(labels[b]), np.array([len(labels[o]) for o in rest.tolist()])
+        if linkage == "average":
+            new = (na * dist[a, rest] + nb * dist[b, rest]) / (na + nb)
+        else:  # ward, on squared distances
+            new = ((na + nk) * dist[a, rest] + (nb + nk) * dist[b, rest] - nk * d) / (na + nb + nk)
+        dist[a, rest] = dist[rest, a] = new
+        dist[b, :] = dist[:, b] = np.inf
+        labels[a] = tuple(sorted(labels[a] + labels[b]))
 
-    return Dendrogram(leaves=names, merges=merges, tree=trees[labels[0]])
+    return Dendrogram(leaves=names, merges=merges, tree=trees[0])
 
 
 def debut_counts(g: InfluenceGraph) -> dict[tuple[str, int], int]:

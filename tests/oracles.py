@@ -9,6 +9,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import combinations
 from types import SimpleNamespace
 
 import networkx as nx
@@ -16,6 +17,7 @@ import numpy as np
 
 from artistnet.authrev import AuthenticityScore, AuthenticitySummary, AuthRevError
 from artistnet.centrality import CentralityScores
+from artistnet.genre import Dendrogram, GenreError
 from artistnet.graph import YEAR_DIFF_MAX, YEAR_DIFF_MIN, ArtistNode, GraphError, InfluenceEdge
 from artistnet.ingest import write_table
 from artistnet.simvec import tss_rows
@@ -405,6 +407,80 @@ def reference_sample_similarity(profiles, genres, samples_per_run, runs, seed):
         within.append(swg)
         between.append(sbg)
     return within, between
+
+
+def _genre_members(ids, genres) -> dict[str, list[int]]:
+    members: dict[str, list[int]] = {}
+    for i in sorted(ids):
+        members.setdefault(genres[i], []).append(i)
+    return members
+
+
+def reference_cluster_genres(profiles: dict[int, np.ndarray], genres: dict[int, str],
+                             linkage: str = "average") -> Dendrogram:
+    """The dict-based agglomeration `cluster_genres` replaced: pair
+    distances keyed by frozenset, clusters named by sorted label tuples,
+    the least (distance, pair) over all pairs of labels at each merge."""
+    members = _genre_members(profiles.keys(), genres)
+    means = {g: np.mean([profiles[i] for i in m], axis=0) for g, m in members.items()}
+    names = sorted(means)
+    if len(names) < 2:
+        raise GenreError("clustering needs at least 2 genres")
+    if linkage not in ("average", "ward"):
+        raise GenreError(f"unknown linkage {linkage!r}")
+
+    # Working distances: plain Euclidean for average linkage, squared for
+    # the Ward Lance-Williams update.
+    def base_dist(a, b):
+        d2 = float(np.sum((means[a] - means[b]) ** 2))
+        return d2 if linkage == "ward" else d2 ** 0.5
+
+    labels: list[tuple[str, ...]] = [(n,) for n in names]
+    sizes = {(n,): 1 for n in names}
+    trees: dict[tuple[str, ...], dict] = {(n,): {"name": n} for n in names}
+    dist = {frozenset((a, b)): base_dist(a[0], b[0]) for a, b in combinations(labels, 2)}
+
+    merges = []
+    while len(labels) > 1:
+        # the least (distance, pair); `labels` is sorted, so each pair is too
+        d, (a, b) = min((dist[frozenset(pair)], pair) for pair in combinations(labels, 2))
+        merged = tuple(sorted(a + b))
+        report_d = d ** 0.5 if linkage == "ward" else d
+        merges.append((a, b, report_d))
+        trees[merged] = {"children": [trees.pop(a), trees.pop(b)], "distance": report_d}
+        na, nb = sizes.pop(a), sizes.pop(b)
+        sizes[merged] = na + nb
+        labels = [l for l in labels if l not in (a, b)]
+        for other in labels:
+            dak = dist.pop(frozenset((a, other)))
+            dbk = dist.pop(frozenset((b, other)))
+            nk = sizes[other]
+            if linkage == "average":
+                dnew = (na * dak + nb * dbk) / (na + nb)
+            else:  # ward, on squared distances
+                dnew = ((na + nk) * dak + (nb + nk) * dbk - nk * d) / (na + nb + nk)
+            dist[frozenset((merged, other))] = dnew
+        dist.pop(frozenset((a, b)))
+        labels.append(merged)
+        labels.sort()
+
+    return Dendrogram(leaves=names, merges=merges, tree=trees[labels[0]])
+
+
+def reference_flat_cut(dendro: Dendrogram, k: int) -> dict[str, int]:
+    """Stop the merge sequence when k clusters remain; genre -> cluster
+    index (clusters numbered by sorted label), member lists kept per label."""
+    clusters = {(leaf,): [leaf] for leaf in dendro.leaves}
+    for a, b, _ in dendro.merges:
+        if len(clusters) == k:
+            break
+        merged = tuple(sorted(a + b))
+        clusters[merged] = clusters.pop(a) + clusters.pop(b)
+    out = {}
+    for idx, label in enumerate(sorted(clusters)):
+        for genre in clusters[label]:
+            out[genre] = idx
+    return out
 
 
 def reference_average_extreme_distance(values, mode="pair_mean"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_graph
 from oracles import reference_authenticity, reference_average_extreme_distance, reference_forest_train
 
+from artistnet import authrev
 from artistnet.authrev import (
     AuthRevError,
     authenticity,
@@ -21,7 +22,7 @@ from artistnet.authrev import (
     periphery_scores,
     semantic_match,
 )
-from artistnet.centrality import CentralityScores
+from artistnet.centrality import CentralityScores, node_influence
 from artistnet.graph import ArtistNode, GraphError, InfluenceEdge, InfluenceGraph
 from artistnet.ingest import json_text
 
@@ -247,6 +248,14 @@ class TestElasticNet:
         )
         assert recomputed == pytest.approx(fit.objective_history[-1])
 
+    def test_not_converged_within_the_sweep_limit(self, rng, monkeypatch):
+        monkeypatch.setattr(authrev, "EN_MAX_SWEEPS", 1)
+        X = rng.normal(size=(30, 3))
+        fit = elastic_net_fit(X, X @ np.array([1.0, -2.0, 0.5]) + 4.0, lam=0.1)
+        assert fit.converged is False
+        assert fit.iterations == 1
+        assert len(fit.objective_history) == 2
+
     def test_rejects_bad_inputs(self):
         X = np.ones((4, 2))
         y = np.ones(4)
@@ -359,6 +368,16 @@ class TestLabelRevolutionaries:
         labels = label_revolutionaries(scores, {}, set())
         assert [l.node_id for l in labels] == list(range(10))
         assert labels[-1].label == "non_major"
+
+    def test_labels_come_in_rank_order(self, rng):
+        # The revolution stage reads the labels as (rank_ni, node_id) order:
+        # node_influence dense-ranks by descending NI, tied NI sharing a rank.
+        edges = [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.05]
+        scores = node_influence(make_graph(40, edges))
+        assert len({s.ni for s in scores}) < len(scores)  # some NI values tie
+        shuffled = [scores[k] for k in rng.permutation(len(scores))]
+        labels = label_revolutionaries(shuffled, {}, set())
+        assert [l.node_id for l in labels] == [s.node_id for s in sorted(scores, key=lambda s: (s.rank_ni, s.node_id))]
 
 
 def separable_dataset(n=400, seed=0):

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import artist_id_tuples, edges_of, reference_genre_feature_trend
 
-from artistnet import centrality, genre, graph, ingest, simvec
+from artistnet import authrev, centrality, genre, graph, ingest, simvec
 from artistnet import cli
 from artistnet.cli import main
 
@@ -699,6 +699,29 @@ def test_non_utf8_text_input_is_a_data_error(tmp_path, capsys, name):
     assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
     assert capsys.readouterr().err == (
         f"error: {tmp_path / name}: not UTF-8 text (invalid start byte: b'\\xff')\n")
+
+
+def test_two_bios_of_one_artist_are_a_data_error(tmp_path, capsys):
+    """`01.txt` and `1.txt` both name artist 1: neither may silently win."""
+    cfg_path = write_fixture(tmp_path)
+    bios = write_bios(tmp_path)
+    configure(cfg_path, **bios)
+    (Path(bios["bios_dir"]) / "01.txt").write_text("Quiet work.", encoding="utf-8")
+    for stage in STAGES[:6]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    capsys.readouterr()
+    assert main(["revolution", "--config", str(cfg_path)]) == cli.EXIT_DATA
+    first, second = Path(bios["bios_dir"]) / "01.txt", Path(bios["bios_dir"]) / "1.txt"
+    assert capsys.readouterr().err == f"error: {first} and {second}: two bios of artist 1\n"
+
+
+def test_unconverged_elastic_net_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.setattr(authrev, "EN_MAX_SWEEPS", 1)
+    cfg_path = write_fixture(tmp_path)
+    for stage in STAGES[:6]:
+        assert main(stage + ["--config", str(cfg_path)]) == 0, stage
+    fit = json.loads((tmp_path / "out" / "elastic_net.json").read_text())
+    assert fit["converged"] is False and fit["iterations"] == 1
 
 
 def add_byte_order_mark(path: Path) -> None:

@@ -3,9 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_from_rows, make_graph
-from oracles import reference_sample_similarity
+from oracles import reference_cluster_genres, reference_flat_cut, reference_sample_similarity
 
 from artistnet import genre as genre_module
 from artistnet.centrality import CentralityScores
@@ -265,6 +267,57 @@ class TestClusterGenres:
     def test_single_genre_errors(self):
         with pytest.raises(GenreError):
             cluster_genres({0: np.zeros(2)}, {0: "a"})
+
+
+# Genre names with quotes, commas, spaces and non-ASCII text.
+GENRE_NAMES = st.text(st.sampled_from(list("ab,'\" éß漢")), min_size=1, max_size=4)
+
+
+@st.composite
+def genre_profiles(draw, width=3):
+    """(profiles, genres) of 2-12 genres of 1-3 artists each, the artist ids
+    shuffled across genres; the profiles hold the integers 0-2, so that
+    genre means, and distances between them, often tie."""
+    names = draw(st.lists(GENRE_NAMES, min_size=2, max_size=12, unique=True))
+    genre_of = [g for g in names for _ in range(draw(st.integers(1, 3)))]
+    ids = draw(st.permutations(range(len(genre_of))))
+    cells = st.lists(st.integers(0, 2), min_size=width, max_size=width)
+    vectors = draw(st.lists(cells, min_size=len(ids), max_size=len(ids)))
+    return {i: np.array(v, float) for i, v in zip(ids, vectors)}, dict(zip(ids, genre_of))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the GenreError it raises."""
+    try:
+        return fn(*args)
+    except GenreError as exc:
+        return str(exc)
+
+
+class TestClusterGenresMatchesReference:
+    """The matrix agglomeration against the dict-based one it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=genre_profiles(), linkage=st.sampled_from(["average", "ward"]))
+    def test_same_dendrogram_and_cuts(self, case, linkage):
+        profiles, genres = case
+        got = cluster_genres(profiles, genres, linkage)
+        want = reference_cluster_genres(profiles, genres, linkage)
+        assert got.leaves == want.leaves
+        assert got.merges == want.merges
+        assert got.tree == want.tree
+        for k in range(1, len(want.leaves) + 1):
+            assert got.flat_cut(k) == reference_flat_cut(want, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=genre_profiles(), stray=st.integers(-2, 40), linkage=st.sampled_from(["average", "ward"]))
+    def test_an_id_with_no_genre_is_left_out(self, case, stray, linkage):
+        profiles, genres = case
+        assume(stray not in genres)
+        with_stray = profiles | {stray: np.full(3, 7.0)}
+        assert cluster_genres(with_stray, genres, linkage) == cluster_genres(profiles, genres, linkage)
+        cfg = SamplingConfig(20, 2, seed=3)
+        assert outcome(sample_similarity, with_stray, genres, cfg) == outcome(sample_similarity, profiles, genres, cfg)
 
 
 def raw_row(i, ig, iy, f, fg, fy):
